@@ -2,7 +2,7 @@
 exact formulas, Monte Carlo experiments, and the verification suites.
 
 Exit codes: 0 success, 2 parse/parameter error, 3 verification failure,
-4 numerical-precision failure.
+4 numerical failure; EXIT_CODES maps each package error to one of them.
 """
 
 from __future__ import annotations
@@ -18,13 +18,18 @@ import mpmath as mp
 
 from . import __version__, thresholds, verification
 from .errors import (
+    DimensionMismatch,
+    Gf2RankError,
+    Inconsistent,
     InvalidDistribution,
     InvalidParam,
     NoConvergence,
     NumericalResidue,
     ParseError,
     PrecisionLoss,
+    TooLarge,
     TruncationTooSmall,
+    VerificationFailed,
 )
 from .exact import (
     ParitySpec,
@@ -90,17 +95,26 @@ def _emit_json(inv: CliInvocation, result, out: str | None) -> None:
     _emit(json.dumps(_envelope(inv, result), indent=2, default=_json_default), out)
 
 
+# (error classes, exit code, stderr prefix) for every Gf2RankError subclass
+EXIT_CODES = (
+    ((ParseError, InvalidDistribution, InvalidParam, DimensionMismatch, TooLarge), 2, "error"),
+    ((VerificationFailed,), 3, "verification failed"),
+    ((PrecisionLoss, NumericalResidue, TruncationTooSmall, NoConvergence, Inconsistent),
+     4, "numerical error"),
+)
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ParseError, InvalidDistribution, InvalidParam) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (PrecisionLoss, NumericalResidue, TruncationTooSmall, NoConvergence) as exc:
-            click.echo(f"numerical error: {exc}", err=True)
-            sys.exit(4)
+        except Gf2RankError as exc:
+            for kinds, code, prefix in EXIT_CODES:
+                if isinstance(exc, kinds):
+                    click.echo(f"{prefix}: {exc}", err=True)
+                    sys.exit(code)
+            raise
     return wrapper
 
 
@@ -368,6 +382,12 @@ def cmd_tn(rho_spec, n, trials, seed, model, out):
 def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
               modulus, targets, cell_probs, out):
     """Evaluate one of the exactly computable probabilities."""
+    if what != "gfq" and n is None:
+        raise ParseError(f"-n is required for --what {what}")
+    if what in ("pi", "pa", "en", "poisson") and m is None:
+        raise ParseError(f"-m is required for --what {what}")
+    if what in ("pa", "en") and rho_spec is None:
+        raise ParseError(f"--rho is required for --what {what}")
     params = {"what": what, "rho": rho_spec, "n": n, "m": m, "model": model,
               "precision": precision}
     if what == "pi":

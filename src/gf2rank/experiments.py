@@ -206,7 +206,7 @@ def exp_core_vs_theory(cfg: ExperimentConfig, check_corank: bool | None = None) 
     pigeonhole consequence of a hypercycle.
     """
     dist = cfg.dist
-    theory = {n: core_theory(dist, cfg.alpha) for n in cfg.n_values}
+    th = core_theory(dist, cfg.alpha)
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):
@@ -216,7 +216,6 @@ def exp_core_vs_theory(cfg: ExperimentConfig, check_corank: bool | None = None) 
                     for t in range(cfg.trials)]
         recs = _map_trials(_core_trial, payloads, cfg.threads)
         records.extend(recs)
-        th = theory[n]
         mean = lambda k: sum(r[k] for r in recs) / (cfg.trials * n)
         rows_frac, cols_frac, inc_frac = mean("core_rows"), mean("occupied_cols"), mean("incidences")
         e_freq = sum(_check_E_record(r, n, cfg.eps) for r in recs) / cfg.trials

@@ -8,7 +8,7 @@ basis operation even for thousands of columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from .errors import DimensionMismatch, TooLarge, ParseError
 
@@ -99,11 +99,6 @@ class RankState:
             row ^= b
         self.corank += 1
         return True
-
-
-def rank_absorb(state: RankState, row: int) -> Tuple[RankState, bool]:
-    """Functional wrapper over :meth:`RankState.absorb` (mutates state)."""
-    return state, state.absorb(row)
 
 
 def corank(matrix: GF2Matrix) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
 
 from .errors import TooLarge
 from .exact import ParitySpec, _exact_fraction
@@ -143,7 +142,3 @@ def parity_paths(spec: ParitySpec, n: int, limit: int = 10**7) -> Fraction:
             total += prob
     return total
 
-
-def expected_null_profile_exact(n: int, m: int, law) -> dict:
-    """E[N(n,m;l)] for every l via C(m,l) * enumerated P[A(n,l)]."""
-    return {l: comb(m, l) * prob_A_enumerated(n, l, law) for l in range(m + 1)}

@@ -129,8 +129,3 @@ def check_E(stats: CoreStats, n: int, eps: float) -> bool:
         raise ValueError(f"eps {eps} <= 0")
     return stats.core_rows >= eps * n and stats.core_rows > stats.occupied_cols
 
-
-def core_implies_hypercycle(stats: CoreStats) -> bool:
-    """Pigeonhole witness: more core rows than occupied columns forces a
-    hypercycle, hence corank >= 1 for the underlying matrix."""
-    return stats.core_rows > stats.occupied_cols

@@ -14,6 +14,11 @@ Everything is driven by four functions of the weight pgf rho:
   psi(g_star(alpha)) < 0) is the onset of a core with more rows than
   occupied columns.
 
+The h-landscape of a distribution is one sweep of h over a fixed grid.  It
+gives alpha_sharp, the local minima of h (which g_star needs) and the jump
+set of g_star.  Each public function computes it once per call and passes
+it down, so threshold_report and core_theory sweep h once each.
+
 All one-dimensional optima use a dense bracket grid (log-refined toward the
 interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -38,6 +44,7 @@ X_TOL = 1e-13          # golden/bisection resolution in x
 GSTAR_TOL = 1e-12
 ALPHA_BAR_TOL = 1e-9
 ALPHA_BAR_STEP = 1e-4  # resolves sign windows a few 1e-4 wide (mixture cases)
+ALPHA_BAR_MAX = 1.05   # end of the alpha_bar scan
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
 PROMINENCE = 1e-10     # minimum depth for a local minimum to count as a jump
 X_HI = 1.0 - 1e-15     # guard for log(1-x)
@@ -57,6 +64,32 @@ def _golden_min(f, a: float, b: float, tol: float):
             a = c
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def _bisect(pred, lo, hi, tol):
+    """Halve [lo, hi] to width tol, moving lo to each midpoint where pred
+    holds and hi to the others; returns the final bracket.  Works on floats
+    and on mpf."""
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _grid_sup(f, grid, ends):
+    """Candidates for sup f over the grid's span as (value, location) pairs:
+    f at the grid indices in ends, and every interior grid local maximum,
+    golden-refined."""
+    vals = [f(g) for g in grid]
+    cands = [(vals[i], grid[i]) for i in ends]
+    for i in range(1, len(grid) - 1):
+        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
+            g0, v0 = _golden_min(lambda g: -f(g), grid[i - 1], grid[i + 1], GAMMA_TOL)
+            cands.append((-v0, g0))
+    return cands
 
 
 def _unit_grid(n: int, lo_exp: int = 44) -> tuple:
@@ -91,21 +124,14 @@ def F_of_alpha(dist: WeightDist, alpha: float):
     Returns (value, gamma0, beta0) where beta0 = rho(1-2 g0)/(1 + rho(1-2 g0))
     is the null-vector row-usage fraction at the optimum.
     """
-    f = lambda g: F_gamma(dist, alpha, g)
-    grid = _GAMMA_GRID
-    vals = [f(g) for g in grid]
-    cands = [(vals[0], grid[0]), (vals[-1], grid[-1])]
-    for i in range(1, len(grid) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-            g0, v0 = _golden_min(lambda g: -f(g), grid[i - 1], grid[i + 1], GAMMA_TOL)
-            cands.append((-v0, g0))
+    cands = _grid_sup(lambda g: F_gamma(dist, alpha, g), _GAMMA_GRID, ends=(0, -1))
     best = max(v for v, _ in cands)
     gamma0 = min(g for v, g in cands if v >= best - 1e-14)
     r = dist.pgf(1.0 - 2.0 * gamma0)
     return best, gamma0, r / (1.0 + r)
 
 
-def alpha_star(dist: WeightDist, cross_check: bool = True) -> float:
+def alpha_star(dist: WeightDist) -> float:
     """inf{alpha >= 0 : F(alpha) > 0} by bisection against F > TOL_F.
 
     For a fixed weight r >= 3 the result is cross-checked against two
@@ -115,17 +141,10 @@ def alpha_star(dist: WeightDist, cross_check: bool = True) -> float:
     """
     if F_of_alpha(dist, 0.0)[0] > TOL_F:
         return 0.0
-    lo, hi = 0.0, 1.0
-    if F_of_alpha(dist, hi)[0] <= TOL_F:  # alpha_star <= 1 always; guard anyway
-        hi = 2.0
-    while hi - lo > ALPHA_TOL:
-        mid = 0.5 * (lo + hi)
-        if F_of_alpha(dist, mid)[0] > TOL_F:
-            hi = mid
-        else:
-            lo = mid
+    hi = 1.0 if F_of_alpha(dist, 1.0)[0] > TOL_F else 2.0  # alpha_star <= 1; guard anyway
+    lo, hi = _bisect(lambda a: F_of_alpha(dist, a)[0] <= TOL_F, 0.0, hi, ALPHA_TOL)
     a_sup = 0.5 * (lo + hi)
-    if cross_check and len(dist.atoms) == 1 and dist.min_weight >= 3:
+    if len(dist.atoms) == 1 and dist.min_weight >= 3:
         r = dist.min_weight
         a_stat = _alpha_star_stationary(r)
         a_lam = float(_alpha_star_lambda_system(r))
@@ -133,7 +152,9 @@ def alpha_star(dist: WeightDist, cross_check: bool = True) -> float:
             raise Inconsistent(
                 f"alpha_star routes disagree at r={r}: sup={a_sup!r}, "
                 f"stationary={a_stat!r}, lambda-system={a_lam!r}")
-        return a_lam  # best-conditioned route once agreement is established
+        # best-conditioned route once agreement is established; it lands a
+        # few ulps above 1 for heavy weights (r = 34, 36, ...)
+        return min(a_lam, 1.0)
     return min(a_sup, 1.0)  # alpha_star <= 1 always; the bisection can overshoot by ~1e-12
 
 
@@ -151,13 +172,8 @@ def _alpha_star_stationary(r: int) -> float:
         # log(2 g^g (1-g)^(1-g)) evaluated stably for tiny g
         return (math.log(2.0) + g * u + (1.0 - g) * math.log1p(-g)) / math.log1p(t**r)
 
-    lo, hi = math.log(1e-300), math.log(0.45)
-    while hi - lo > 1e-11:
-        mid = 0.5 * (lo + hi)
-        if a_r(mid) - phi_r(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda u: a_r(u) - phi_r(u) > 0.0,
+                     math.log(1e-300), math.log(0.45), 1e-11)
     return a_r(0.5 * (lo + hi))
 
 
@@ -177,13 +193,8 @@ def _alpha_star_lambda_system(r: int, precision: int = 0):
         return a_of(lam) * ctx.log1p(t**r) - lam * t + ctx.log(ctx.cosh(lam))
 
     def solve(lo, hi, tol):
-        flo = f(lo)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if (f(mid) > 0) == (flo > 0):
-                lo = mid
-            else:
-                hi = mid
+        lo_sign = f(lo) > 0
+        lo, hi = _bisect(lambda lam: (f(lam) > 0) == lo_sign, lo, hi, tol)
         return a_of((lo + hi) / 2)
 
     if precision:
@@ -210,14 +221,7 @@ def R_of_alpha(dist: WeightDist, alpha: float):
         ent = _xlogx(g) + _xlogx(1.0 - g)
         return alpha * math.log(v) - math.log(2.0) - ent
 
-    grid = _GAMMA_GRID[:-1]
-    vals = [f(g) for g in grid]
-    cands = [(vals[0], grid[0])]
-    for i in range(1, len(grid) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-            g0, v0 = _golden_min(lambda g: -f(g), grid[i - 1], grid[i + 1], GAMMA_TOL)
-            cands.append((-v0, g0))
-    best, g1 = max(cands)
+    best, g1 = max(_grid_sup(f, _GAMMA_GRID[:-1], ends=(0,)))
     return -best, g1
 
 
@@ -264,8 +268,13 @@ def _psi(dist: WeightDist, x: float) -> float:
     return x + (1.0 + ratio - x) * math.log1p(-x)
 
 
-def _h_local_minima(dist: WeightDist) -> list:
-    """Interior local minima of h, golden-refined, sorted by location."""
+def _h_landscape(dist: WeightDist):
+    """One sweep of h over _X_GRID: (alpha_sharp, minima, jumps).
+
+    minima are the interior local minima of h, golden-refined and sorted by
+    location; jumps is the jump set of g_star as discontinuities describes
+    it.  The jumps reuse the grid values of h, so h is swept only once.
+    """
     h = lambda x: _h(dist, x)
     grid = _X_GRID
     vals = [h(x) for x in grid]
@@ -275,7 +284,34 @@ def _h_local_minima(dist: WeightDist) -> list:
             x, v = _golden_min(h, grid[i - 1], grid[i + 1], X_TOL)
             if not mins or x - mins[-1][0] > 1e-9:
                 mins.append((x, v))
-    return mins
+    h0 = h(1e-13)
+    a_sharp = min(min((v for _, v in mins), default=math.inf), h0)
+
+    kept = []
+    best_right = math.inf
+    for x, v in reversed(mins):
+        if v < best_right - PROMINENCE:
+            kept.append((x, v))
+            best_right = v
+    kept.reverse()
+    jumps = []
+    for j, (x, v) in enumerate(kept):
+        g_left = 0.0
+        if j > 0 or h0 <= v:  # min_weight <= 2: the first level set reaches 0
+            g_left = _rightmost_crossing_below(dist, v, vals, x)
+        jumps.append((v, g_left, x))
+    return a_sharp, mins, jumps
+
+
+def _rightmost_crossing_below(dist, level, vals, x_min):
+    # rightmost solution of h = level strictly left of the basin of x_min;
+    # vals holds h on _X_GRID
+    grid = _X_GRID
+    i = max(bisect_left(grid, x_min) - 1, 0)
+    while i > 0 and vals[i] > level:
+        i -= 1
+    lo, hi = _bisect(lambda x: _h(dist, x) <= level, grid[i], grid[i + 1], GSTAR_TOL)
+    return 0.5 * (lo + hi)
 
 
 def alpha_sharp(dist: WeightDist):
@@ -284,10 +320,8 @@ def alpha_sharp(dist: WeightDist):
     The infimum accounts for the boundary behaviour as x -> 0 (finite for
     min_weight <= 2, diverging for min_weight >= 3).
     """
-    mins = _h_local_minima(dist)
-    inf_h = min((v for _, v in mins), default=math.inf)
-    inf_h = min(inf_h, _h(dist, 1e-13))
-    return inf_h, mins
+    a_sharp, mins, _ = _h_landscape(dist)
+    return a_sharp, mins
 
 
 def _h_of_u(dist: WeightDist, u: float) -> float:
@@ -325,16 +359,16 @@ def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
         lo_x = 1e-13
     # exactly one crossing of h = alpha to the right of lo_x: any dip below
     # alpha out there would be a local minimum <= alpha right of lo_x
-    lo, hi = -math.log1p(-lo_x), _U_HI
-    if _h_of_u(dist, hi) <= alpha:
-        return hi
-    while hi - lo > _U_TOL:
-        mid = 0.5 * (lo + hi)
-        if _h_of_u(dist, mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
+    if _h_of_u(dist, _U_HI) <= alpha:
+        return _U_HI
+    lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= alpha, -math.log1p(-lo_x), _U_HI, _U_TOL)
     return 0.5 * (lo + hi)
+
+
+def _psi_g_star(dist: WeightDist, alpha: float, minima: list) -> float:
+    """psi(g_star(alpha)), with psi(0) = 0 below the core onset."""
+    u = _g_star_u(dist, alpha, minima)
+    return 0.0 if u is None else _psi_of_u(dist, u)
 
 
 def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float:
@@ -345,98 +379,48 @@ def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float
     """
     if alpha < 0:
         raise InvalidParam(f"alpha {alpha} < 0")
-    mins = _h_local_minima(dist) if _minima is None else _minima
+    mins = _h_landscape(dist)[1] if _minima is None else _minima
     u = _g_star_u(dist, alpha, mins)
     return 0.0 if u is None else -math.expm1(-u)
 
 
-def discontinuities(dist: WeightDist, prominence: float = PROMINENCE) -> list:
+def discontinuities(dist: WeightDist) -> list:
     """Jump set of g_star as (alpha, g_left, g_right) triples, alpha ascending.
 
     A local minimum of h at x with value v produces a jump at alpha = v
     exactly when h stays strictly above v everywhere to the right of x (the
     minimum is "visible from the right"); the jump lands on x.  The first
-    entry is always at alpha_sharp.
+    entry is always at alpha_sharp.  A minimum counts as visible only if it
+    lies more than PROMINENCE below every minimum to its right.
     """
-    mins = _h_local_minima(dist)
-    kept = []
-    best_right = math.inf
-    for x, v in reversed(mins):
-        if v < best_right - prominence:
-            kept.append((x, v))
-            best_right = v
-    kept.reverse()
-
-    grid = _X_GRID
-    vals = [_h(dist, x) for x in grid]
-    out = []
-    for j, (x, v) in enumerate(kept):
-        if j == 0:
-            g_left = 0.0
-            if _h(dist, 1e-13) <= v:  # min_weight <= 2: level set reaches 0
-                g_left = _rightmost_crossing_below(dist, v, grid, vals, x)
-        else:
-            g_left = _rightmost_crossing_below(dist, v, grid, vals, x)
-        out.append((v, g_left, x))
-    return out
+    return _h_landscape(dist)[2]
 
 
-def _rightmost_crossing_below(dist, level, grid, vals, x_min):
-    # rightmost solution of h = level strictly left of the basin of x_min
-    i = 0
-    for idx in range(len(grid)):
-        if grid[idx] >= x_min:
-            break
-        i = idx
-    while i > 0 and vals[i] > level:
-        i -= 1
-    lo, hi = grid[i], grid[i + 1]
-    while hi - lo > GSTAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if _h(dist, mid) <= level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def alpha_bar(dist: WeightDist, step: float = ALPHA_BAR_STEP, alpha_max: float = 1.05) -> float:
+def alpha_bar(dist: WeightDist, step: float = ALPHA_BAR_STEP) -> float:
     """inf{alpha > alpha_sharp : psi(g_star(alpha)) < 0}.
 
-    Scans alpha at the given step for the first sign change of psi o g_star,
-    then bisects to ALPHA_BAR_TOL.  If the change happens across a jump of
-    g_star, the jump point itself is returned.  The default step resolves
-    sign windows a few 1e-4 wide; lower it for even closer-spaced features.
+    Scans alpha up to ALPHA_BAR_MAX at the given step for the first sign
+    change of psi o g_star, then bisects to ALPHA_BAR_TOL.  If the change
+    happens across a jump of g_star, the jump point itself is returned.  The
+    default step resolves sign windows a few 1e-4 wide; lower it for even
+    closer-spaced features.
     """
     if dist.min_weight < 3:
         raise InvalidParam("alpha_bar requires min_weight >= 3")
-    a_sharp, mins = alpha_sharp(dist)
+    return _alpha_bar(dist, step, _h_landscape(dist))
 
-    def psg(a):
-        u = _g_star_u(dist, a, mins)
-        return 0.0 if u is None else _psi_of_u(dist, u)
 
-    prev = a_sharp
-    a = a_sharp + step
-    hit = None
-    while a <= alpha_max + step:
-        if psg(a) < 0.0:
-            hit = (prev, a)
-            break
-        prev = a
-        a += step
-    if hit is None:
+def _alpha_bar(dist: WeightDist, step: float, landscape) -> float:
+    a_sharp, mins, jumps = landscape
+    prev, a = a_sharp, a_sharp + step
+    while a <= ALPHA_BAR_MAX + step and _psi_g_star(dist, a, mins) >= 0.0:
+        prev, a = a, a + step
+    if a > ALPHA_BAR_MAX + step:
         raise NoConvergence(
-            f"psi(g_star(alpha)) never negative on ({a_sharp}, {alpha_max}]")
-    lo, hi = hit
-    while hi - lo > ALPHA_BAR_TOL:
-        mid = 0.5 * (lo + hi)
-        if psg(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
+            f"psi(g_star(alpha)) never negative on ({a_sharp}, {ALPHA_BAR_MAX}]")
+    lo, hi = _bisect(lambda al: _psi_g_star(dist, al, mins) >= 0.0, prev, a, ALPHA_BAR_TOL)
     a_bar = 0.5 * (lo + hi)
-    for alpha_d, _, _ in discontinuities(dist):
+    for alpha_d, _, _ in jumps:
         if abs(a_bar - alpha_d) <= 10.0 * ALPHA_BAR_TOL:
             return alpha_d
     return a_bar
@@ -451,28 +435,23 @@ def psi_roots(dist: WeightDist) -> list:
         if vals[i] == 0.0:
             roots.append(grid[i])
         elif (vals[i] > 0.0) != (vals[i - 1] > 0.0):
-            lo, hi = grid[i - 1], grid[i]
             ref = vals[i - 1] > 0.0
-            while hi - lo > X_TOL:
-                mid = 0.5 * (lo + hi)
-                if (_psi(dist, mid) > 0.0) == ref:
-                    lo = mid
-                else:
-                    hi = mid
+            lo, hi = _bisect(lambda x: (_psi(dist, x) > 0.0) == ref,
+                             grid[i - 1], grid[i], X_TOL)
             roots.append(0.5 * (lo + hi))
     return [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
 
 
-def psi_gstar_sign_pattern(dist: WeightDist, step: float = 2e-5,
-                           alpha_max: float = 1.02) -> str:
-    """Condensed sign sequence of psi(g_star(alpha)) for alpha past alpha_sharp,
-    e.g. "+-" for a single transition or "+-+-" for the re-entrant mixtures."""
-    a_sharp, mins = alpha_sharp(dist)
+def psi_gstar_sign_pattern(dist: WeightDist) -> str:
+    """Condensed sign sequence of psi(g_star(alpha)) for alpha in
+    (alpha_sharp, 1.02], sampled every 2e-5, e.g. "+-" for a single
+    transition or "+-+-" for the re-entrant mixtures."""
+    a_sharp, mins, _ = _h_landscape(dist)
+    step = 2e-5
     pattern = []
     a = a_sharp + step
-    while a <= alpha_max:
-        u = _g_star_u(dist, a, mins)
-        v = 0.0 if u is None else _psi_of_u(dist, u)
+    while a <= 1.02:
+        v = _psi_g_star(dist, a, mins)
         s = "+" if v > 0 else ("-" if v < 0 else "0")
         if s != "0" and (not pattern or pattern[-1] != s):
             pattern.append(s)
@@ -546,12 +525,12 @@ def core_theory(dist: WeightDist, alpha: float) -> CoreTheory:
     """Evaluate the 2-core limit fractions at the given aspect ratio alpha."""
     if dist.min_weight < 3:
         raise InvalidParam("core limit theory requires min_weight >= 3")
-    for alpha_d, _, _ in discontinuities(dist):
+    _, mins, jumps = _h_landscape(dist)
+    for alpha_d, _, _ in jumps:
         if abs(alpha - alpha_d) < 1e-9:
             warnings.warn(
                 f"alpha={alpha} sits on a discontinuity of g_star; "
                 "the core limits are not continuous here", stacklevel=2)
-    mins = _h_local_minima(dist)
     u = _g_star_u(dist, alpha, mins)
     mu = alpha * dist.pgf(1.0, 1)
     if u is None:
@@ -565,7 +544,7 @@ def core_theory(dist: WeightDist, alpha: float) -> CoreTheory:
         raise Inconsistent(
             f"incidence identity violated at alpha={alpha}: "
             f"{inc} vs {alpha * g * dist.pgf(g, 1)}")
-    p = _psi_of_u(dist, u)
+    p = _psi_of_u(dist, u)  # psi(g_star(alpha)), reusing u
     sign = (p > 0) - (p < 0)
     return CoreTheory(alpha, g, mu, nu, rows, cols, inc, sign)
 
@@ -630,22 +609,18 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None,
     alpha_bar and x_star require min_weight >= 3 and are None otherwise
     (the 2-core transition is not defined for weights 1 and 2).
     """
-    a_sharp, mins = alpha_sharp(dist)
+    landscape = _h_landscape(dist)
+    a_sharp, mins, jumps = landscape
     a_star = alpha_star(dist)
-    disc = tuple(discontinuities(dist))
     a_bar = x_st = transversal = None
     is_root = False
     if dist.min_weight >= 3:
-        a_bar = alpha_bar(dist, step=scan_step)
-
-        def psg(a):
-            u = _g_star_u(dist, a, mins)
-            return 0.0 if u is None else _psi_of_u(dist, u)
-
+        a_bar = _alpha_bar(dist, scan_step, landscape)
         x_st = g_star(dist, a_bar, mins)
-        is_root = abs(psg(a_bar)) <= 1e-6
+        is_root = abs(_psi_g_star(dist, a_bar, mins)) <= 1e-6
         d = 10.0 * ALPHA_BAR_TOL
-        transversal = psg(a_bar - d) > 0.0 > psg(a_bar + d)
+        transversal = (_psi_g_star(dist, a_bar - d, mins) > 0.0
+                       > _psi_g_star(dist, a_bar + d, mins))
         # the ordering can only be certified to the alpha_bar bisection
         # resolution; the true gap drops below it around fixed weight 22
         if not (a_star <= a_bar + 10 * ALPHA_BAR_TOL and a_bar <= 1.0 + 1e-9):
@@ -664,7 +639,7 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None,
         x_star=x_st,
         x_star_is_psi_root=is_root,
         bar_crossing_transversal=transversal,
-        discontinuities=disc,
+        discontinuities=tuple(jumps),
         gamma0=gamma0,
         beta0=beta0,
         witness_alpha=witness_alpha,

@@ -111,7 +111,7 @@ def suite_fig2() -> list:
         checks.append(_close("fig2 jump[1] g_left", 0.929269, disc[1][1], tol))
         checks.append(_close("fig2 jump[1] g_right", 0.973325, disc[1][2], tol))
     checks.append(_close("fig2 alpha_bar", 0.990686, thresholds.alpha_bar(dist), tol))
-    pattern = thresholds.psi_gstar_sign_pattern(dist, step=2e-5)
+    pattern = thresholds.psi_gstar_sign_pattern(dist)
     checks.append(_equal("fig2 psi(g_star) sign pattern", "+-+-", pattern))
     return checks
 

@@ -172,39 +172,6 @@ def parse_rho(spec: str) -> WeightDist:
     return WeightDist(tuple((k, p / total) for k, p in atoms))
 
 
-def pgf_eval(dist: WeightDist, s, order: int = 0):
-    """Module-level alias for :meth:`WeightDist.pgf`."""
-    return dist.pgf(s, order)
-
-
-@dataclass(frozen=True)
-class SizeBiasedPGFs:
-    """Generating functions seen from a uniformly random incidence.
-
-    ``sigma_coeffs[w]`` is the probability that the edge of a random incidence
-    has w *other* vertices; its pgf is rho'(s)/rho'(1).  The matching
-    vertex-side pgf is Poisson and available via :meth:`lam`.
-    """
-
-    sigma_coeffs: tuple  # ((w, sigma_w), ...)
-    mean_weight: float
-
-    @classmethod
-    def from_dist(cls, dist: WeightDist) -> "SizeBiasedPGFs":
-        mean = dist.mean()
-        coeffs = tuple((k - 1, k * p / mean) for k, p in dist.atoms)
-        return cls(coeffs, mean)
-
-    def sigma(self, s):
-        return sum(c * s**w for w, c in self.sigma_coeffs)
-
-    @staticmethod
-    def lam(s, mu: float):
-        """Pgf of the number of other edges at a random incidence, for a
-        Poisson(mu) vertex-degree profile: exp(mu (s - 1))."""
-        return math.exp(mu * (s - 1.0))
-
-
 def sample_weight_exact(dist: WeightDist, n: int, rng) -> int:
     """Row weight under the exact model with n columns: min(W, n)."""
     return min(dist.sample(rng), n)

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from gf2rank import errors
 from gf2rank.cli import main
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "output-schema.json")
@@ -69,6 +70,75 @@ def test_bad_rho_exits_2():
     assert result.exit_code == 2
     result = CliRunner().invoke(main, ["thresholds", "--rho", "bogus"])
     assert result.exit_code == 2
+
+
+# the documented exit code of every package error
+EXIT_CODE = {
+    errors.ParseError: 2,
+    errors.InvalidDistribution: 2,
+    errors.InvalidParam: 2,
+    errors.DimensionMismatch: 2,
+    errors.TooLarge: 2,
+    errors.VerificationFailed: 3,
+    errors.PrecisionLoss: 4,
+    errors.NumericalResidue: 4,
+    errors.TruncationTooSmall: 4,
+    errors.NoConvergence: 4,
+    errors.Inconsistent: 4,
+}
+
+
+def run_fail(args, code, stdin=None):
+    """Run a failing command; return its one-line stderr message."""
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exit_code == code, (result.stdout, result.stderr, result.exception)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    return lines[0]
+
+
+def test_every_error_class_has_an_exit_code():
+    assert set(EXIT_CODE) == set(errors.Gf2RankError.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODE), ids=lambda c: c.__name__)
+def test_error_class_exit_code(cls, monkeypatch):
+    def fail(*args, **kwargs):
+        raise cls("bad thing")
+    monkeypatch.setattr("gf2rank.cli.threshold_report", fail)
+    line = run_fail(["thresholds", "--rho", "r=3"], EXIT_CODE[cls])
+    assert line.endswith(": bad thing")
+
+
+@pytest.mark.parametrize("what", ["pi", "pa", "en", "poisson", "parity"])
+def test_exact_missing_n_exits_2(what):
+    line = run_fail(["exact", "--what", what, "--rho", "r=3", "-m", "4"], 2)
+    assert line == f"error: -n is required for --what {what}"
+
+
+@pytest.mark.parametrize("what", ["pi", "pa", "en", "poisson"])
+def test_exact_missing_m_exits_2(what):
+    line = run_fail(["exact", "--what", what, "--rho", "r=3", "-n", "4"], 2)
+    assert line == f"error: -m is required for --what {what}"
+
+
+def test_exact_missing_rho_exits_2():
+    assert run_fail(["exact", "--what", "en", "-n", "4", "-m", "4"], 2).startswith("error: --rho")
+
+
+def test_rank_column_out_of_range_exits_2():
+    assert "n_cols 2" in run_fail(["rank", "-n", "2"], 2, stdin="5\n")
+
+
+def test_rank_enumerate_too_large_exits_2():
+    rows = "".join(f"{i}\n" for i in range(25))
+    assert "max_m 24" in run_fail(["rank", "--enumerate"], 2, stdin=rows)
+
+
+def test_exact_poisson_truncation_exits_4():
+    line = run_fail(["exact", "--what", "poisson", "-n", "5", "-m", "5", "--truncation", "3"], 4)
+    assert line.startswith("numerical error: Poisson tail mass")
 
 
 def test_curves_h_psi_fixed3():

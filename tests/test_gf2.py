@@ -10,7 +10,6 @@ from gf2rank.gf2 import (
     is_one_null,
     matrix_from_text,
     matrix_to_text,
-    rank_absorb,
     row_cols,
     row_from_cols,
 )
@@ -53,12 +52,6 @@ def test_dimension_mismatch():
         st_.absorb(0b1000)
     with pytest.raises(DimensionMismatch):
         GF2Matrix(3, [0b1000])
-
-
-def test_rank_absorb_wrapper():
-    st_ = RankState(2)
-    st_, dep = rank_absorb(st_, 0b01)
-    assert dep is False and st_.rank == 1
 
 
 def test_corank_identity():

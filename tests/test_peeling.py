@@ -7,7 +7,6 @@ from gf2rank.peeling import (
     CoreStats,
     Hypergraph,
     check_E,
-    core_implies_hypercycle,
     peel_2core,
 )
 from gf2rank.sampling import SampleConfig, sample_matrix
@@ -95,12 +94,6 @@ def test_check_E():
     assert not check_E(more, 100, 0.1)  # 4 < eps * n
     with pytest.raises(ValueError):
         check_E(more, 10, 0.0)
-
-
-def test_hypercycle_flag():
-    assert not core_implies_hypercycle(peel_2core(Hypergraph(3, [(0, 1, 2)])))
-    stats = CoreStats(4, 3, 8, {2: 4}, {2: 2, 3: 2}, (0, 1, 2, 3))
-    assert core_implies_hypercycle(stats)
 
 
 def test_peel_matches_naive_and_order_invariant(rng):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import mixture_batch
+from gf2rank import thresholds
 from gf2rank.errors import InvalidParam, NoConvergence
 from gf2rank.thresholds import (
     F_gamma,
@@ -17,6 +18,7 @@ from gf2rank.thresholds import (
     discontinuities,
     g_star,
     h_psi,
+    psi_gstar_sign_pattern,
     psi_roots,
     threshold_asymptotics,
     threshold_report,
@@ -28,6 +30,7 @@ from gf2rank.weights import WeightDist, parse_rho
 
 W1, W2, W3 = WeightDist.fixed(1), WeightDist.fixed(2), WeightDist.fixed(3)
 FIG1 = parse_rho("0.9:3,0.1:24")
+FIG2 = parse_rho("0.9183:3,0.04:19,0.0417:41")
 
 
 def test_F_gamma_endpoints():
@@ -337,3 +340,42 @@ def test_threshold_report_weight2():
     rep = threshold_report(W2)
     assert rep.alpha_bar is None and rep.x_star is None
     assert 0.5 - 1e-9 <= rep.alpha_star < 1.0
+
+
+def test_threshold_report_fixed_weights_up_to_40():
+    # the lambda-system route lands a few ulps above 1 for r = 34, 36, 37,
+    # 39 and 40; alpha_star clamps it, so the report's [1/2, 1] check holds
+    for r in range(3, 41):
+        rep = threshold_report(WeightDist.fixed(r))
+        assert 0.5 <= rep.alpha_star <= 1.0, r
+
+
+@pytest.mark.parametrize("dist", [W3, FIG1, FIG2, parse_rho("0.5:4,0.3:9,0.2:17")],
+                         ids=["W3", "FIG1", "FIG2", "mix3"])
+def test_components_match_report(dist):
+    rep = threshold_report(dist)
+    assert alpha_sharp(dist)[0] == rep.alpha_sharp
+    assert alpha_star(dist) == rep.alpha_star
+    assert tuple(discontinuities(dist)) == rep.discontinuities
+    assert alpha_bar(dist) == rep.alpha_bar
+    assert g_star(dist, rep.alpha_bar) == rep.x_star
+
+
+@pytest.mark.parametrize("call", [
+    threshold_report, alpha_sharp, discontinuities, alpha_bar, psi_gstar_sign_pattern,
+    lambda d: core_theory(d, 0.95), lambda d: g_star(d, 0.95),
+], ids=["threshold_report", "alpha_sharp", "discontinuities", "alpha_bar",
+        "psi_gstar_sign_pattern", "core_theory", "g_star"])
+def test_one_h_sweep_per_call(call, monkeypatch):
+    # one sweep is one h evaluation per grid point; the golden and bisection
+    # refinements add a few hundred more, far short of a second sweep
+    h = thresholds._h
+    calls = 0
+
+    def counting_h(dist, x):
+        nonlocal calls
+        calls += 1
+        return h(dist, x)
+    monkeypatch.setattr(thresholds, "_h", counting_h)
+    call(FIG1)
+    assert len(thresholds._X_GRID) <= calls < 2 * len(thresholds._X_GRID)

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gf2rank.errors import InvalidDistribution, ParseError
 from gf2rank.weights import (
-    SizeBiasedPGFs,
     WeightDist,
     parse_rho,
-    pgf_eval,
     sample_weight_binomial,
     sample_weight_exact,
 )
@@ -19,11 +17,11 @@ FIG1 = WeightDist(((3, 0.9), (24, 0.1)))
 
 def test_pgf_point_mass():
     d = WeightDist.fixed(3)
-    assert pgf_eval(d, 1.0) == 1.0
-    assert pgf_eval(d, 0.5, 1) == 0.75
-    assert pgf_eval(d, 0.5) == 0.125
-    assert pgf_eval(d, 0.5, 2) == 3.0
-    assert pgf_eval(d, 0.5, 3) == 6.0
+    assert d.pgf(1.0) == 1.0
+    assert d.pgf(0.5, 1) == 0.75
+    assert d.pgf(0.5) == 0.125
+    assert d.pgf(0.5, 2) == 3.0
+    assert d.pgf(0.5, 3) == 6.0
 
 
 def test_pgf_exact_mode_is_rational():
@@ -148,17 +146,6 @@ def test_binomial_converges_in_distribution(rng):
         devs[n] = abs(hits / draws - 0.9)
     assert devs[10_000] < devs[100]
     assert devs[10_000] <= 0.005
-
-
-def test_size_biased_coefficients():
-    sb = SizeBiasedPGFs.from_dist(FIG1)
-    mean = 3 * 0.9 + 24 * 0.1
-    assert abs(sb.mean_weight - mean) < 1e-12
-    coeffs = dict(sb.sigma_coeffs)
-    assert abs(coeffs[2] - 2.7 / mean) < 1e-12
-    assert abs(coeffs[23] - 2.4 / mean) < 1e-12
-    assert abs(sum(coeffs.values()) - 1.0) < 1e-12
-    assert abs(sb.sigma(1.0) - 1.0) < 1e-12
 
 
 def test_per_n_law_truncation():
