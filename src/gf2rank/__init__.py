@@ -35,4 +35,15 @@ from .thresholds import (
 )
 from .experiments import ExperimentConfig, ExperimentResult, run_experiment
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "WeightDist", "parse_rho",
+    "GF2Matrix", "RankState", "corank", "enumerate_null_vectors", "is_one_null",
+    "SampleConfig", "make_rng", "run_Tn", "sample_matrix", "sample_row",
+    "CoreStats", "Hypergraph", "check_E", "peel_2core",
+    "ParitySpec", "expected_null_count", "gfq_dense_survival", "multinomial_parity",
+    "pi_multinomial", "poissonization_check", "prob_A_general",
+    "CoreTheory", "ThresholdReport", "F_gamma", "F_of_alpha", "R_of_alpha", "alpha_bar",
+    "alpha_sharp", "alpha_star", "core_theory", "discontinuities", "g_star", "h_psi",
+    "psi_roots", "threshold_asymptotics", "threshold_report", "x_star_iteration",
+    "ExperimentConfig", "ExperimentResult", "run_experiment",
+]

@@ -23,16 +23,25 @@ All one-dimensional optima use a dense bracket grid (log-refined toward the
 interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
 weights.  The endpoint convention 0^0 = 1 is applied throughout.
+
+The grid sweeps (h, psi, F_gamma and the R integrand) and the alpha scans
+for alpha_bar and the psi(g_star) sign pattern are numpy array evaluations;
+the scan bisects g_star for a whole block of alphas at once.  The scalar
+functions (_h, _psi, _h_of_u, _psi_of_u, _g_star_u, _psi_g_star, F_gamma)
+remain: they do every golden-section and bisection refinement, and the
+tests use them as the oracle for the arrays.  numpy's log, exp and pow may
+differ from math's in the last bit, so an array value can differ from its
+scalar counterpart by a few ulps.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import mpmath as mp
+import numpy as np
 
 from .errors import Inconsistent, InvalidParam, NoConvergence
 from .weights import WeightDist
@@ -79,16 +88,18 @@ def _bisect(pred, lo, hi, tol):
     return lo, hi
 
 
-def _grid_sup(f, grid, ends):
+def _grid_sup(f, grid, vals, ends):
     """Candidates for sup f over the grid's span as (value, location) pairs:
-    f at the grid indices in ends, and every interior grid local maximum,
-    golden-refined."""
-    vals = [f(g) for g in grid]
-    cands = [(vals[i], grid[i]) for i in ends]
-    for i in range(1, len(grid) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]:
-            g0, v0 = _golden_min(lambda g: -f(g), grid[i - 1], grid[i + 1], GAMMA_TOL)
-            cands.append((-v0, g0))
+    f at the grid indices in ends, and every interior grid local maximum of
+    the array vals (f on grid), golden-refined.  A point whose neighbours
+    both hold its own value is a flat run, not a peak, and is not refined."""
+    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
+    peaks = (mid >= left) & (mid >= right) & ~((mid == left) & (mid == right))
+    cands = [(f(float(grid[i])), float(grid[i])) for i in ends]
+    for i in np.flatnonzero(peaks) + 1:
+        g0, v0 = _golden_min(lambda g: -f(g), float(grid[i - 1]), float(grid[i + 1]),
+                             GAMMA_TOL)
+        cands.append((-v0, g0))
     return cands
 
 
@@ -99,15 +110,28 @@ def _unit_grid(n: int, lo_exp: int = 44) -> tuple:
     return tuple(sorted(set(pts)))
 
 
-_X_GRID = _unit_grid(8192)
-_GAMMA_GRID = tuple(0.5 * x for x in _unit_grid(2048, lo_exp=56)) + (0.0, 0.5)
-_GAMMA_GRID = tuple(sorted(set(_GAMMA_GRID)))
+def _frozen(points) -> np.ndarray:
+    a = np.array(points, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_X_GRID = _frozen(_unit_grid(8192))
+_GAMMA_GRID = _frozen(sorted({0.5 * x for x in _unit_grid(2048, lo_exp=56)} | {0.0, 0.5}))
 
 
 # --- rate functions F and R ------------------------------------------------
 
 def _xlogx(x: float) -> float:
     return x * math.log(x) if x > 0.0 else 0.0  # 0^0 = 1 convention
+
+
+def _xlogx_array(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def _entropy_array(gamma: np.ndarray) -> np.ndarray:
+    return _xlogx_array(gamma) + _xlogx_array(1.0 - gamma)
 
 
 def F_gamma(dist: WeightDist, alpha: float, gamma: float) -> float:
@@ -124,7 +148,10 @@ def F_of_alpha(dist: WeightDist, alpha: float):
     Returns (value, gamma0, beta0) where beta0 = rho(1-2 g0)/(1 + rho(1-2 g0))
     is the null-vector row-usage fraction at the optimum.
     """
-    cands = _grid_sup(lambda g: F_gamma(dist, alpha, g), _GAMMA_GRID, ends=(0, -1))
+    grid = _GAMMA_GRID
+    ent = _entropy_array(grid)
+    vals = alpha * np.log1p(dist.pgf(1.0 - 2.0 * grid)) - math.log(2.0) - ent
+    cands = _grid_sup(lambda g: F_gamma(dist, alpha, g), grid, vals, ends=(0, -1))
     best = max(v for v, _ in cands)
     gamma0 = min(g for v, g in cands if v >= best - 1e-14)
     r = dist.pgf(1.0 - 2.0 * gamma0)
@@ -221,7 +248,12 @@ def R_of_alpha(dist: WeightDist, alpha: float):
         ent = _xlogx(g) + _xlogx(1.0 - g)
         return alpha * math.log(v) - math.log(2.0) - ent
 
-    best, g1 = max(_grid_sup(f, _GAMMA_GRID[:-1], ends=(0,)))
+    grid = _GAMMA_GRID[:-1]
+    v = dist.pgf(1.0 - 2.0 * grid)
+    ent = _entropy_array(grid)
+    with np.errstate(divide="ignore"):
+        vals = np.where(v > 0.0, alpha * np.log(v) - math.log(2.0) - ent, -math.inf)
+    best, g1 = max(_grid_sup(f, grid, vals, ends=(0,)))
     return -best, g1
 
 
@@ -268,6 +300,26 @@ def _psi(dist: WeightDist, x: float) -> float:
     return x + (1.0 + ratio - x) * math.log1p(-x)
 
 
+def _h_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
+    # _h over an array of x in (0, 1)
+    xs = np.minimum(xs, X_HI)
+    with np.errstate(divide="ignore", over="ignore"):
+        return -np.log1p(-xs) / dist.pgf(xs, 1)  # r1 = 0 gives inf, as in _h
+
+
+def _ratio_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
+    # rho(x) / rho'(x), or its limit x / min_weight where rho'(x) underflows
+    r1 = dist.pgf(xs, 1)
+    pos = r1 > 0.0
+    return np.where(pos, dist.pgf(xs) / np.where(pos, r1, 1.0), xs / dist.min_weight)
+
+
+def _psi_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
+    # _psi over an array of x in (0, 1)
+    xs = np.minimum(xs, X_HI)
+    return xs + (1.0 + _ratio_array(dist, xs) - xs) * np.log1p(-xs)
+
+
 def _h_landscape(dist: WeightDist):
     """One sweep of h over _X_GRID: (alpha_sharp, minima, jumps).
 
@@ -277,13 +329,13 @@ def _h_landscape(dist: WeightDist):
     """
     h = lambda x: _h(dist, x)
     grid = _X_GRID
-    vals = [h(x) for x in grid]
+    vals = _h_array(dist, grid)
+    mid = vals[1:-1]
     mins = []
-    for i in range(1, len(grid) - 1):
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            x, v = _golden_min(h, grid[i - 1], grid[i + 1], X_TOL)
-            if not mins or x - mins[-1][0] > 1e-9:
-                mins.append((x, v))
+    for i in np.flatnonzero((mid < vals[:-2]) & (mid <= vals[2:])) + 1:
+        x, v = _golden_min(h, float(grid[i - 1]), float(grid[i + 1]), X_TOL)
+        if not mins or x - mins[-1][0] > 1e-9:
+            mins.append((x, v))
     h0 = h(1e-13)
     a_sharp = min(min((v for _, v in mins), default=math.inf), h0)
 
@@ -305,12 +357,14 @@ def _h_landscape(dist: WeightDist):
 
 def _rightmost_crossing_below(dist, level, vals, x_min):
     # rightmost solution of h = level strictly left of the basin of x_min;
-    # vals holds h on _X_GRID
+    # vals holds h on _X_GRID.  Start at the grid point just left of x_min
+    # and step left to the first point with h <= level (or to point 0).
     grid = _X_GRID
-    i = max(bisect_left(grid, x_min) - 1, 0)
-    while i > 0 and vals[i] > level:
-        i -= 1
-    lo, hi = _bisect(lambda x: _h(dist, x) <= level, grid[i], grid[i + 1], GSTAR_TOL)
+    i = max(int(np.searchsorted(grid, x_min)) - 1, 0)
+    below = np.flatnonzero(~(vals[1:i + 1] > level))
+    i = int(below[-1]) + 1 if below.size else 0
+    lo, hi = _bisect(lambda x: _h(dist, x) <= level, float(grid[i]), float(grid[i + 1]),
+                     GSTAR_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -343,8 +397,19 @@ def _psi_of_u(dist: WeightDist, u: float) -> float:
     return x - u * (math.exp(-u) + ratio)
 
 
+def _h_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", over="ignore"):
+        return us / dist.pgf(-np.expm1(-us), 1)  # r1 = 0 gives inf, as in _h_of_u
+
+
+def _psi_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
+    xs = -np.expm1(-us)
+    return np.where(xs > 0.0, xs - us * (np.exp(-us) + _ratio_array(dist, xs)), 0.0)
+
+
 _U_HI = 700.0  # e^-u stays a normal double; x = 1 - e^-u rounds to 1.0 past u ~ 37
 _U_TOL = 1e-14
+_SCAN_BLOCK = 4096  # alphas per batched g_star bisection in the alpha scans
 
 
 def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
@@ -369,6 +434,45 @@ def _psi_g_star(dist: WeightDist, alpha: float, minima: list) -> float:
     """psi(g_star(alpha)), with psi(0) = 0 below the core onset."""
     u = _g_star_u(dist, alpha, minima)
     return 0.0 if u is None else _psi_of_u(dist, u)
+
+
+def _psi_g_star_array(dist: WeightDist, alphas: np.ndarray, minima: list) -> np.ndarray:
+    """_psi_g_star at each of alphas: the bracket, the tolerance and the
+    empty and u = _U_HI cases of _g_star_u, with one bisection in u run on
+    the whole array.  Each element halves its own bracket to _U_TOL as the
+    scalar route does; a step can go the other way only where the array h
+    is within a last-bit difference of alpha."""
+    lo_u = np.zeros(alphas.shape)  # u of the rightmost minimum <= alpha; 0 if none
+    for x, v in minima:
+        u_x = -math.log1p(-x)  # math, not np: the scalar route's bracket
+        lo_u[(v <= alphas) & (u_x > lo_u)] = u_x
+    empty = lo_u == 0.0
+    none = empty & (_h(dist, 1e-13) > alphas)
+    lo_u[empty] = -math.log1p(-1e-13)
+    top = ~none & (_h_of_u(dist, _U_HI) <= alphas)
+    run = ~(none | top)
+    a = alphas[run]
+    lo, hi = lo_u[run], np.full(a.shape, _U_HI)
+    while (active := hi - lo > _U_TOL).any():
+        mid = (lo + hi) / 2
+        ok = _h_of_u_array(dist, mid) <= a
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+    u = np.full(alphas.shape, _U_HI)
+    u[run] = 0.5 * (lo + hi)
+    return np.where(none, 0.0, _psi_of_u_array(dist, u))
+
+
+def _psi_g_star_scan(dist: WeightDist, minima: list, a: float, step: float, a_max: float):
+    """Blocks (alphas, psi(g_star(alphas))) for alpha = a, a + step, ... up
+    to a_max, the alphas built by repeated addition as a scalar loop would."""
+    while a <= a_max:
+        block = []
+        while a <= a_max and len(block) < _SCAN_BLOCK:
+            block.append(a)
+            a += step
+        alphas = np.array(block)
+        yield alphas, _psi_g_star_array(dist, alphas, minima)
 
 
 def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float:
@@ -412,10 +516,16 @@ def alpha_bar(dist: WeightDist, step: float = ALPHA_BAR_STEP) -> float:
 
 def _alpha_bar(dist: WeightDist, step: float, landscape) -> float:
     a_sharp, mins, jumps = landscape
-    prev, a = a_sharp, a_sharp + step
-    while a <= ALPHA_BAR_MAX + step and _psi_g_star(dist, a, mins) >= 0.0:
-        prev, a = a, a + step
-    if a > ALPHA_BAR_MAX + step:
+    prev = a_sharp
+    scan = _psi_g_star_scan(dist, mins, a_sharp + step, step, ALPHA_BAR_MAX + step)
+    for alphas, psi in scan:
+        neg = np.flatnonzero(~(psi >= 0.0))
+        if neg.size:
+            i = int(neg[0])
+            prev, a = (float(alphas[i - 1]) if i else prev), float(alphas[i])
+            break
+        prev = float(alphas[-1])
+    else:
         raise NoConvergence(
             f"psi(g_star(alpha)) never negative on ({a_sharp}, {ALPHA_BAR_MAX}]")
     lo, hi = _bisect(lambda al: _psi_g_star(dist, al, mins) >= 0.0, prev, a, ALPHA_BAR_TOL)
@@ -429,15 +539,16 @@ def _alpha_bar(dist: WeightDist, step: float, landscape) -> float:
 def psi_roots(dist: WeightDist) -> list:
     """All roots of psi in (0, 1), by grid sign changes plus bisection."""
     grid = _X_GRID
-    vals = [_psi(dist, x) for x in grid]
+    vals = _psi_array(dist, grid)
+    pos = vals > 0.0
     roots = []
-    for i in range(1, len(grid)):
+    for i in np.flatnonzero((vals[1:] == 0.0) | (pos[1:] != pos[:-1])) + 1:
         if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif (vals[i] > 0.0) != (vals[i - 1] > 0.0):
-            ref = vals[i - 1] > 0.0
+            roots.append(float(grid[i]))
+        else:
+            ref = bool(pos[i - 1])
             lo, hi = _bisect(lambda x: (_psi(dist, x) > 0.0) == ref,
-                             grid[i - 1], grid[i], X_TOL)
+                             float(grid[i - 1]), float(grid[i]), X_TOL)
             roots.append(0.5 * (lo + hi))
     return [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
 
@@ -448,15 +559,11 @@ def psi_gstar_sign_pattern(dist: WeightDist) -> str:
     transition or "+-+-" for the re-entrant mixtures."""
     a_sharp, mins, _ = _h_landscape(dist)
     step = 2e-5
-    pattern = []
-    a = a_sharp + step
-    while a <= 1.02:
-        v = _psi_g_star(dist, a, mins)
-        s = "+" if v > 0 else ("-" if v < 0 else "0")
-        if s != "0" and (not pattern or pattern[-1] != s):
-            pattern.append(s)
-        a += step
-    return "".join(pattern)
+    blocks = [psi[(psi > 0.0) | (psi < 0.0)] > 0.0  # zeros carry no sign
+              for _, psi in _psi_g_star_scan(dist, mins, a_sharp + step, step, 1.02)]
+    pos = np.concatenate([np.zeros(0, dtype=bool), *blocks])
+    runs = pos[np.r_[True, pos[1:] != pos[:-1]]] if pos.size else pos
+    return "".join("+" if p else "-" for p in runs)
 
 
 # --- fixed-weight root x*_r by sandwich iteration ---------------------------

@@ -278,3 +278,12 @@ def test_simulate_requires_rho():
 def test_verify_asymptotics_exit0():
     out = run_ok("verify", "asymptotics")
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_package_exports_are_an_explicit_list():
+    import types
+
+    import gf2rank
+    assert len(set(gf2rank.__all__)) == len(gf2rank.__all__)
+    for name in gf2rank.__all__:
+        assert not isinstance(getattr(gf2rank, name), types.ModuleType), name

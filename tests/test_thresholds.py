@@ -367,15 +367,130 @@ def test_components_match_report(dist):
 ], ids=["threshold_report", "alpha_sharp", "discontinuities", "alpha_bar",
         "psi_gstar_sign_pattern", "core_theory", "g_star"])
 def test_one_h_sweep_per_call(call, monkeypatch):
-    # one sweep is one h evaluation per grid point; the golden and bisection
-    # refinements add a few hundred more, far short of a second sweep
-    h = thresholds._h
+    # one sweep is one call of the array h over _X_GRID; the golden and
+    # bisection refinements evaluate the scalar _h
+    h_array = thresholds._h_array
     calls = 0
 
-    def counting_h(dist, x):
+    def counting_h_array(dist, xs):
         nonlocal calls
         calls += 1
-        return h(dist, x)
-    monkeypatch.setattr(thresholds, "_h", counting_h)
+        return h_array(dist, xs)
+    monkeypatch.setattr(thresholds, "_h_array", counting_h_array)
     call(FIG1)
-    assert len(thresholds._X_GRID) <= calls < 2 * len(thresholds._X_GRID)
+    assert calls == 1
+
+
+# --- the array sweeps and the batched scan against the scalar routes ---------
+
+FIG8 = parse_rho("0.9:3,0.1:38")
+ORACLE_MIXTURES = ("0.5:4,0.3:9,0.2:17", "0.7:3,0.3:5", "0.2:6,0.8:31")
+ORACLE_DISTS = ([W3, FIG1, FIG2, FIG8] + [WeightDist.fixed(r) for r in range(4, 13)]
+                + [parse_rho(s) for s in ORACLE_MIXTURES])
+ORACLE_IDS = (["W3", "FIG1", "FIG2", "FIG8"] + [f"r={r}" for r in range(4, 13)]
+              + ["mix-4-9-17", "mix-3-5", "mix-6-31"])
+oracle_dists = pytest.mark.parametrize("dist", ORACLE_DISTS, ids=ORACLE_IDS)
+
+
+def _scalar_alpha_bar(dist, step=thresholds.ALPHA_BAR_STEP):
+    # the alpha_bar scan as one scalar psi(g_star) evaluation per alpha
+    a_sharp, mins, jumps = thresholds._h_landscape(dist)
+    psg = thresholds._psi_g_star
+    prev, a = a_sharp, a_sharp + step
+    while a <= thresholds.ALPHA_BAR_MAX + step and psg(dist, a, mins) >= 0.0:
+        prev, a = a, a + step
+    if a > thresholds.ALPHA_BAR_MAX + step:
+        raise NoConvergence("no sign change")
+    lo, hi = thresholds._bisect(lambda al: psg(dist, al, mins) >= 0.0, prev, a,
+                                thresholds.ALPHA_BAR_TOL)
+    a_bar = 0.5 * (lo + hi)
+    for alpha_d, _, _ in jumps:
+        if abs(a_bar - alpha_d) <= 10.0 * thresholds.ALPHA_BAR_TOL:
+            return alpha_d
+    return a_bar
+
+
+def _scalar_sign_pattern(dist):
+    a_sharp, mins, _ = thresholds._h_landscape(dist)
+    step = 2e-5
+    pattern = []
+    a = a_sharp + step
+    while a <= 1.02:
+        v = thresholds._psi_g_star(dist, a, mins)
+        s = "+" if v > 0 else ("-" if v < 0 else "0")
+        if s != "0" and (not pattern or pattern[-1] != s):
+            pattern.append(s)
+        a += step
+    return "".join(pattern)
+
+
+@oracle_dists
+def test_batched_psi_g_star_signs_match_scalar(dist):
+    # every alpha the alpha_bar scan evaluates, up to its first block with a
+    # negative value
+    a_sharp, mins, _ = thresholds._h_landscape(dist)
+    step = thresholds.ALPHA_BAR_STEP
+    checked = 0
+    for alphas, psi in thresholds._psi_g_star_scan(
+            dist, mins, a_sharp + step, step, thresholds.ALPHA_BAR_MAX + step):
+        want = [thresholds._psi_g_star(dist, float(a), mins) for a in alphas]
+        assert np.array_equal(np.sign(psi), np.sign(want))
+        checked += len(alphas)
+        if (psi < 0).any():
+            break
+    assert checked > 0 and (psi < 0).any()
+
+
+@oracle_dists
+def test_alpha_bar_matches_scalar_scan(dist):
+    assert alpha_bar(dist) == _scalar_alpha_bar(dist)
+
+
+@oracle_dists
+def test_sign_pattern_matches_scalar_scan(dist):
+    assert psi_gstar_sign_pattern(dist) == _scalar_sign_pattern(dist)
+
+
+@oracle_dists
+def test_array_sweeps_match_scalar(dist):
+    # h has no cancellation, so it is compared relative to its value; psi and
+    # F_gamma are sums whose terms can cancel, so they are compared relative
+    # to the sum of the terms' magnitudes: x, (1 + ratio) log(1-x) and
+    # x log(1-x) for psi, alpha log1p(rho), log 2 and the entropy for F_gamma
+    rel = 1e-15
+    xs = thresholds._X_GRID
+    h = thresholds._h_array(dist, xs)
+    want = np.array([thresholds._h(dist, float(x)) for x in xs])
+    assert np.array_equal(np.isinf(h), np.isinf(want))
+    fin = np.isfinite(want)
+    assert (np.abs(h - want)[fin] <= rel * want[fin]).all()
+
+    psi = thresholds._psi_array(dist, xs)
+    want = np.array([thresholds._psi(dist, float(x)) for x in xs])
+    r1 = dist.pgf(xs, 1)
+    ratio = np.where(r1 > 0, dist.pgf(xs) / np.where(r1 > 0, r1, 1.0), xs / dist.min_weight)
+    scale = xs + (1.0 + ratio + xs) * np.abs(np.log1p(-xs))
+    assert (np.abs(psi - want) <= rel * scale).all()
+
+    g = thresholds._GAMMA_GRID
+    for alpha in (0.0, 0.5, 0.9, 1.5):
+        lg = alpha * np.log1p(dist.pgf(1.0 - 2.0 * g))
+        ent = thresholds._entropy_array(g)
+        f = lg - math.log(2.0) - ent
+        want = np.array([F_gamma(dist, alpha, float(x)) for x in g])
+        assert (np.abs(f - want) <= rel * (lg + math.log(2.0) + np.abs(ent))).all()
+
+
+@pytest.mark.parametrize("dist, alpha, want", [
+    (W3, 0.5, (1.1102230246251565e-16, 0.49999999590893907, 5.477694805238659e-25)),
+    (W3, 0.88, (1.1102230246251565e-16, 0.49999999590893907, 5.477694805238659e-25)),
+    (W3, 0.95, (0.028170603228180047, 0.07096870509048654, 0.38716738976387066)),
+    (FIG1, 0.5, (1.1102230246251565e-16, 0.49999999590893907, 4.929925324714793e-25)),
+    (FIG1, 0.88, (1.1102230246251565e-16, 0.49999999590893907, 4.929925324714793e-25)),
+    (FIG1, 0.95, (1.1102230246251565e-16, 0.49999999590893907, 4.929925324714793e-25)),
+], ids=["W3-0.5", "W3-0.88", "W3-0.95", "FIG1-0.5", "FIG1-0.88", "FIG1-0.95"])
+def test_F_of_alpha_values_kept(dist, alpha, want):
+    # _grid_sup skips the flat run where F_gamma rounds to 0.0 next to
+    # gamma = 1/2; the smallest maximizer must stay the first point of that run
+    got = F_of_alpha(dist, alpha)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
