@@ -24,14 +24,15 @@ interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
 weights.  The endpoint convention 0^0 = 1 is applied throughout.
 
-The grid sweeps (h, psi, F_gamma and the R integrand) and the alpha scans
-for alpha_bar and the psi(g_star) sign pattern are numpy array evaluations;
-the scan bisects g_star for a whole block of alphas at once.  The scalar
-functions (_h, _psi, _h_of_u, _psi_of_u, _g_star_u, _psi_g_star, F_gamma)
-remain: they do every golden-section and bisection refinement, and the
-tests use them as the oracle for the arrays.  numpy's log, exp and pow may
-differ from math's in the last bit, so an array value can differ from its
-scalar counterpart by a few ulps.
+The grid sweeps of h, psi and the R integrand and the alpha scans for
+alpha_bar and the psi(g_star) sign pattern are numpy array evaluations; a
+scan bisects g_star for a block of alphas at once.  F_gamma is still swept
+point by point.  The scalar functions (_h, _psi, _h_of_u, _psi_of_u,
+_g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they do every
+golden-section and bisection refinement, and the tests use them as the
+oracle for the arrays.  numpy's log, exp and pow may differ from math's in
+the last bit, so an array value can differ from its scalar counterpart by a
+few ulps.
 """
 
 from __future__ import annotations
@@ -130,10 +131,6 @@ def _xlogx_array(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _entropy_array(gamma: np.ndarray) -> np.ndarray:
-    return _xlogx_array(gamma) + _xlogx_array(1.0 - gamma)
-
-
 def F_gamma(dist: WeightDist, alpha: float, gamma: float) -> float:
     """log[(1 + rho(1-2 gamma))^alpha / (2 gamma^gamma (1-gamma)^(1-gamma))]."""
     if not 0.0 <= gamma <= 0.5:
@@ -148,9 +145,10 @@ def F_of_alpha(dist: WeightDist, alpha: float):
     Returns (value, gamma0, beta0) where beta0 = rho(1-2 g0)/(1 + rho(1-2 g0))
     is the null-vector row-usage fraction at the optimum.
     """
+    # swept point by point with the scalar F_gamma; ROADMAP direction 2 says
+    # why the array sweep waits
     grid = _GAMMA_GRID
-    ent = _entropy_array(grid)
-    vals = alpha * np.log1p(dist.pgf(1.0 - 2.0 * grid)) - math.log(2.0) - ent
+    vals = np.array([F_gamma(dist, alpha, g) for g in grid.tolist()])
     cands = _grid_sup(lambda g: F_gamma(dist, alpha, g), grid, vals, ends=(0, -1))
     best = max(v for v, _ in cands)
     gamma0 = min(g for v, g in cands if v >= best - 1e-14)
@@ -230,6 +228,25 @@ def _alpha_star_lambda_system(r: int, precision: int = 0):
     return solve(0.05, 80.0, 1e-14)
 
 
+def _R_gamma(dist: WeightDist, alpha: float, g: float) -> float:
+    # log of the R integrand rho(1-2 g)^alpha / (2 g^g (1-g)^(1-g))
+    if g >= 0.5:
+        return -math.inf  # rho(0) = 0 for min_weight >= 1
+    v = dist.pgf(1.0 - 2.0 * g)
+    if v <= 0.0:  # double underflow for tiny arguments with heavy weights
+        return -math.inf
+    ent = _xlogx(g) + _xlogx(1.0 - g)
+    return alpha * math.log(v) - math.log(2.0) - ent
+
+
+def _R_gamma_array(dist: WeightDist, alpha: float, grid: np.ndarray) -> np.ndarray:
+    # _R_gamma over an array of g in [0, 1/2)
+    v = dist.pgf(1.0 - 2.0 * grid)
+    ent = _xlogx_array(grid) + _xlogx_array(1.0 - grid)
+    with np.errstate(divide="ignore"):
+        return np.where(v > 0.0, alpha * np.log(v) - math.log(2.0) - ent, -math.inf)
+
+
 def R_of_alpha(dist: WeightDist, alpha: float):
     """Decay rate of the all-columns-even probability:
     -log sup_gamma rho(1-2 gamma)^alpha / (2 gamma^gamma (1-gamma)^(1-gamma)).
@@ -238,22 +255,9 @@ def R_of_alpha(dist: WeightDist, alpha: float):
     """
     if alpha <= 0:
         raise InvalidParam(f"alpha {alpha} <= 0")
-
-    def f(g):
-        if g >= 0.5:
-            return -math.inf  # rho(0) = 0 for min_weight >= 1
-        v = dist.pgf(1.0 - 2.0 * g)
-        if v <= 0.0:  # double underflow for tiny arguments with heavy weights
-            return -math.inf
-        ent = _xlogx(g) + _xlogx(1.0 - g)
-        return alpha * math.log(v) - math.log(2.0) - ent
-
     grid = _GAMMA_GRID[:-1]
-    v = dist.pgf(1.0 - 2.0 * grid)
-    ent = _entropy_array(grid)
-    with np.errstate(divide="ignore"):
-        vals = np.where(v > 0.0, alpha * np.log(v) - math.log(2.0) - ent, -math.inf)
-    best, g1 = max(_grid_sup(f, grid, vals, ends=(0,)))
+    vals = _R_gamma_array(dist, alpha, grid)
+    best, g1 = max(_grid_sup(lambda g: _R_gamma(dist, alpha, g), grid, vals, ends=(0,)))
     return -best, g1
 
 
@@ -291,13 +295,17 @@ def _h(dist: WeightDist, x: float) -> float:
     return -math.log1p(-x) / r1
 
 
+def _ratio(dist: WeightDist, x: float) -> float:
+    # rho(x) / rho'(x), or its limit x / min_weight where rho'(x) underflows
+    r1 = dist.pgf(x, 1)
+    return dist.pgf(x) / r1 if r1 > 0.0 else x / dist.min_weight
+
+
 def _psi(dist: WeightDist, x: float) -> float:
     if x <= 0.0:
         return 0.0  # continuous extension psi(0) = 0
     x = min(x, X_HI)
-    r1 = dist.pgf(x, 1)
-    ratio = dist.pgf(x) / r1 if r1 > 0.0 else x / dist.min_weight
-    return x + (1.0 + ratio - x) * math.log1p(-x)
+    return x + (1.0 + _ratio(dist, x) - x) * math.log1p(-x)
 
 
 def _h_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
@@ -308,7 +316,7 @@ def _h_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
 
 
 def _ratio_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
-    # rho(x) / rho'(x), or its limit x / min_weight where rho'(x) underflows
+    # _ratio over an array of x
     r1 = dist.pgf(xs, 1)
     pos = r1 > 0.0
     return np.where(pos, dist.pgf(xs) / np.where(pos, r1, 1.0), xs / dist.min_weight)
@@ -392,9 +400,7 @@ def _psi_of_u(dist: WeightDist, u: float) -> float:
     x = -math.expm1(-u)
     if x <= 0.0:
         return 0.0
-    r1 = dist.pgf(x, 1)
-    ratio = dist.pgf(x) / r1 if r1 > 0.0 else x / dist.min_weight
-    return x - u * (math.exp(-u) + ratio)
+    return x - u * (math.exp(-u) + _ratio(dist, x))
 
 
 def _h_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
@@ -464,15 +470,17 @@ def _psi_g_star_array(dist: WeightDist, alphas: np.ndarray, minima: list) -> np.
 
 
 def _psi_g_star_scan(dist: WeightDist, minima: list, a: float, step: float, a_max: float):
-    """Blocks (alphas, psi(g_star(alphas))) for alpha = a, a + step, ... up
-    to a_max, the alphas built by repeated addition as a scalar loop would."""
-    while a <= a_max:
-        block = []
-        while a <= a_max and len(block) < _SCAN_BLOCK:
-            block.append(a)
-            a += step
-        alphas = np.array(block)
-        yield alphas, _psi_g_star_array(dist, alphas, minima)
+    """(alphas, psi(g_star(alphas))) for alpha = a, a + step, ... up to
+    a_max.  np.cumsum adds in sequence, so the alphas are those of a scalar
+    loop doing a += step.  The bisection runs on _SCAN_BLOCK alphas at a
+    time, which keeps its temporaries small: on the whole scan at once they
+    raised the peak memory of a threshold-reports benchmark run by 0.4 MB."""
+    n = int((a_max - a) / step) + 2  # one more than fit: rounding may add one
+    alphas = np.cumsum(np.r_[a, np.full(max(n - 1, 0), step)])
+    alphas = alphas[alphas <= a_max]
+    psi = [_psi_g_star_array(dist, alphas[i:i + _SCAN_BLOCK], minima)
+           for i in range(0, alphas.size, _SCAN_BLOCK)]
+    return alphas, np.concatenate([np.zeros(0), *psi])
 
 
 def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float:
@@ -516,18 +524,13 @@ def alpha_bar(dist: WeightDist, step: float = ALPHA_BAR_STEP) -> float:
 
 def _alpha_bar(dist: WeightDist, step: float, landscape) -> float:
     a_sharp, mins, jumps = landscape
-    prev = a_sharp
-    scan = _psi_g_star_scan(dist, mins, a_sharp + step, step, ALPHA_BAR_MAX + step)
-    for alphas, psi in scan:
-        neg = np.flatnonzero(~(psi >= 0.0))
-        if neg.size:
-            i = int(neg[0])
-            prev, a = (float(alphas[i - 1]) if i else prev), float(alphas[i])
-            break
-        prev = float(alphas[-1])
-    else:
+    alphas, psi = _psi_g_star_scan(dist, mins, a_sharp + step, step, ALPHA_BAR_MAX + step)
+    neg = np.flatnonzero(~(psi >= 0.0))  # NaN counts as negative
+    if not neg.size:
         raise NoConvergence(
             f"psi(g_star(alpha)) never negative on ({a_sharp}, {ALPHA_BAR_MAX}]")
+    i = int(neg[0])
+    prev, a = (float(alphas[i - 1]) if i else a_sharp), float(alphas[i])
     lo, hi = _bisect(lambda al: _psi_g_star(dist, al, mins) >= 0.0, prev, a, ALPHA_BAR_TOL)
     a_bar = 0.5 * (lo + hi)
     for alpha_d, _, _ in jumps:
@@ -559,9 +562,8 @@ def psi_gstar_sign_pattern(dist: WeightDist) -> str:
     transition or "+-+-" for the re-entrant mixtures."""
     a_sharp, mins, _ = _h_landscape(dist)
     step = 2e-5
-    blocks = [psi[(psi > 0.0) | (psi < 0.0)] > 0.0  # zeros carry no sign
-              for _, psi in _psi_g_star_scan(dist, mins, a_sharp + step, step, 1.02)]
-    pos = np.concatenate([np.zeros(0, dtype=bool), *blocks])
+    _, psi = _psi_g_star_scan(dist, mins, a_sharp + step, step, 1.02)
+    pos = psi[(psi > 0.0) | (psi < 0.0)] > 0.0  # zeros carry no sign
     runs = pos[np.r_[True, pos[1:] != pos[:-1]]] if pos.size else pos
     return "".join("+" if p else "-" for p in runs)
 

@@ -21,6 +21,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidDistribution, ParseError
 
 _SUM_TOL = 1e-12
@@ -83,14 +85,16 @@ class WeightDist:
 
         The result type follows the argument types: float atoms with a float s
         give a float, Fraction atoms with a Fraction s give an exact Fraction,
-        and an mpmath argument gives an mpmath value.
+        and an mpmath argument gives an mpmath value.  A numpy array s gives a
+        float64 array whatever the atom types.
         """
         if order not in (0, 1, 2, 3):
             raise ValueError(f"order {order} not in 0..3")
+        array = isinstance(s, np.ndarray)
         total = 0 * s
         for k, p in self.atoms:
             if k >= order:
-                total += p * math.perm(k, order) * s ** (k - order)
+                total += (float(p) if array else p) * math.perm(k, order) * s ** (k - order)
         return total
 
     def mean(self):

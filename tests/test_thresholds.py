@@ -426,19 +426,19 @@ def _scalar_sign_pattern(dist):
 
 @oracle_dists
 def test_batched_psi_g_star_signs_match_scalar(dist):
-    # every alpha the alpha_bar scan evaluates, up to its first block with a
-    # negative value
+    # every alpha the alpha_bar scan evaluates
     a_sharp, mins, _ = thresholds._h_landscape(dist)
     step = thresholds.ALPHA_BAR_STEP
-    checked = 0
-    for alphas, psi in thresholds._psi_g_star_scan(
-            dist, mins, a_sharp + step, step, thresholds.ALPHA_BAR_MAX + step):
-        want = [thresholds._psi_g_star(dist, float(a), mins) for a in alphas]
-        assert np.array_equal(np.sign(psi), np.sign(want))
-        checked += len(alphas)
-        if (psi < 0).any():
-            break
-    assert checked > 0 and (psi < 0).any()
+    a_max = thresholds.ALPHA_BAR_MAX + step
+    alphas, psi = thresholds._psi_g_star_scan(dist, mins, a_sharp + step, step, a_max)
+    loop, a = [], a_sharp + step
+    while a <= a_max:
+        loop.append(a)
+        a += step
+    assert alphas.tolist() == loop
+    want = [thresholds._psi_g_star(dist, a, mins) for a in loop]
+    assert (psi < 0).any()
+    assert np.array_equal(np.sign(psi), np.sign(want))
 
 
 @oracle_dists
@@ -454,9 +454,10 @@ def test_sign_pattern_matches_scalar_scan(dist):
 @oracle_dists
 def test_array_sweeps_match_scalar(dist):
     # h has no cancellation, so it is compared relative to its value; psi and
-    # F_gamma are sums whose terms can cancel, so they are compared relative
-    # to the sum of the terms' magnitudes: x, (1 + ratio) log(1-x) and
-    # x log(1-x) for psi, alpha log1p(rho), log 2 and the entropy for F_gamma
+    # the log R integrand are sums whose terms can cancel, so they are
+    # compared relative to the sum of the terms' magnitudes: x,
+    # (1 + ratio) log(1-x) and x log(1-x) for psi, alpha log(rho), log 2 and
+    # the entropy for the R integrand
     rel = 1e-15
     xs = thresholds._X_GRID
     h = thresholds._h_array(dist, xs)
@@ -467,18 +468,20 @@ def test_array_sweeps_match_scalar(dist):
 
     psi = thresholds._psi_array(dist, xs)
     want = np.array([thresholds._psi(dist, float(x)) for x in xs])
-    r1 = dist.pgf(xs, 1)
-    ratio = np.where(r1 > 0, dist.pgf(xs) / np.where(r1 > 0, r1, 1.0), xs / dist.min_weight)
-    scale = xs + (1.0 + ratio + xs) * np.abs(np.log1p(-xs))
+    scale = xs + (1.0 + thresholds._ratio_array(dist, xs) + xs) * np.abs(np.log1p(-xs))
     assert (np.abs(psi - want) <= rel * scale).all()
 
-    g = thresholds._GAMMA_GRID
-    for alpha in (0.0, 0.5, 0.9, 1.5):
-        lg = alpha * np.log1p(dist.pgf(1.0 - 2.0 * g))
-        ent = thresholds._entropy_array(g)
-        f = lg - math.log(2.0) - ent
-        want = np.array([F_gamma(dist, alpha, float(x)) for x in g])
-        assert (np.abs(f - want) <= rel * (lg + math.log(2.0) + np.abs(ent))).all()
+    g = thresholds._GAMMA_GRID[:-1]
+    ent = np.array([-thresholds._xlogx(x) - thresholds._xlogx(1.0 - x) for x in g])
+    with np.errstate(divide="ignore"):
+        log_rho = np.log(dist.pgf(1.0 - 2.0 * g))
+    for alpha in (0.5, 0.9, 1.5, 2.0):
+        r = thresholds._R_gamma_array(dist, alpha, g)
+        want = np.array([thresholds._R_gamma(dist, alpha, float(x)) for x in g])
+        inf = np.isinf(want)
+        assert np.array_equal(np.isinf(r), inf)
+        scale = alpha * np.abs(log_rho[~inf]) + math.log(2.0) + ent[~inf]
+        assert (np.abs(r - want)[~inf] <= rel * scale).all()
 
 
 @pytest.mark.parametrize("dist, alpha, want", [
@@ -494,3 +497,15 @@ def test_F_of_alpha_values_kept(dist, alpha, want):
     # gamma = 1/2; the smallest maximizer must stay the first point of that run
     got = F_of_alpha(dist, alpha)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_exact_probabilities_match_floats():
+    # Fraction atoms reach the array sweeps as float coefficients
+    from fractions import Fraction
+    exact = WeightDist(((3, Fraction(1, 2)), (5, Fraction(3, 10)), (9, Fraction(1, 5))))
+    floats = WeightDist(((3, 0.5), (5, 0.3), (9, 0.2)))
+    assert threshold_report(exact, witness_alpha=0.95) == threshold_report(floats, witness_alpha=0.95)
+    assert core_theory(exact, 0.92) == core_theory(floats, 0.92)
+    assert psi_roots(exact) == psi_roots(floats)
+    assert psi_gstar_sign_pattern(exact) == psi_gstar_sign_pattern(floats)
+    assert R_of_alpha(exact, 1.5) == R_of_alpha(floats, 1.5)
