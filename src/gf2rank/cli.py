@@ -40,10 +40,10 @@ from .exact import (
     poissonization_check,
     prob_A_general,
 )
-from .experiments import ExperimentConfig, run_experiment, write_records_csv
+from .experiments import EXPERIMENTS, ExperimentConfig, _fan_out, run_experiment, write_records_csv
 from .gf2 import GF2Matrix, corank, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
 from .peeling import Hypergraph, check_E, peel_2core
-from .sampling import SampleConfig, derive_stream_seed, run_Tn, sample_matrix
+from .sampling import MODELS, SampleConfig, run_Tn, sample_matrix
 from .thresholds import _psi as psi_extended, core_theory, g_star, h_psi, threshold_report
 from .weights import WeightDist, parse_rho
 
@@ -104,6 +104,11 @@ EXIT_CODES = (
 )
 
 
+def _threads(threads: int | None = None) -> int:
+    """Trial fan-out width: --threads when given, else one process per core."""
+    return threads if threads is not None else (os.cpu_count() or 1)
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -140,11 +145,10 @@ def cmd_thresholds(rho_spec, alpha, scan_step, table1, fmt, out):
     if table1:
         rows = []
         for r in range(1, 9):
-            dist = WeightDist.fixed(r)
-            sharp, _ = thresholds.alpha_sharp(dist)
-            star = thresholds.alpha_star(dist)
-            bar = thresholds.alpha_bar(dist) if r >= 3 else None
-            rows.append({"r": r, "alpha_sharp": _num(sharp), "alpha_star": _num(star),
+            rep = threshold_report(WeightDist.fixed(r))
+            bar = rep.alpha_bar
+            rows.append({"r": r, "alpha_sharp": _num(rep.alpha_sharp),
+                         "alpha_star": _num(rep.alpha_star),
                          "alpha_bar": _num(bar) if bar is not None else None})
         inv = CliInvocation("thresholds", {"table1": True, "format": fmt})
         if fmt == "text":
@@ -251,7 +255,7 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
 @click.option("-n", "n", type=int, required=True)
 @click.option("-m", "m", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--model", type=click.Choice(["exact", "binomial"]), default="exact")
+@click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--format", "fmt", type=click.Choice(["sparse", "dense"]), default="sparse")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
@@ -299,12 +303,14 @@ def cmd_rank(path, n, enum, out):
 @click.option("-n", "n", type=int, default=None)
 @click.option("-m", "m", type=int, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--model", type=click.Choice(["exact", "binomial"]), default="exact")
+@click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--eps", type=float, default=0.05, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
     """Peel to the 2-core; report stats next to the limit-law predictions."""
+    if not eps > 0:
+        raise InvalidParam(f"eps {eps} is not > 0")
     if rho_spec is not None:
         if n is None or m is None:
             raise ParseError("--rho sampling needs -n and -m")
@@ -344,18 +350,17 @@ def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
 @click.option("-n", "n", type=int, required=True)
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--model", type=click.Choice(["exact", "binomial"]), default="exact")
+@click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def cmd_tn(rho_spec, n, trials, seed, model, out):
     """First-dependency times: CSV with columns trial,seed,T_n,n,T_n/n."""
     dist = parse_rho(rho_spec)
+    cfg = ExperimentConfig("tn", dist, (n,), trials, seed, model=model, threads=_threads())
+    seeds, ts = _fan_out(cfg, 0, run_Tn, functools.partial(SampleConfig, n, 0, dist, model))
     lines = [f"# tool=gf2rank version={__version__} rho={rho_spec} n={n} trials={trials} seed={seed} model={model}",
              "trial,seed,T_n,n,T_n/n"]
-    for t in range(trials):
-        s = derive_stream_seed(seed, t)
-        tn = run_Tn(SampleConfig(n=n, m=0, dist=dist, model=model, seed=s))
-        lines.append(f"{t},{s},{tn},{n},{tn / n:.8f}")
+    lines += [f"{t},{s},{tn},{n},{tn / n:.8f}" for t, (s, tn) in enumerate(zip(seeds, ts))]
     _emit("\n".join(lines), out)
 
 
@@ -367,7 +372,7 @@ def cmd_tn(rho_spec, n, trials, seed, model, out):
 @click.option("--rho", "rho_spec", default=None)
 @click.option("-n", "n", type=int, default=None)
 @click.option("-m", "m", type=int, default=None)
-@click.option("--model", type=click.Choice(["exact", "binomial"]), default="exact")
+@click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--precision", type=int, default=256, show_default=True, help="Bits.")
 @click.option("--mu", type=float, default=1.0, help="Poissonization rate.")
 @click.option("--truncation", type=int, default=None)
@@ -427,15 +432,13 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
 # --- experiments ---------------------------------------------------------------
 
 @main.command("simulate")
-@click.option("--exp", "exp_id",
-              type=click.Choice(["tn", "core", "null-growth", "classical", "profile", "dense"]),
-              required=True)
+@click.option("--exp", "exp_id", type=click.Choice(EXPERIMENTS), required=True)
 @click.option("--rho", "rho_spec", default=None)
 @click.option("-n", "n_values", type=int, multiple=True, required=True)
 @click.option("--alpha", type=float, default=0.95, show_default=True)
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--model", type=click.Choice(["exact", "binomial"]), default="exact")
+@click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--eps", type=float, default=0.05, show_default=True)
 @click.option("--window-eps", type=float, default=0.02, show_default=True)
 @click.option("--z", type=float, default=1.0, show_default=True)
@@ -463,7 +466,7 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
         window_eps=window_eps,
         z=z,
         r_values=tuple(int(x) for x in r_values.split(",")),
-        threads=threads if threads is not None else (os.cpu_count() or 1),
+        threads=_threads(threads),
     )
     res = run_experiment(cfg)
     if csv_path:

@@ -1,9 +1,11 @@
 """Monte Carlo harness confronting simulation with the analytic limits.
 
 Every experiment is reproducible from (experiment id, seed, config): trial t
-draws its stream from PCG64 seeded with ``derive_stream_seed(seed, t)``, a
-SeedSequence hash of the pair, so fan-out order does not matter and parallel
-and serial runs aggregate identically.
+of the ni-th n draws its stream from PCG64 seeded by ``derive_stream_seed``
+from the pair (seed, ni * trials + t), a SeedSequence hash, so fan-out order
+does not matter and parallel and serial runs aggregate identically.
+``_fan_out`` is the only place that derives those seeds and spreads trials
+over processes; every experiment and the ``tn`` command run through it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import math
 import mpmath as mp
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from .errors import InvalidParam
 from .exact import expected_null_count, gfq_dense_survival
 from .gf2 import RankState, corank, enumerate_null_vectors
-from .peeling import Hypergraph, peel_2core
+from .peeling import Hypergraph, check_E, peel_2core
 from .sampling import SampleConfig, derive_stream_seed, make_rng, run_Tn, sample_matrix, sample_row
 from .thresholds import (
     F_of_alpha,
@@ -51,6 +54,8 @@ class ExperimentConfig:
             raise InvalidParam(f"experiment {self.experiment!r} not in {EXPERIMENTS}")
         if self.trials < 1:
             raise InvalidParam(f"trials {self.trials} < 1")
+        if not self.eps > 0:
+            raise InvalidParam(f"eps {self.eps} is not > 0")
 
 
 @dataclass
@@ -71,23 +76,25 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def _map_trials(worker, payloads, threads: int):
-    if threads <= 1 or len(payloads) < 2:
-        return [worker(p) for p in payloads]
-    chunk = max(1, len(payloads) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, payloads, chunksize=chunk))
+def _fan_out(cfg: ExperimentConfig, ni: int, worker, payload):
+    """Run cfg.trials trials of worker for the ni-th n; return (seeds, results).
+
+    Trial t gets the stream seed derived from (cfg.seed, ni * cfg.trials + t),
+    and the worker receives payload(seed).  Results come back in trial order,
+    serially or over cfg.threads processes.
+    """
+    seeds = [derive_stream_seed(cfg.seed, ni * cfg.trials + t) for t in range(cfg.trials)]
+    payloads = [payload(s) for s in seeds]
+    if cfg.threads <= 1 or len(payloads) < 2:
+        return seeds, [worker(p) for p in payloads]
+    chunk = max(1, len(payloads) // (cfg.threads * 4))
+    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        return seeds, list(pool.map(worker, payloads, chunksize=chunk))
 
 
 # --- workers (module level so the process pool can pickle them) -----------
 
-def _tn_trial(payload):
-    atoms, model, n, stream_seed = payload
-    cfg = SampleConfig(n=n, m=0, dist=WeightDist(atoms), model=model, seed=stream_seed)
-    return run_Tn(cfg)
-
-
-def _classical_r2_trial(payload):
+def _classical_r2_trial(cfg: SampleConfig):
     """(T_n, T_distinct) from one stream of weight-2 rows.
 
     T_n is what run_Tn returns on the same stream.  T_distinct is the number
@@ -97,10 +104,8 @@ def _classical_r2_trial(payload):
     is itself a dependency), so the two differ only when the T_n row repeats
     an earlier one.
     """
-    atoms, model, n, stream_seed = payload
-    cfg = SampleConfig(n=n, m=0, dist=WeightDist(atoms), model=model, seed=stream_seed)
-    rng = make_rng(stream_seed)
-    state = RankState(n)
+    rng = make_rng(cfg.seed)
+    state = RankState(cfg.n)
     seen = set()
     t_n = 0
     while True:
@@ -114,37 +119,33 @@ def _classical_r2_trial(payload):
 
 
 def _core_trial(payload):
-    atoms, model, n, m, stream_seed, check_corank = payload
-    cfg = SampleConfig(n=n, m=m, dist=WeightDist(atoms), model=model, seed=stream_seed)
+    """(record, E) for one matrix: core stats, and whether E(n, m; eps) holds."""
+    cfg, check_corank, eps = payload
     mat = sample_matrix(cfg)
     stats = peel_2core(Hypergraph.from_matrix(mat))
     rec = {
-        "n": n,
-        "m": m,
-        "seed": stream_seed,
+        "n": cfg.n,
+        "m": cfg.m,
+        "seed": cfg.seed,
         "core_rows": stats.core_rows,
         "occupied_cols": stats.occupied_cols,
         "incidences": stats.incidences,
-        "eps_max": stats.core_rows / n,
+        "eps_max": stats.core_rows / cfg.n,
         "more_rows": int(stats.core_rows > stats.occupied_cols),
     }
     if check_corank:
-        state = RankState(n)
+        state = RankState(cfg.n)
         dependent = any(state.absorb(r) for r in mat.rows)
         rec["has_null"] = int(dependent)
-    return rec
+    return rec, check_E(stats, cfg.n, eps)
 
 
-def _corank_trial(payload):
-    atoms, model, n, m, stream_seed = payload
-    cfg = SampleConfig(n=n, m=m, dist=WeightDist(atoms), model=model, seed=stream_seed)
+def _corank_trial(cfg: SampleConfig):
     return corank(sample_matrix(cfg))
 
 
-def _profile_trial(payload):
-    atoms, model, n, m, stream_seed = payload
-    cfg = SampleConfig(n=n, m=m, dist=WeightDist(atoms), model=model, seed=stream_seed)
-    _, profile = enumerate_null_vectors(sample_matrix(cfg), max_m=m)
+def _profile_trial(cfg: SampleConfig):
+    _, profile = enumerate_null_vectors(sample_matrix(cfg), max_m=cfg.m)
     return profile
 
 
@@ -178,14 +179,12 @@ def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):
-        payloads = [(dist.atoms, cfg.model, n, derive_stream_seed(cfg.seed, ni * cfg.trials + t))
-                    for t in range(cfg.trials)]
-        ts = _map_trials(_tn_trial, payloads, cfg.threads)
+        seeds, ts = _fan_out(cfg, ni, run_Tn, partial(SampleConfig, n, 0, dist, cfg.model))
         ratios = [t / n for t in ts]
         inside = sum(1 for x in ratios if lo <= x <= hi) / cfg.trials
-        for t, (payload, tn) in enumerate(zip(payloads, ts)):
+        for t, (seed, tn) in enumerate(zip(seeds, ts)):
             records.append({"experiment": "tn", "n": n, "trial": t,
-                            "seed": payload[3], "T_n": tn, "ratio": tn / n})
+                            "seed": seed, "T_n": tn, "ratio": tn / n})
         per_n[n] = {
             "in_window": inside,
             "in_window_ci95": _ci95(inside, cfg.trials),
@@ -212,13 +211,13 @@ def exp_core_vs_theory(cfg: ExperimentConfig, check_corank: bool | None = None) 
     for ni, n in enumerate(cfg.n_values):
         check = check_corank if check_corank is not None else n <= 5000
         m = round(cfg.alpha * n)
-        payloads = [(dist.atoms, cfg.model, n, m, derive_stream_seed(cfg.seed, ni * cfg.trials + t), check)
-                    for t in range(cfg.trials)]
-        recs = _map_trials(_core_trial, payloads, cfg.threads)
+        sample = partial(SampleConfig, n, m, dist, cfg.model)
+        _, out = _fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
+        recs, e_flags = zip(*out)
         records.extend(recs)
         mean = lambda k: sum(r[k] for r in recs) / (cfg.trials * n)
         rows_frac, cols_frac, inc_frac = mean("core_rows"), mean("occupied_cols"), mean("incidences")
-        e_freq = sum(_check_E_record(r, n, cfg.eps) for r in recs) / cfg.trials
+        e_freq = sum(e_flags) / cfg.trials
         entry = {
             "m": m,
             "rows_frac": rows_frac,
@@ -239,10 +238,6 @@ def exp_core_vs_theory(cfg: ExperimentConfig, check_corank: bool | None = None) 
     return ExperimentResult("core", _config_dict(cfg), records, summary)
 
 
-def _check_E_record(rec: dict, n: int, eps: float) -> bool:
-    return rec["core_rows"] >= eps * n and rec["core_rows"] > rec["occupied_cols"]
-
-
 def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
     """Null-count growth on either side of alpha_star.
 
@@ -258,14 +253,13 @@ def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
         r0 = dist.min_weight
         for ni, n in enumerate(cfg.n_values):
             m = round(cfg.alpha * n)
-            payloads = [(dist.atoms, cfg.model, n, m, derive_stream_seed(cfg.seed, ni * cfg.trials + t))
-                        for t in range(cfg.trials)]
-            sigmas = _map_trials(_corank_trial, payloads, cfg.threads)
+            sample = partial(SampleConfig, n, m, dist, cfg.model)
+            seeds, sigmas = _fan_out(cfg, ni, _corank_trial, sample)
             mean_count = sum(2**s for s in sigmas) / cfg.trials
             stat = n ** (r0 - 2) * (mean_count - 1.0)
-            for t, s in enumerate(sigmas):
+            for t, (seed, s) in enumerate(zip(seeds, sigmas)):
                 records.append({"experiment": "null-growth", "n": n, "trial": t,
-                                "seed": payloads[t][4], "corank": s})
+                                "seed": seed, "corank": s})
             per_n[n] = {"m": m, "mean_null_count": mean_count, "scaled_excess": stat}
         summary = {"alpha": cfg.alpha, "alpha_star": a_star, "branch": "below",
                    "r0": r0, "per_n": per_n}
@@ -313,16 +307,16 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
         limit = (math.exp(-z * z / 2.0) if r == 1
                  else math.sqrt(1.0 - z) * math.exp(z / 2.0 + z * z / 4.0))
         tail = lambda xs: sum(1 for x in xs if x > cut) / cfg.trials
-        payloads = [(dist.atoms, cfg.model, n, derive_stream_seed(cfg.seed, ni * cfg.trials + t))
-                    for t in range(cfg.trials)]
+        sample = partial(SampleConfig, n, 0, dist, cfg.model)
         if r == 1:
-            ts = _map_trials(_tn_trial, payloads, cfg.threads)
+            seeds, ts = _fan_out(cfg, ni, run_Tn, sample)
         else:
-            ts, ds = zip(*_map_trials(_classical_r2_trial, payloads, cfg.threads))
+            seeds, out = _fan_out(cfg, ni, _classical_r2_trial, sample)
+            ts, ds = zip(*out)
         emp = tail(ts)
-        for t, tn in enumerate(ts):
+        for t, (seed, tn) in enumerate(zip(seeds, ts)):
             rec = {"experiment": "classical", "n": n, "trial": t,
-                   "seed": payloads[t][3], "T_n": tn}
+                   "seed": seed, "T_n": tn}
             if r == 2:
                 rec["T_distinct"] = ds[t]
             records.append(rec)
@@ -348,11 +342,10 @@ def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
     for ni, n in enumerate(cfg.n_values):
         if n > 62:
             raise InvalidParam(f"dense survival sampler holds a row in one word; n={n} > 62")
-        payloads = [(n, derive_stream_seed(cfg.seed, ni * cfg.trials + t)) for t in range(cfg.trials)]
-        ts = _map_trials(_dense_trial, payloads, cfg.threads)
-        for t, tn in enumerate(ts):
+        seeds, ts = _fan_out(cfg, ni, _dense_trial, lambda s: (n, s))
+        for t, (seed, tn) in enumerate(zip(seeds, ts)):
             records.append({"experiment": "dense", "n": n, "trial": t,
-                            "seed": payloads[t][1], "T_n": tn})
+                            "seed": seed, "T_n": tn})
         tails = {}
         for r in cfg.r_values:
             emp = sum(1 for t in ts if t > n + 1 - r) / cfg.trials
@@ -374,17 +367,16 @@ def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
         m = round(cfg.alpha * n)
         total, profile = expected_null_count(n, m, dist, model=cfg.model)
         exact_profile = {l: float(v / total) for l, v in profile.items()}
-        payloads = [(dist.atoms, cfg.model, n, m, derive_stream_seed(cfg.seed, ni * cfg.trials + t))
-                    for t in range(cfg.trials)]
-        profs = _map_trials(_profile_trial, payloads, cfg.threads)
+        sample = partial(SampleConfig, n, m, dist, cfg.model)
+        seeds, profs = _fan_out(cfg, ni, _profile_trial, sample)
         counts: dict = {}
         grand = 0
-        for t, prof in enumerate(profs):
+        for t, (seed, prof) in enumerate(zip(seeds, profs)):
             for l, c in prof.items():
                 counts[l] = counts.get(l, 0) + c
                 grand += c
             records.append({"experiment": "profile", "n": n, "trial": t,
-                            "seed": payloads[t][4],
+                            "seed": seed,
                             "null_vectors": sum(prof.values())})
         empirical = {l: c / grand for l, c in counts.items()}
         tv = 0.5 * sum(abs(exact_profile.get(l, 0.0) - empirical.get(l, 0.0))

@@ -36,11 +36,6 @@ def derive_stream_seed(seed: int, trial: int) -> int:
     return int(w[0]) | (int(w[1]) << 64)
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, order-insensitive stream for one trial."""
-    return make_rng(derive_stream_seed(seed, trial))
-
-
 @dataclass(frozen=True)
 class SampleConfig:
     n: int

@@ -7,6 +7,8 @@ from click.testing import CliRunner
 
 from gf2rank import errors
 from gf2rank.cli import main
+from gf2rank.sampling import SampleConfig, derive_stream_seed, run_Tn
+from gf2rank.weights import WeightDist
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "output-schema.json")
 
@@ -226,6 +228,30 @@ def test_tn_csv_shape():
         trial, seed, tn, n, ratio = ln.split(",")
         assert int(tn) <= int(n) + 1
         assert abs(float(ratio) - int(tn) / int(n)) < 1e-8
+
+
+@pytest.mark.parametrize("model", ["exact", "binomial"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_tn_rows_replay_stream(r, model):
+    dist = WeightDist.fixed(r)
+    out = run_ok("tn", "--rho", f"r={r}", "-n", "60", "--trials", "5", "--seed", "7",
+                 "--model", model)
+    rows = [ln.split(",") for ln in out.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == list(range(5))
+    for t, seed, tn, n, _ in rows:
+        assert int(seed) == derive_stream_seed(7, int(t))
+        assert int(tn) == run_Tn(SampleConfig(n=60, m=0, dist=dist, model=model, seed=int(seed)))
+
+
+@pytest.mark.parametrize("args", [
+    ["core", "--rho", "r=3", "-n", "100", "-m", "90", "--eps", "0"],
+    ["simulate", "--exp", "core", "--rho", "r=3", "-n", "100", "--trials", "2",
+     "--threads", "1", "--eps", "-1"],
+    ["tn", "--rho", "r=3", "-n", "100", "--trials", "0"],
+    ["simulate", "--exp", "dense", "-n", "10", "--trials", "0"],
+], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials"])
+def test_bad_run_param_exits_2(args):
+    assert run_fail(args, 2).startswith("error: ")
 
 
 def test_exact_pi():

@@ -36,11 +36,18 @@ def test_different_seeds_differ():
 
 
 def test_parallel_equals_serial():
-    base = dict(experiment="dense", dist=None, n_values=(18,), trials=40, alpha=0.9)
-    a = exp_dense_survival(ExperimentConfig(seed=3, threads=1, **base))
-    b = exp_dense_survival(ExperimentConfig(seed=3, threads=2, **base))
-    assert a.records == b.records
-    assert a.summary == b.summary
+    for base in (
+        dict(experiment="tn", dist=W3, n_values=(60, 80), trials=6),
+        dict(experiment="core", dist=W3, n_values=(300,), trials=5, model="binomial"),
+        dict(experiment="null-growth", dist=W3, n_values=(20, 30), trials=6, alpha=0.8),
+        dict(experiment="classical", dist=W2, n_values=(50,), trials=8, z=0.5),
+        dict(experiment="profile", dist=W2, n_values=(6,), trials=6, alpha=2.0 / 3.0),
+        dict(experiment="dense", dist=None, n_values=(18,), trials=40, alpha=0.9),
+    ):
+        a = run_experiment(ExperimentConfig(seed=3, threads=1, **base))
+        b = run_experiment(ExperimentConfig(seed=3, threads=2, **base))
+        assert a.records == b.records, base["experiment"]
+        assert a.summary == b.summary, base["experiment"]
 
 
 def test_tn_window_summary_fields():
