@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .weights import WeightDist, parse_rho
-from .gf2 import GF2Matrix, RankState, corank, enumerate_null_vectors, is_one_null
+from .gf2 import GF2Matrix, RankState, enumerate_null_vectors, is_one_null
 from .sampling import SampleConfig, make_rng, run_Tn, sample_matrix, sample_row
-from .peeling import CoreStats, Hypergraph, check_E, peel_2core
+from .peeling import CoreStats, Hypergraph, check_E, corank, peel_2core
 from .exact import (
     ParitySpec,
     expected_null_count,

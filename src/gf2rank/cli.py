@@ -41,8 +41,8 @@ from .exact import (
     prob_A_general,
 )
 from .experiments import EXPERIMENTS, ExperimentConfig, _fan_out, run_experiment, write_records_csv
-from .gf2 import GF2Matrix, corank, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
-from .peeling import Hypergraph, check_E, peel_2core
+from .gf2 import GF2Matrix, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
+from .peeling import Hypergraph, check_E, corank, peel_2core
 from .sampling import MODELS, SampleConfig, run_Tn, sample_matrix
 from .thresholds import _psi as psi_extended, core_theory, g_star, h_psi, threshold_report
 from .weights import WeightDist, parse_rho
@@ -107,6 +107,14 @@ EXIT_CODES = (
 def _threads(threads: int | None = None) -> int:
     """Trial fan-out width: --threads when given, else one process per core."""
     return threads if threads is not None else (os.cpu_count() or 1)
+
+
+def _parse_list(name: str, text: str, kind=int) -> tuple:
+    """Comma-separated option values; a bad item is a ParseError (exit 2)."""
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"{name} must be comma-separated {kind.__name__} values; got {text!r}") from exc
 
 
 def _guard(fn):
@@ -413,10 +421,10 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
         lhs, rhs = poissonization_check(n, m, mu, truncation=truncation, precision=precision)
         result = {"lhs": _num(lhs), "rhs": _num(rhs), "abs_diff": _num(abs(lhs - rhs))}
     elif what == "parity":
-        t = tuple(int(x) for x in targets.split(","))
+        t = _parse_list("--targets", targets)
         if cell_probs is None:
             raise ParseError("--cell-probs is required for --what parity")
-        probs = tuple(float(x) for x in cell_probs.split(","))
+        probs = _parse_list("--cell-probs", cell_probs, float)
         spec = ParitySpec(k=k, r=modulus, targets=t, cell_probs=probs)
         params.update({"k": k, "modulus": modulus, "targets": targets,
                        "cell_probs": cell_probs})
@@ -465,7 +473,7 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
         eps=eps,
         window_eps=window_eps,
         z=z,
-        r_values=tuple(int(x) for x in r_values.split(",")),
+        r_values=_parse_list("--r-values", r_values),
         threads=_threads(threads),
     )
     res = run_experiment(cfg)

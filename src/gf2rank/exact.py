@@ -434,14 +434,3 @@ def gfq_dense_survival(q: int, r: int, n: int | None = None) -> float:
     for j in range(r, n):
         prod *= 1.0 - float(q) ** -j
     return prod
-
-
-def gfq_survival_lower_bound(q: int, r: int) -> float:
-    """Uniform-in-n lower bound for P[T_n > n + 1 - r], 1 <= r <= n."""
-    if not _is_prime_power(q):
-        raise InvalidParam(f"q {q} is not a prime power >= 2")
-    if r < 1:
-        raise InvalidParam(f"r {r} < 1")
-    if q == 2:
-        return math.exp(-(4.0 / 3.0) * 2.0 ** (1 - r))
-    return math.exp(-float(q) ** (1 - r))

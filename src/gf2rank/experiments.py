@@ -20,8 +20,8 @@ from functools import partial
 
 from .errors import InvalidParam
 from .exact import expected_null_count, gfq_dense_survival
-from .gf2 import RankState, corank, enumerate_null_vectors
-from .peeling import Hypergraph, check_E, peel_2core
+from .gf2 import RankState, enumerate_null_vectors
+from .peeling import Hypergraph, _core_corank, check_E, corank, peel_2core
 from .sampling import SampleConfig, derive_stream_seed, make_rng, run_Tn, sample_matrix, sample_row
 from .thresholds import (
     F_of_alpha,
@@ -121,8 +121,8 @@ def _classical_r2_trial(cfg: SampleConfig):
 def _core_trial(payload):
     """(record, E) for one matrix: core stats, and whether E(n, m; eps) holds."""
     cfg, check_corank, eps = payload
-    mat = sample_matrix(cfg)
-    stats = peel_2core(Hypergraph.from_matrix(mat))
+    h = Hypergraph.from_matrix(sample_matrix(cfg))
+    stats = peel_2core(h)
     rec = {
         "n": cfg.n,
         "m": cfg.m,
@@ -134,9 +134,7 @@ def _core_trial(payload):
         "more_rows": int(stats.core_rows > stats.occupied_cols),
     }
     if check_corank:
-        state = RankState(cfg.n)
-        dependent = any(state.absorb(r) for r in mat.rows)
-        rec["has_null"] = int(dependent)
+        rec["has_null"] = int(_core_corank(h) > 0)
     return rec, check_E(stats, cfg.n, eps)
 
 
@@ -340,8 +338,8 @@ def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):
-        if n > 62:
-            raise InvalidParam(f"dense survival sampler holds a row in one word; n={n} > 62")
+        if not 1 <= n <= 62:
+            raise InvalidParam(f"dense survival sampler needs 1 <= n <= 62 (a row in one word); n={n}")
         seeds, ts = _fan_out(cfg, ni, _dense_trial, lambda s: (n, s))
         for t, (seed, tn) in enumerate(zip(seeds, ts)):
             records.append({"experiment": "dense", "n": n, "trial": t,

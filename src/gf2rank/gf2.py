@@ -3,6 +3,10 @@
 Rows are Python ints used as bitsets: bit i is column i.  CPython ints give
 word-packed XOR, which keeps elimination at a few hundred nanoseconds per
 basis operation even for thousands of columns.
+
+``RankState`` is the elimination kernel.  The corank engine that peels a
+matrix to its 2-core before eliminating lives in ``peeling`` (``corank``);
+a ``RankState`` fed every row is the independent route the tests check it by.
 """
 
 from __future__ import annotations
@@ -99,18 +103,6 @@ class RankState:
             row ^= b
         self.corank += 1
         return True
-
-
-def corank(matrix: GF2Matrix) -> int:
-    """sigma = m - rank over GF(2); the null-vector count is 2**sigma.
-
-    Returned as the integer exponent (sigma can run into the thousands, so the
-    count itself is never materialized as a float).
-    """
-    state = RankState(matrix.n_cols)
-    for r in matrix.rows:
-        state.absorb(r)
-    return state.corank
 
 
 def is_one_null(matrix: GF2Matrix) -> bool:

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 from .errors import TooLarge
 from .exact import ParitySpec, _exact_fraction
-from .gf2 import GF2Matrix, corank
+from .gf2 import RankState
 from .weights import WeightDist
 
 
@@ -72,11 +72,12 @@ def mean_null_count_enumerated(n: int, m: int, law, limit: int = 10**6) -> Fract
         raise TooLarge(f"{len(alphabet)}^{m} matrices exceed {limit}")
     total = Fraction(0)
     for rows in product(alphabet, repeat=m):
-        mat = GF2Matrix(n, (x for x, _ in rows))
+        state = RankState(n)
         prob = Fraction(1)
-        for _, p in rows:
+        for x, p in rows:
+            state.absorb(x)
             prob *= p
-        total += prob * 2 ** corank(mat)
+        total += prob * 2 ** state.corank
     return total
 
 

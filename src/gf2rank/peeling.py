@@ -1,9 +1,16 @@
-"""Hypergraph view of a GF(2) matrix and its 2-core.
+"""Hypergraph view of a GF(2) matrix, its 2-core, and the corank engine.
 
 Rows are hyperedges, columns are vertices.  The 2-core is the terminal state
 of repeatedly deleting a hyperedge incident to a degree-1 vertex; the result
 does not depend on the deletion order.  Columns are never deleted, so
 "occupied" counts the columns that still meet an alive edge at termination.
+
+A deleted row has a column that no row left at that point touches, so it
+lies in no null combination: corank(M) = corank(2-core).  ``corank`` is the
+one corank route of the package.  It peels the matrix with ``peel_2core``,
+relabels the occupied core columns in ascending core degree, and absorbs
+the core rows into a ``gf2.RankState``.  A ``RankState`` fed every row of
+the matrix is the independent route that the tests compare it with.
 """
 
 from __future__ import annotations
@@ -13,31 +20,40 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .gf2 import GF2Matrix, row_cols
+from .gf2 import GF2Matrix, RankState, row_cols
 
 PEEL_ORDERS = ("fifo", "lifo", "random")
 
 
 class Hypergraph:
-    """Incidence structure with per-vertex degrees, mutable only by peeling."""
+    """Incidence structure with per-vertex degrees, mutable only by peeling.
 
-    __slots__ = ("n_vertices", "edges", "vertex_degree", "alive", "_incident")
+    Each vertex keeps the XOR of the ids of its alive incident edges in place
+    of an incidence list: at degree 1 that XOR is the one alive edge.
+    """
+
+    __slots__ = ("n_vertices", "edges", "vertex_degree", "alive", "_edge_xor")
 
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
-        self.n_vertices = n_vertices
-        self.edges: List[Tuple[int, ...]] = []
+        checked = []
         for e in edges:
             te = tuple(sorted(set(e)))
             if te and (te[0] < 0 or te[-1] >= n_vertices):
                 raise ValueError(f"edge {te} out of range for {n_vertices} vertices")
-            self.edges.append(te)
+            checked.append(te)
+        self._index(n_vertices, checked)
+
+    def _index(self, n_vertices: int, edges: List[Tuple[int, ...]]) -> None:
+        """Take edges that are sorted, duplicate-free tuples within range."""
+        self.n_vertices = n_vertices
+        self.edges = edges
         self.vertex_degree = [0] * n_vertices
-        self._incident: List[List[int]] = [[] for _ in range(n_vertices)]
-        for i, e in enumerate(self.edges):
+        self._edge_xor = [0] * n_vertices
+        for i, e in enumerate(edges):
             for v in e:
                 self.vertex_degree[v] += 1
-                self._incident[v].append(i)
-        self.alive = [True] * len(self.edges)
+                self._edge_xor[v] ^= i
+        self.alive = [True] * len(edges)
 
     @property
     def m(self) -> int:
@@ -45,7 +61,10 @@ class Hypergraph:
 
     @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
-        return cls(matrix.n_cols, (row_cols(r) for r in matrix.rows))
+        # GF2Matrix rows fit n_cols, and row_cols lists each column once, in order.
+        h = cls.__new__(cls)
+        h._index(matrix.n_cols, [tuple(row_cols(r)) for r in matrix.rows])
+        return h
 
 
 @dataclass(frozen=True)
@@ -74,7 +93,7 @@ def peel_2core(h: Hypergraph, order: str = "fifo", rng_seed: int = 0) -> CoreSta
     degree = h.vertex_degree
     alive = h.alive
     edges = h.edges
-    incident = h._incident
+    edge_xor = h._edge_xor
 
     pending = deque(v for v in range(h.n_vertices) if degree[v] == 1)
     rng = _pyrandom.Random(rng_seed) if order == "random" else None
@@ -92,10 +111,11 @@ def peel_2core(h: Hypergraph, order: str = "fifo", rng_seed: int = 0) -> CoreSta
             raise ValueError(f"order {order!r} not in {PEEL_ORDERS}")
         if degree[v] != 1:
             continue  # stale entry
-        eid = next(i for i in incident[v] if alive[i])
+        eid = edge_xor[v]
         alive[eid] = False
         for u in edges[eid]:
             degree[u] -= 1
+            edge_xor[u] ^= eid
             if degree[u] == 1:
                 pending.append(u)
 
@@ -120,6 +140,40 @@ def peel_2core(h: Hypergraph, order: str = "fifo", rng_seed: int = 0) -> CoreSta
         cols_by_degree=cols_by_degree,
         core_edge_ids=core_ids,
     )
+
+
+def _core_corank(h: Hypergraph) -> int:
+    """Corank of the alive edges of a hypergraph that peel_2core has consumed.
+
+    Only occupied columns get a position, in ascending core degree, so core
+    rows stay short and the sparse columns become the first pivots.
+    """
+    degree = h.vertex_degree
+    occupied = sorted((v for v in range(h.n_vertices) if degree[v]), key=degree.__getitem__)
+    pos = [0] * h.n_vertices
+    for i, v in enumerate(occupied):
+        pos[v] = i
+    state = RankState(len(occupied))
+    for e, live in zip(h.edges, h.alive):
+        if not live:
+            continue
+        row = 0
+        for v in e:
+            row |= 1 << pos[v]
+        state.absorb(row)
+    return state.corank
+
+
+def corank(matrix: GF2Matrix) -> int:
+    """sigma = m - rank over GF(2); the null-vector count is 2**sigma.
+
+    Returned as the integer exponent (sigma can run into the thousands, so the
+    count itself is never materialized as a float).  Computed on the 2-core,
+    whose corank equals the matrix's.
+    """
+    h = Hypergraph.from_matrix(matrix)
+    peel_2core(h)
+    return _core_corank(h)
 
 
 def check_E(stats: CoreStats, n: int, eps: float) -> bool:

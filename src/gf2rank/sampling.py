@@ -51,6 +51,9 @@ class SampleConfig:
             raise InvalidParam(f"m {self.m} < 0")
         if self.model not in MODELS:
             raise InvalidParam(f"model {self.model!r} not in {MODELS}")
+        # One urn holds every ball, so only an odd weight gives a nonempty row.
+        if self.model == "binomial" and self.n == 1 and all(k % 2 == 0 for k, _ in self.dist.atoms):
+            raise InvalidParam("binomial rows at n=1 need an odd weight; every weight is even")
 
 
 def _uniform_subset_mask(n: int, k: int, rng) -> int:

@@ -21,8 +21,8 @@ from gf2rank.experiments import (
     exp_null_growth,
     exp_tn_window,
 )
-from gf2rank.gf2 import corank, enumerate_null_vectors
-from gf2rank.peeling import Hypergraph, peel_2core
+from gf2rank.gf2 import enumerate_null_vectors
+from gf2rank.peeling import Hypergraph, corank, peel_2core
 from gf2rank.sampling import SampleConfig, sample_matrix
 from gf2rank.thresholds import alpha_sharp, g_star, h_psi
 from gf2rank.weights import WeightDist, parse_rho

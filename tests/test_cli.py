@@ -249,7 +249,16 @@ def test_tn_rows_replay_stream(r, model):
      "--threads", "1", "--eps", "-1"],
     ["tn", "--rho", "r=3", "-n", "100", "--trials", "0"],
     ["simulate", "--exp", "dense", "-n", "10", "--trials", "0"],
-], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials"])
+    ["simulate", "--exp", "dense", "-n", "0", "--trials", "2", "--threads", "1"],
+    ["simulate", "--exp", "dense", "-n", "10", "--trials", "2", "--threads", "1",
+     "--r-values", "x"],
+    ["sample", "--rho", "r=2", "-n", "1", "-m", "2", "--model", "binomial"],
+    ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "x",
+     "--cell-probs", "0.3,0.7", "-n", "5"],
+    ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "0",
+     "--cell-probs", "0.3,y", "-n", "5"],
+], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
+        "dense-r-values", "binomial-even-n1", "parity-targets", "parity-cell-probs"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
 

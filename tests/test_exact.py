@@ -11,7 +11,6 @@ from gf2rank.exact import (
     ParitySpec,
     expected_null_count,
     gfq_dense_survival,
-    gfq_survival_lower_bound,
     hypergeometric_even_overlap,
     multinomial_parity,
     pi_multinomial,
@@ -218,9 +217,11 @@ def test_gfq_finite_n_monotone_to_limit():
 
 
 def test_gfq_lower_bounds_hold():
+    # uniform-in-n lower bounds for P[T_n > n + 1 - r], the oracle here
     for q in (2, 3, 4, 5):
         for r in (1, 2, 3, 6):
-            lb = gfq_survival_lower_bound(q, r)
+            lb = (math.exp(-(4.0 / 3.0) * 2.0 ** (1 - r)) if q == 2
+                  else math.exp(-float(q) ** (1 - r)))
             assert gfq_dense_survival(q, r, 40) >= lb - 1e-12
 
 

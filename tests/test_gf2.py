@@ -5,7 +5,6 @@ from gf2rank.errors import DimensionMismatch, TooLarge
 from gf2rank.gf2 import (
     GF2Matrix,
     RankState,
-    corank,
     enumerate_null_vectors,
     is_one_null,
     matrix_from_text,
@@ -13,6 +12,7 @@ from gf2rank.gf2 import (
     row_cols,
     row_from_cols,
 )
+from gf2rank.peeling import corank
 
 
 def test_repeated_row_is_dependent():

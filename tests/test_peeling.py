@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gf2rank.gf2 import enumerate_null_vectors
+from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors
 from gf2rank.peeling import (
     CoreStats,
     Hypergraph,
     check_E,
+    corank,
     peel_2core,
 )
 from gf2rank.sampling import SampleConfig, sample_matrix
-from gf2rank.thresholds import core_theory
-from gf2rank.weights import WeightDist
+from gf2rank.thresholds import alpha_bar, alpha_star, core_theory
+from gf2rank.verification import FIG1_RHO
+from gf2rank.weights import WeightDist, parse_rho
 
 
 def naive_core(n, edges):
@@ -169,3 +171,46 @@ def test_core_degree_histogram_poisson():
     exp.append(max(n - sum(exp), 1e-9))
     _, p = scipy.stats.chisquare(obs, f_exp=np.array(exp) * sum(obs) / sum(exp))
     assert p > 1e-3
+
+
+def full_corank(mat):
+    """Oracle: RankState over every row of the matrix, in sampler order."""
+    state = RankState(mat.n_cols)
+    for r in mat.rows:
+        state.absorb(r)
+    return state.corank
+
+
+def test_corank_matches_full_rankstate():
+    checked = 0
+    for spec in ("r=1", "r=2", "r=3", FIG1_RHO, "0.5:1,0.5:3"):
+        dist = parse_rho(spec)
+        a_star = alpha_star(dist)
+        alphas = [0.3, 1.0, 1.5]
+        if a_star > 0.02:
+            alphas.append(a_star - 0.02)
+        if dist.min_weight >= 3:
+            alphas.append(alpha_bar(dist) + 0.02)
+        for model in ("exact", "binomial"):
+            for n in (1, 17, 150, 600):
+                if n == 1 and model == "binomial" and spec == "r=2":
+                    continue  # no nonempty row exists; SampleConfig refuses it
+                for alpha in alphas:
+                    for seed in (1, 2):
+                        mat = sample_matrix(SampleConfig(n, round(alpha * n), dist, model, seed))
+                        assert corank(mat) == full_corank(mat), (spec, model, n, alpha, seed)
+                        checked += 1
+    assert checked > 300
+
+
+def test_corank_edge_cases():
+    cases = {
+        "empty": (GF2Matrix(5), 0),
+        "duplicates": (GF2Matrix(6, [0b000111] * 3 + [0b011000] * 2 + [0b100001]), 3),
+        "weight-1": (GF2Matrix(4, [0b0001, 0b0001, 0b0010, 0b0100, 0b0100, 0b0100]), 3),
+        "peels-away": (GF2Matrix(5, [0b00011, 0b00110, 0b01100, 0b11000]), 0),
+        "core-of-a-cycle": (GF2Matrix(5, [0b00011, 0b00110, 0b00101, 0b11000]), 1),
+    }
+    for name, (mat, want) in cases.items():
+        assert corank(mat) == want == full_corank(mat), name
+    assert peel_2core(Hypergraph.from_matrix(cases["peels-away"][0])).core_rows == 0

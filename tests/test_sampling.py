@@ -89,6 +89,17 @@ def test_config_validation():
         SampleConfig(n=5, m=1, dist=WeightDist.fixed(3), model="other")
 
 
+def test_binomial_needs_a_nonempty_row():
+    # at n=1 the binomial row is nonempty only for an odd weight; the sampler
+    # would redraw forever, so the config is refused before any draw
+    for dist in (WeightDist.fixed(2), WeightDist(((2, 0.5), (4, 0.5)))):
+        with pytest.raises(InvalidParam):
+            SampleConfig(n=1, m=2, dist=dist, model="binomial")
+    SampleConfig(n=1, m=2, dist=WeightDist(((2, 0.5), (3, 0.5))), model="binomial")
+    SampleConfig(n=2, m=2, dist=WeightDist.fixed(2), model="binomial")
+    SampleConfig(n=1, m=2, dist=WeightDist.fixed(2), model="exact")
+
+
 def test_run_Tn_single_column():
     # any weight law truncates to weight 1 at n=1: dependency on the 2nd row
     for dist in (WeightDist.fixed(1), WeightDist.fixed(3)):
