@@ -66,16 +66,21 @@ def _envelope(inv: CliInvocation, result) -> dict:
     }
 
 
+def _mpf_str(x) -> str:
+    # every digit the mantissa carries, and never fewer than 40
+    return mp.nstr(x, max(40, mp.libmp.repr_dps(x._mpf_[3])))
+
+
 def _num(x) -> dict:
     """Full-precision decimal string plus a rounded double convenience field."""
     if isinstance(x, mp.mpf):
-        return {"decimal": mp.nstr(x, 40), "double": float(x)}
+        return {"decimal": _mpf_str(x), "double": float(x)}
     return {"decimal": f"{float(x):.17g}", "double": float(x)}
 
 
 def _json_default(o):
     if isinstance(o, mp.mpf):
-        return mp.nstr(o, 40)
+        return _mpf_str(o)
     if hasattr(o, "numerator") and hasattr(o, "denominator"):
         return f"{o.numerator}/{o.denominator}"
     if isinstance(o, WeightDist):

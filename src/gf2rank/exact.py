@@ -2,17 +2,20 @@
 
 Everything here has two faces:
 
-* an arbitrary-precision evaluation (mpmath, default 256 bits) with an
-  automatic retry at doubled precision whenever the rounding-error bound on
-  the sum is too large relative to the result -- the alternating
-  ``(2 p_j - 1)^m`` sums cancel catastrophically in doubles already for a few
-  hundred columns, and
+* an arbitrary-precision evaluation (mpmath, default 256 bits), and
 * an exact-rational evaluation (``exact=True``) used by the oracle tests,
   built on ``fractions.Fraction`` and exact big-integer binomials.
 
-Probabilities of the all-even event are computed for both row models: the
-binomial allocation scheme (balls into urns, closed pgf form) and the exact
-uniform-support scheme (hypergeometric even-overlap sums).
+The all-even probability P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m is
+computed for both row models: the binomial allocation scheme (balls into
+urns, lambda_j from the closed pgf form) and the exact uniform-support scheme
+(lambda_j from hypergeometric even-overlap sums).  For one m it is a guarded
+mpf sum: the ``lambda_j^m`` alternate in sign and cancel catastrophically in
+doubles already for a few hundred columns, so the sum retries at doubled
+precision whenever its rounding-error bound is too large relative to the
+result.  The expected null count and its weight profile need P[A(n,l)] for
+every l <= m; they are exact integer sums over a common denominator of the
+lambda_j, each rounded once at the requested precision, with no retry.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ def _guarded_sum(term_factory, precision: int, amplification: int = 0):
     are dyadic rationals, so exact cancellation is real and doubling cannot
     certify it any further).
     """
+    if precision < 1:
+        raise InvalidParam(f"precision {precision} < 1 bit")
     prec = precision
     zero_seen = False
     while True:
@@ -87,6 +92,46 @@ def _structurally_zero(m: int, weights) -> bool:
     return m % 2 == 1 and all(w % 2 == 1 for w in weights)
 
 
+# lambda_j is the mean of (-1)^|row ∩ J| for a fixed j-subset J of the columns,
+# so P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m in both row models.  Each model
+# defines it in one place, exactly, for j = 0..n.
+
+def _lambdas_binomial(n: int, dist: WeightDist) -> list:
+    """lambda_j = rho(1 - 2j/n) in the binomial allocation scheme."""
+    atoms = [(k, _exact_fraction(p)) for k, p in dist.atoms]
+    lams = []
+    for j in range(n + 1):
+        s = Fraction(n - 2 * j, n)
+        lams.append(sum(p * s**k for k, p in atoms))
+    return lams
+
+
+def _lambdas_exact(n: int, law) -> list:
+    """lambda_j = 2 p_j - 1 in the uniform-support scheme, where p_j is the
+    hypergeometric even-overlap probability under the per-n law."""
+    frac_law = [(r, _exact_fraction(p)) for r, p in law]
+    return [2 * sum(p * hypergeometric_even_overlap(n, j, r) for r, p in frac_law) - 1
+            for j in range(n + 1)]
+
+
+def _parity_sum_exact(n: int, m: int, lams) -> Fraction:
+    return sum(comb(n, j) * q**m for j, q in enumerate(lams)) / Fraction(2) ** n
+
+
+def _parity_sum_guarded(n: int, m: int, lam, precision: int):
+    """2^-n sum_j C(n,j) lam(j)^m as a guarded mpf sum; ``lam(j)`` is evaluated
+    at the working precision.  The signs of lam(j)^m may alternate, so the sum
+    can cancel: _guarded_sum certifies it."""
+    def terms():
+        scale = (mp.mpf(1) / 2) ** n
+        c = 1  # C(n, j), by its recurrence in j
+        for j in range(n + 1):
+            yield scale * c * lam(j) ** m
+            c = c * (n - j) // (j + 1)
+
+    return _guarded_sum(terms, precision, amplification=m + n)
+
+
 def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PRECISION,
                    exact: bool = False):
     """P[every column sum is even] in the binomial allocation scheme:
@@ -100,21 +145,8 @@ def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PR
     if _structurally_zero(m, (k for k, _ in dist.atoms)):
         return Fraction(0) if exact else mp.mpf(0)
     if exact:
-        atoms = [(k, _exact_fraction(p)) for k, p in dist.atoms]
-        total = Fraction(0)
-        for j in range(n + 1):
-            s = Fraction(n - 2 * j, n)
-            rho = sum(p * s**k for k, p in atoms)
-            total += comb(n, j) * rho**m
-        return total / 2**n
-
-    def terms():
-        half = mp.mpf(1) / 2
-        for j in range(n + 1):
-            s = 1 - 2 * mp.mpf(j) / n
-            yield half**n * comb(n, j) * dist.pgf(s) ** m
-
-    return _guarded_sum(terms, precision, amplification=m + n)
+        return _parity_sum_exact(n, m, _lambdas_binomial(n, dist))
+    return _parity_sum_guarded(n, m, lambda j: dist.pgf(1 - 2 * mp.mpf(j) / n), precision)
 
 
 def hypergeometric_even_overlap(n: int, j: int, r: int) -> Fraction:
@@ -139,26 +171,11 @@ def prob_A_general(n: int, m: int, law, precision: int = DEFAULT_PRECISION,
         raise InvalidParam(f"law support must lie in [0, {n}]: {law}")
     if _structurally_zero(m, (r for r, _ in law)):
         return Fraction(0) if exact else mp.mpf(0)
-
-    frac_law = [(r, _exact_fraction(p)) for r, p in law]
-    # 2 p_j - 1 held exactly; signs alternate in j, so no accuracy is lost
-    # before the final big-int -> mpf conversions.
-    q = []
-    for j in range(n + 1):
-        pj = sum(p * hypergeometric_even_overlap(n, j, r) for r, p in frac_law)
-        q.append(2 * pj - 1)
-
+    lams = _lambdas_exact(n, law)
     if exact:
-        total = sum(comb(n, j) * q[j] ** m for j in range(n + 1))
-        return total / Fraction(2) ** n
-
-    def terms():
-        half = mp.mpf(1) / 2
-        for j in range(n + 1):
-            qj = mp.mpf(q[j].numerator) / q[j].denominator
-            yield half**n * comb(n, j) * qj**m
-
-    return _guarded_sum(terms, precision, amplification=m + n)
+        return _parity_sum_exact(n, m, lams)
+    return _parity_sum_guarded(
+        n, m, lambda j: mp.mpf(lams[j].numerator) / lams[j].denominator, precision)
 
 
 def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
@@ -167,23 +184,45 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     decomposition by weight: E[N(n,m;l)] = C(m,l) P[A(n,l)].
 
     Returns (total, profile) where profile maps l to E[N(n,m;l)].
+
+    With lambda_j = a_j / d over the least common denominator d,
+    E[N(n,m;l)] = C(m,l) S_l / (2^n d^l) where S_l = sum_j C(n,j) a_j^l is an
+    integer sum, so every entry and the total are exact rationals.  The
+    floating result rounds each of them once, at ``precision`` bits.
     """
-    if m < 0:
-        raise InvalidParam(f"m {m} < 0")
+    if n < 1 or m < 0:
+        raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
+    if not exact and precision < 1:
+        raise InvalidParam(f"precision {precision} < 1 bit")
     if model == "exact":
         law = dist.per_n_law_exact(n)
-        prob = lambda l: prob_A_general(n, l, law, precision=precision, exact=exact)
+        lams, weights = _lambdas_exact(n, law), [r for r, _ in law]
     elif model == "binomial":
-        prob = lambda l: pi_multinomial(n, l, dist, precision=precision, exact=exact)
+        lams, weights = _lambdas_binomial(n, dist), [k for k, _ in dist.atoms]
     else:
         raise InvalidParam(f"model {model!r} not in ('exact', 'binomial')")
-    profile = {}
-    total = Fraction(0) if exact else mp.mpf(0)
+    d = math.lcm(*(q.denominator for q in lams))
+    a = [q.numerator * (d // q.denominator) for q in lams]
+
+    powers = [comb(n, j) for j in range(n + 1)]  # C(n,j) a_j^l for the current l
+    nums = []  # C(m,l) S_l, the numerator of E[N(n,m;l)] over 2^n d^l
     for l in range(m + 1):
-        e = comb(m, l) * prob(l)
-        profile[l] = e
-        total += e
-    return total, profile
+        nums.append(0 if _structurally_zero(l, weights) else comb(m, l) * sum(powers))
+        if l < m:
+            powers = [t * x for t, x in zip(powers, a)]
+    total = 0  # numerator of the sum over 2^n d^m, by Horner's rule in d
+    for v in nums:
+        total = total * d + v
+
+    out = Fraction if exact else lambda num, den: mp.make_mpf(
+        mp.libmp.from_rational(num, den, precision, mp.libmp.round_nearest))
+    profile = {}
+    den = 1 << n
+    for l, v in enumerate(nums):
+        profile[l] = out(v, den)
+        if l < m:
+            den *= d
+    return out(total, den), profile
 
 
 def poissonization_check(n: int, m: int, mu: float, truncation: int | None = None,

@@ -7,8 +7,11 @@ on the same data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import mpmath as mp
 
 from . import oracles, thresholds
 from .exact import (
@@ -36,6 +39,9 @@ TABLE1_TOL = 5e-6
 FIG1_RHO = "0.9:3,0.1:24"
 FIG2_RHO = "0.9183:3,0.04:19,0.0417:41"
 FIG8_RHO = "0.9:3,0.1:38"
+
+RATE_ALPHAS = (0.9, 0.95)
+RATE_NS = (60, 120, 240, 480)
 
 SUITES = ("table1", "fig1", "fig2", "fig8", "oracles", "asymptotics", "all")
 
@@ -193,6 +199,15 @@ def suite_asymptotics() -> list:
     row12 = by_r[12]
     checks.append(_close("asym r=12 (1-a*) e^r log2", 1.0, row12["star_scaled"], 0.15))
     checks.append(_close("asym r=12 (1-abar) e^r", 1.0, row12["bar_scaled"], 0.15))
+    # n^-1 log E[N(n, alpha n)] -> F(alpha), the limit that defines alpha_star,
+    # at the O(log n / n) rate of a sum of polynomially many exponential terms
+    w3 = WeightDist.fixed(3)
+    for alpha in RATE_ALPHAS:
+        f = thresholds.F_of_alpha(w3, alpha)[0]
+        for n in RATE_NS:
+            total, _ = expected_null_count(n, round(alpha * n), w3)
+            checks.append(_close(f"asym r=3 alpha={alpha} n={n} log E[N] / n", f,
+                                 float(mp.log(total)) / n, 0.2 * math.log(n) / n))
     return checks
 
 

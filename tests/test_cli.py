@@ -125,6 +125,13 @@ def test_exact_missing_m_exits_2(what):
     assert line == f"error: -m is required for --what {what}"
 
 
+@pytest.mark.parametrize("what", ["pi", "pa", "en"])
+def test_exact_precision_below_one_bit_exits_2(what):
+    line = run_fail(["exact", "--what", what, "--rho", "r=3", "-n", "5", "-m", "4",
+                     "--precision", "0"], 2)
+    assert line == "error: precision 0 < 1 bit"
+
+
 def test_exact_missing_rho_exits_2():
     assert run_fail(["exact", "--what", "en", "-n", "4", "-m", "4"], 2).startswith("error: --rho")
 
@@ -290,6 +297,18 @@ def test_exact_en_profile():
     payload = json.loads(run_ok("exact", "--what", "en", "--rho", "r=2", "-n", "3", "-m", "2"))
     assert abs(payload["result"]["expected_null_count"]["double"] - 4.0 / 3.0) < 1e-12
     assert abs(payload["result"]["profile"]["2"]["double"] - 1.0 / 3.0) < 1e-12
+
+
+def test_exact_en_prints_the_requested_precision():
+    import mpmath as mp
+    from gf2rank.exact import expected_null_count
+    payload = json.loads(run_ok("exact", "--what", "en", "--rho", "r=3", "-n", "40", "-m", "38",
+                                "--precision", "512"))
+    want, _ = expected_null_count(40, 38, WeightDist.fixed(3), exact=True)
+    with mp.workprec(2048):
+        got = mp.mpf(payload["result"]["expected_null_count"]["decimal"])
+        exact_value = mp.mpf(want.numerator) / want.denominator
+        assert abs(got - exact_value) <= mp.mpf(10) ** -100 * exact_value
 
 
 def test_simulate_dense_with_csv(tmp_path):

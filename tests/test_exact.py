@@ -9,6 +9,7 @@ from gf2rank import oracles
 from gf2rank.errors import InvalidParam, TruncationTooSmall
 from gf2rank.exact import (
     ParitySpec,
+    _guarded_sum,
     expected_null_count,
     gfq_dense_survival,
     hypergeometric_even_overlap,
@@ -120,10 +121,100 @@ def test_pair_weight_profile_identity():
 
 def test_expected_null_count_near_rate_function():
     from gf2rank.thresholds import F_of_alpha
+    from gf2rank.verification import RATE_ALPHAS, RATE_NS, suite_asymptotics
     total, _ = expected_null_count(60, 54, W3)
     rate = float(mp.log(total)) / 60
     f = F_of_alpha(W3, 0.9)[0]
     assert abs(rate - f) <= 0.05
+    # |n^-1 log E[N(n, alpha n)] - F(alpha)| <= 0.2 log(n) / n up to n = 480
+    rate_checks = [c for c in suite_asymptotics() if "log E[N] / n" in c.name]
+    assert len(rate_checks) == len(RATE_ALPHAS) * len(RATE_NS)
+    assert all(c.passed for c in rate_checks), [c.line() for c in rate_checks if not c.passed]
+
+
+# --- E[N] against the per-l route it replaced --------------------------------
+
+GATE_DISTS = (
+    W1, W2, W3,
+    WeightDist(((3, 0.75), (5, 0.25))),
+    WeightDist(((2, Fraction(1, 3)), (3, Fraction(2, 3)))),
+    WeightDist(((3, Fraction(1, 2)), (45, Fraction(1, 2)))),  # 45 truncated below n = 45
+)
+GATE_NS = tuple(range(1, 21)) + (22, 25, 28, 30)
+
+
+def _per_l_route(n, m, dist, model):
+    """E[N] as sum_l C(m,l) P[A(n,l)], one all-even probability per l."""
+    if model == "exact":
+        law = dist.per_n_law_exact(n)
+        prob = lambda l: prob_A_general(n, l, law, exact=True)
+    else:
+        prob = lambda l: pi_multinomial(n, l, dist, exact=True)
+    profile = {l: math.comb(m, l) * prob(l) for l in range(m + 1)}
+    return sum(profile.values()), profile
+
+
+@pytest.mark.parametrize("model", ["exact", "binomial"])
+def test_expected_null_count_matches_per_l_route(model):
+    # 6 distributions x 24 n x 2 models = 288 cases; m = n + 2 puts every
+    # l in 0..n+2 in the profile, and m = n - 1 checks a second total
+    for dist in GATE_DISTS:
+        for n in GATE_NS:
+            for m in (n + 2, n - 1):
+                got = expected_null_count(n, m, dist, model=model, exact=True)
+                assert got == _per_l_route(n, m, dist, model), (dist, n, m)
+
+
+def _lambda(n, j, dist, model):
+    if model == "binomial":
+        return dist.pgf(Fraction(n - 2 * j, n))
+    return 2 * sum(Fraction(p) * hypergeometric_even_overlap(n, j, r)
+                   for r, p in dist.per_n_law_exact(n)) - 1
+
+
+@pytest.mark.parametrize("model", ["exact", "binomial"])
+def test_expected_null_count_collapsed_form(model):
+    # sum_l C(m,l) lambda^l = (1 + lambda)^m, so E[N] = 2^-n sum_j C(n,j) (1 + lambda_j)^m
+    for dist in GATE_DISTS[1:3] + GATE_DISTS[4:]:
+        for n, m in ((7, 9), (16, 15), (40, 38)):
+            want = sum(math.comb(n, j) * (1 + _lambda(n, j, dist, model)) ** m
+                       for j in range(n + 1)) / Fraction(2) ** n
+            assert expected_null_count(n, m, dist, model=model, exact=True)[0] == want
+
+
+@pytest.mark.parametrize("model", ["exact", "binomial"])
+@pytest.mark.parametrize("dist", [W3, W2], ids=["W3", "W2"])
+def test_expected_null_count_rounds_at_requested_precision(model, dist):
+    # W2 in the exact model has a true zero at l = 1 (one row is never null)
+    # that no parity rule predicts, and a guarded float sum cannot certify
+    precision = 512
+    got_total, got_profile = expected_null_count(40, 38, dist, model=model, precision=precision)
+    want_total, want_profile = expected_null_count(40, 38, dist, model=model, exact=True)
+    assert set(got_profile) == set(want_profile)
+    pairs = [(got_total, want_total)] + [(got_profile[l], want_profile[l]) for l in want_profile]
+    with mp.workprec(4 * precision):
+        for got, want in pairs:
+            exact_value = mp.mpf(want.numerator) / want.denominator
+            assert abs(got - exact_value) <= mp.mpf(2) ** -500 * abs(exact_value)
+
+
+def _pi_reference(n, m, dist, precision=256):
+    """The guarded pi sum with every binomial from math.comb."""
+    def terms():
+        half = mp.mpf(1) / 2
+        for j in range(n + 1):
+            s = 1 - 2 * mp.mpf(j) / n
+            yield half**n * math.comb(n, j) * dist.pgf(s) ** m
+    return _guarded_sum(terms, precision, amplification=m + n)
+
+
+def test_pi_multinomial_bit_identical_to_comb_reference():
+    mixed = WeightDist(((2, 0.5), (3, 0.3), (7, 0.2)))
+    for dist, n, m in ((W3, 400, 380), (mixed, 400, 381), (mixed, 257, 64),
+                       (W2, 100, 33), (mixed, 31, 1), (W1, 60, 60)):
+        assert repr(pi_multinomial(n, m, dist)) == repr(_pi_reference(n, m, dist))
+    assert repr(pi_multinomial(50, 40, mixed, precision=64)) == \
+        repr(_pi_reference(50, 40, mixed, precision=64))
 
 
 def test_poissonization_identity():
