@@ -9,13 +9,15 @@ Everything here has two faces:
 The all-even probability P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m is
 computed for both row models: the binomial allocation scheme (balls into
 urns, lambda_j from the closed pgf form) and the exact uniform-support scheme
-(lambda_j from hypergeometric even-overlap sums).  For one m it is a guarded
-mpf sum: the ``lambda_j^m`` alternate in sign and cancel catastrophically in
-doubles already for a few hundred columns, so the sum retries at doubled
-precision whenever its rounding-error bound is too large relative to the
-result.  The expected null count and its weight profile need P[A(n,l)] for
-every l <= m; they are exact integer sums over a common denominator of the
-lambda_j, each rounded once at the requested precision, with no retry.
+(lambda_j from hypergeometric even-overlap sums).  The ``lambda_j^m``
+alternate in sign and cancel catastrophically in doubles already for a few
+hundred columns.  In the exact scheme the lambda_j are exact rationals, so
+P[A(n,m)], the expected null count and its weight profile are exact integer
+sums over a common denominator of the lambda_j, each rounded once at the
+requested precision, with no retry; a true zero comes out as 0.  In the
+binomial scheme ``pi_multinomial`` is a guarded mpf sum that retries at
+doubled precision whenever its rounding-error bound is too large relative to
+the result.
 """
 
 from __future__ import annotations
@@ -114,6 +116,17 @@ def _lambdas_exact(n: int, law) -> list:
             for j in range(n + 1)]
 
 
+def _over_common_denominator(lams) -> tuple:
+    """(d, a) with lambda_j = a_j / d and d the least common denominator."""
+    d = math.lcm(*(q.denominator for q in lams))
+    return d, [q.numerator * (d // q.denominator) for q in lams]
+
+
+def _rounded(num: int, den: int, precision: int):
+    """num / den as an mpf, rounded once to ``precision`` bits."""
+    return mp.make_mpf(mp.libmp.from_rational(num, den, precision, mp.libmp.round_nearest))
+
+
 def _parity_sum_exact(n: int, m: int, lams) -> Fraction:
     return sum(comb(n, j) * q**m for j, q in enumerate(lams)) / Fraction(2) ** n
 
@@ -162,7 +175,9 @@ def prob_A_general(n: int, m: int, law, precision: int = DEFAULT_PRECISION,
 
     ``law`` is the per-n row-weight law as (weight, probability) pairs with
     support inside [1, n].  Weight 0 is tolerated (it contributes an overlap
-    probability of 1), which makes the binomial per-n law usable here.
+    probability of 1), which makes the binomial per-n law usable here.  The
+    float result is the exact integer sum over 2^n d^m, with d the common
+    denominator of the lambda_j, rounded once at ``precision`` bits.
     """
     law = sorted((int(r), p) for r, p in law)
     if n < 1 or m < 0:
@@ -171,11 +186,18 @@ def prob_A_general(n: int, m: int, law, precision: int = DEFAULT_PRECISION,
         raise InvalidParam(f"law support must lie in [0, {n}]: {law}")
     if _structurally_zero(m, (r for r, _ in law)):
         return Fraction(0) if exact else mp.mpf(0)
+    if not exact and precision < 1:
+        raise InvalidParam(f"precision {precision} < 1 bit")
     lams = _lambdas_exact(n, law)
     if exact:
         return _parity_sum_exact(n, m, lams)
-    return _parity_sum_guarded(
-        n, m, lambda j: mp.mpf(lams[j].numerator) / lams[j].denominator, precision)
+    d, a = _over_common_denominator(lams)
+    num = 0
+    c = 1  # C(n, j), by its recurrence in j
+    for j, x in enumerate(a):
+        num += c * x**m
+        c = c * (n - j) // (j + 1)
+    return _rounded(num, d**m << n, precision)
 
 
 def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
@@ -201,8 +223,7 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
         lams, weights = _lambdas_binomial(n, dist), [k for k, _ in dist.atoms]
     else:
         raise InvalidParam(f"model {model!r} not in ('exact', 'binomial')")
-    d = math.lcm(*(q.denominator for q in lams))
-    a = [q.numerator * (d // q.denominator) for q in lams]
+    d, a = _over_common_denominator(lams)
 
     powers = [comb(n, j) for j in range(n + 1)]  # C(n,j) a_j^l for the current l
     nums = []  # C(m,l) S_l, the numerator of E[N(n,m;l)] over 2^n d^l
@@ -214,8 +235,7 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     for v in nums:
         total = total * d + v
 
-    out = Fraction if exact else lambda num, den: mp.make_mpf(
-        mp.libmp.from_rational(num, den, precision, mp.libmp.round_nearest))
+    out = Fraction if exact else lambda num, den: _rounded(num, den, precision)
     profile = {}
     den = 1 << n
     for l, v in enumerate(nums):

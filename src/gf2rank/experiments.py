@@ -22,7 +22,7 @@ from .errors import InvalidParam
 from .exact import expected_null_count, gfq_dense_survival
 from .gf2 import RankState, enumerate_null_vectors
 from .peeling import Hypergraph, _core_corank, check_E, corank, peel_2core
-from .sampling import SampleConfig, derive_stream_seed, make_rng, run_Tn, sample_matrix, sample_row
+from .sampling import SampleConfig, derive_stream_seed, make_rng, run_Tn, sample_matrix, stream_rows
 from .thresholds import (
     F_of_alpha,
     alpha_bar,
@@ -104,12 +104,10 @@ def _classical_r2_trial(cfg: SampleConfig):
     is itself a dependency), so the two differ only when the T_n row repeats
     an earlier one.
     """
-    rng = make_rng(cfg.seed)
     state = RankState(cfg.n)
     seen = set()
     t_n = 0
-    while True:
-        row = sample_row(cfg, rng)
+    for row in stream_rows(cfg):
         if row in seen:
             t_n = t_n or len(seen) + 1
             continue

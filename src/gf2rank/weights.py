@@ -109,7 +109,11 @@ class WeightDist:
 
     def sample(self, rng) -> int:
         """Draw one weight from the limiting law."""
-        i = bisect_left(self._cum, rng.random())
+        return self.weight_at(rng.random())
+
+    def weight_at(self, u: float) -> int:
+        """The weight that ``sample`` draws when ``rng.random()`` returns u."""
+        i = bisect_left(self._cum, u)
         return self.atoms[min(i, len(self.atoms) - 1)][0]
 
     def per_n_law_exact(self, n: int) -> list:

@@ -132,6 +132,13 @@ def test_exact_precision_below_one_bit_exits_2(what):
     assert line == "error: precision 0 < 1 bit"
 
 
+def test_exact_pa_true_zero_prints_0():
+    # P[A(40, 1)] = 0 for weight-2 rows; it used to exit 4 with PrecisionLoss
+    res = json.loads(run_ok("exact", "--what", "pa", "--rho", "r=2", "-n", "40", "-m", "1"))["result"]
+    assert res["prob_A"]["double"] == 0.0
+    assert float(res["prob_A"]["decimal"]) == 0.0
+
+
 def test_exact_missing_rho_exits_2():
     assert run_fail(["exact", "--what", "en", "-n", "4", "-m", "4"], 2).startswith("error: --rho")
 

@@ -80,6 +80,26 @@ def test_prob_A_float_path_matches_exact():
     assert abs(float((got - want) / want)) < 1e-14
 
 
+def _mpf_fraction(x) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("precision", [53, 256])
+def test_prob_A_float_is_the_exact_value_rounded_once(precision):
+    # m = 1 is a true zero for every law without weight 0, which no parity
+    # rule predicts when a weight is even; the guarded mpf sum could not
+    # certify it at n = 40
+    cases = [([(2, 1)], 40, 1), ([(2, 1)], 12, 1), ([(2, Fraction(1, 2)), (3, Fraction(1, 2))], 40, 1),
+             ([(2, 1)], 40, 3), ([(2, Fraction(1, 2)), (3, Fraction(1, 2))], 40, 7),
+             ([(3, 1)], 30, 10), ([(1, 0.25), (4, 0.75)], 25, 6)]
+    for law, n, m in cases:
+        want = prob_A_general(n, m, law, exact=True)
+        got = _mpf_fraction(prob_A_general(n, m, law, precision=precision))
+        assert abs(got - want) <= abs(want) / 2**precision, (law, n, m)
+    assert prob_A_general(40, 1, [(2, 1)]) == 0
+
+
 def test_prob_A_structural_zero_all_odd():
     assert prob_A_general(40, 7, [(3, 1)], exact=True) == 0
     assert float(prob_A_general(40, 7, [(3, 1)])) == 0.0

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from gf2rank import sampling
 from gf2rank.errors import InvalidParam
-from gf2rank.gf2 import row_cols
+from gf2rank.gf2 import RankState, row_cols
 from gf2rank.sampling import (
+    MODELS,
     SampleConfig,
     derive_stream_seed,
     make_rng,
     run_Tn,
     sample_matrix,
     sample_row,
+    sample_rows,
 )
-from gf2rank.weights import WeightDist
+from gf2rank.verification import FIG1_RHO, FIG2_RHO
+from gf2rank.weights import WeightDist, parse_rho
 
 
 def cfg3(n, m=0, seed=0, model="exact"):
@@ -126,3 +130,123 @@ def test_stream_seeds_distinct():
 
 def test_stream_seed_reproducible():
     assert derive_stream_seed(42, 7) == derive_stream_seed(42, 7)
+
+
+# --- the block route against its oracle, successive sample_row calls ---------
+
+GATE_DISTS = {
+    "w1": WeightDist.fixed(1),
+    "w2": WeightDist.fixed(2),
+    "w3": WeightDist.fixed(3),
+    "w7": WeightDist.fixed(7),
+    "fig1": parse_rho(FIG1_RHO),
+    "fig2": parse_rho(FIG2_RHO),
+    "mix40": WeightDist(((2, 0.3), (3, 0.6), (40, 0.1))),
+}
+
+
+def _configs(dist, model, ns, seeds):
+    # every valid config; the binomial model refuses n = 1 with only even weights
+    for n in ns:
+        for seed in seeds:
+            try:
+                yield SampleConfig(n, 0, dist, model=model, seed=seed)
+            except InvalidParam:
+                pass
+
+
+def _next_draws(rng):
+    # random() takes a fresh word, integers() a half-word: both orders
+    return (rng.random(), int(rng.integers(0, 7)), rng.integers(0, 1000, size=3).tolist(),
+            rng.random(), int(rng.integers(0, 2**20)))
+
+
+def _assert_block_route(cfg, blocks, buffered=False):
+    """sample_rows over successive blocks gives the rows of successive
+    sample_row calls and leaves the generator where they leave it.  With
+    buffered, one integers() draw first makes the first block start from a
+    buffered half-word."""
+    scalar, block = make_rng(cfg.seed), make_rng(cfg.seed)
+    if buffered:
+        assert scalar.integers(0, 5) == block.integers(0, 5)
+        assert block.bit_generator.state["has_uint32"] == 1
+    for size in blocks:
+        want = [sample_row(cfg, scalar) for _ in range(size)]
+        got = sample_rows(cfg, block, size)
+        if got != want:
+            i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+            pytest.fail(f"numpy {np.__version__}, {cfg}, block of {size}: first differing row {i}: "
+                        f"{got[i] if i < len(got) else None} != {want[i] if i < len(want) else None}")
+    got, want = _next_draws(block), _next_draws(scalar)
+    assert got == want, f"numpy {np.__version__}, {cfg}: later draws {got} != {want}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", list(GATE_DISTS))
+def test_sample_rows_equals_successive_sample_row(name, model):
+    # n = 1, 2, 3 and 5 truncate weights above n in the exact model
+    seeds = (derive_stream_seed(41, 0), derive_stream_seed(41, 1))
+    for cfg in _configs(GATE_DISTS[name], model, (1, 2, 3, 5, 40, 300, 3000), seeds):
+        for buffered in (False, True):
+            _assert_block_route(cfg, (1, 6, 1, 17, 32), buffered)
+
+
+# (model, weight, seed) at n = 4100, where 2^32 mod 4100 = 4096, so a draw from
+# [0, 4100) is rejected about once in a million.  Found by searching seeds for
+# a rejection within the first 8 rows; in the 2nd and 4th the redraw takes the
+# buffered high half-word.
+REJECTION_CASES = (("exact", 1, 73096), ("exact", 1, 257304),
+                   ("binomial", 3, 41833), ("binomial", 3, 237019))
+
+
+def test_sample_rows_lemire_rejection(monkeypatch):
+    rejections = []
+    redraw = sampling._lemire_redraw
+
+    def spy(bg, words, i, has, half, h, m):
+        rejections.append(m & 0xFFFFFFFF < (1 << 32) % h)
+        return redraw(bg, words, i, has, half, h, m)
+
+    monkeypatch.setattr(sampling, "_lemire_redraw", spy)
+    for model, r, seed in REJECTION_CASES:
+        rejections.clear()
+        _assert_block_route(SampleConfig(4100, 0, WeightDist.fixed(r), model=model, seed=seed), (8,))
+        assert any(rejections), (model, r, seed)
+
+
+def test_sample_rows_other_bit_generator_takes_scalar_route():
+    cfg = SampleConfig(50, 0, WeightDist.fixed(3), seed=0)
+    a = np.random.Generator(np.random.Philox(3))
+    b = np.random.Generator(np.random.Philox(3))
+    assert sample_rows(cfg, a, 20) == [sample_row(cfg, b) for _ in range(20)]
+    assert _next_draws(a) == _next_draws(b)
+
+
+def test_sample_matrix_rows_equal_scalar_rows():
+    # more rows than one block, so the matrix spans a block boundary
+    for model in MODELS:
+        cfg = SampleConfig(n=50, m=2 * sampling._MATRIX_BLOCK + 5, dist=GATE_DISTS["fig1"],
+                           model=model, seed=9)
+        rng = make_rng(cfg.seed)
+        assert sample_matrix(cfg).rows == [sample_row(cfg, rng) for _ in range(cfg.m)]
+
+
+def _replay_Tn(cfg):
+    rng = make_rng(cfg.seed)
+    state = RankState(cfg.n)
+    m = 0
+    while True:
+        m += 1
+        if state.absorb(sample_row(cfg, rng)):
+            return m
+
+
+def test_run_Tn_equals_scalar_replay():
+    seeds = [derive_stream_seed(8, t) for t in range(5)]
+    cases = 0
+    for name in ("w1", "w2", "w3", "fig1", "mix40"):
+        for model in MODELS:
+            for cfg in _configs(GATE_DISTS[name], model, (1, 2, 5, 30, 300), seeds):
+                assert run_Tn(cfg) == _replay_Tn(cfg), f"numpy {np.__version__}, {cfg}"
+                cases += 1
+    assert cases >= 200
