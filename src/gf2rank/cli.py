@@ -147,13 +147,11 @@ def main():
 @main.command("thresholds")
 @click.option("--rho", "rho_spec", default=None, help="Weight spec, e.g. 'r=3' or '0.9:3,0.1:24'.")
 @click.option("--alpha", type=float, default=None, help="Witness alpha for gamma0/beta0.")
-@click.option("--scan-step", type=float, default=thresholds.ALPHA_BAR_STEP,
-              show_default=True, help="alpha scan step for the alpha_bar sign change.")
 @click.option("--table1", "table1", is_flag=True, help="Emit the fixed-weight table for r=1..8.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
-def cmd_thresholds(rho_spec, alpha, scan_step, table1, fmt, out):
+def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
     """Compute alpha_sharp, alpha_star, alpha_bar, and the g_star jump set."""
     if table1:
         rows = []
@@ -179,9 +177,8 @@ def cmd_thresholds(rho_spec, alpha, scan_step, table1, fmt, out):
     if rho_spec is None:
         raise ParseError("--rho is required unless --table1 is given")
     dist = parse_rho(rho_spec)
-    report = threshold_report(dist, witness_alpha=alpha, scan_step=scan_step)
-    inv = CliInvocation("thresholds", {"rho": rho_spec, "alpha": alpha,
-                                       "scan_step": scan_step, "format": fmt})
+    report = threshold_report(dist, witness_alpha=alpha)
+    inv = CliInvocation("thresholds", {"rho": rho_spec, "alpha": alpha, "format": fmt})
     payload = {
         "alpha_sharp": _num(report.alpha_sharp),
         "alpha_star": _num(report.alpha_star),
@@ -500,7 +497,7 @@ def cmd_verify(suite):
         failed += 0 if c.passed else 1
     click.echo(f"{len(checks) - failed}/{len(checks)} checks passed")
     if failed:
-        sys.exit(3)
+        raise VerificationFailed(f"{failed} of {len(checks)} checks failed")
 
 
 if __name__ == "__main__":

@@ -38,14 +38,13 @@ def row_cols(row: int) -> List[int]:
 class GF2Matrix:
     """Immutable-after-build list of nonzero rows over n_cols columns."""
 
-    __slots__ = ("n_cols", "rows", "row_weights")
+    __slots__ = ("n_cols", "rows")
 
     def __init__(self, n_cols: int, rows: Iterable[int] = ()):
         if n_cols < 1:
             raise DimensionMismatch(f"n_cols {n_cols} < 1")
         self.n_cols = n_cols
         self.rows: List[int] = []
-        self.row_weights: List[int] = []
         for r in rows:
             self.append_row(r)
 
@@ -56,7 +55,6 @@ class GF2Matrix:
             raise DimensionMismatch(
                 f"row spans column {row.bit_length() - 1} >= n_cols {self.n_cols}")
         self.rows.append(row)
-        self.row_weights.append(row.bit_count())
 
     @property
     def m(self) -> int:
@@ -77,12 +75,7 @@ class RankState:
 
     n_cols: int
     basis: dict = field(default_factory=dict)  # pivot -> row
-    m_seen: int = 0
     corank: int = 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
     def absorb(self, row: int) -> bool:
         """Feed one row; return True iff it was dependent on the rows so far.
@@ -92,7 +85,6 @@ class RankState:
         if row.bit_length() > self.n_cols:
             raise DimensionMismatch(
                 f"row spans column {row.bit_length() - 1} >= n_cols {self.n_cols}")
-        self.m_seen += 1
         basis = self.basis
         while row:
             p = (row & -row).bit_length() - 1

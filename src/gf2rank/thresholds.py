@@ -19,18 +19,23 @@ gives alpha_sharp, the local minima of h (which g_star needs) and the jump
 set of g_star.  Each public function computes it once per call and passes
 it down, so threshold_report and core_theory sweep h once each.
 
+g_star takes its values on the branch of h that is visible from the right,
+and along that branch alpha = h(x) rises with x.  So alpha_bar and the
+psi(g_star) sign pattern are read off that branch, with no scan in alpha:
+the sign can change only at a jump of g_star or at a root of psi on the
+branch, and the roots come from one sweep of psi on the u = -log(1 - x)
+scale.
+
 All one-dimensional optima use a dense bracket grid (log-refined toward the
 interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
 weights.  The endpoint convention 0^0 = 1 is applied throughout.
 
-The grid sweeps of h, psi and the R integrand and the alpha scans for
-alpha_bar and the psi(g_star) sign pattern are numpy array evaluations; a
-scan bisects g_star for a block of alphas at once.  F_gamma is still swept
-point by point.  The scalar functions (_h, _psi, _h_of_u, _psi_of_u,
-_g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they do every
-golden-section and bisection refinement, and the tests use them as the
-oracle for the arrays.  numpy's log, exp and pow may differ from math's in
+The grid sweeps of h, psi and the R integrand are numpy array evaluations;
+F_gamma is still swept point by point.  The scalar functions (_h, _psi,
+_h_of_u, _psi_of_u, _g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they
+do every golden-section and bisection refinement, and the tests use them as
+the oracle for the arrays.  numpy's log, exp and pow may differ from math's in
 the last bit, so an array value can differ from its scalar counterpart by a
 few ulps.
 """
@@ -52,9 +57,7 @@ ALPHA_TOL = 1e-12      # alpha-bisection resolution
 GAMMA_TOL = 1e-12      # golden-section resolution in gamma
 X_TOL = 1e-13          # golden/bisection resolution in x
 GSTAR_TOL = 1e-12
-ALPHA_BAR_TOL = 1e-9
-ALPHA_BAR_STEP = 1e-4  # resolves sign windows a few 1e-4 wide (mixture cases)
-ALPHA_BAR_MAX = 1.05   # end of the alpha_bar scan
+ALPHA_BAR_TOL = 1e-9   # alpha_bar resolution the report's checks assume
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
 PROMINENCE = 1e-10     # minimum depth for a local minimum to count as a jump
 X_HI = 1.0 - 1e-15     # guard for log(1-x)
@@ -403,11 +406,6 @@ def _psi_of_u(dist: WeightDist, u: float) -> float:
     return x - u * (math.exp(-u) + _ratio(dist, x))
 
 
-def _h_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore"):
-        return us / dist.pgf(-np.expm1(-us), 1)  # r1 = 0 gives inf, as in _h_of_u
-
-
 def _psi_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
     xs = -np.expm1(-us)
     return np.where(xs > 0.0, xs - us * (np.exp(-us) + _ratio_array(dist, xs)), 0.0)
@@ -415,7 +413,10 @@ def _psi_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
 
 _U_HI = 700.0  # e^-u stays a normal double; x = 1 - e^-u rounds to 1.0 past u ~ 37
 _U_TOL = 1e-14
-_SCAN_BLOCK = 4096  # alphas per batched g_star bisection in the alpha scans
+# _X_GRID mapped to u, where _psi_of_u keeps full precision near x = 1, then
+# a coarse tail to _U_HI, where h and psi are almost linear in u
+_U_GRID = _frozen(np.r_[-np.log1p(-_X_GRID),
+                        np.geomspace(-math.log1p(-_X_GRID[-1]), _U_HI, 129)[1:]])
 
 
 def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
@@ -440,47 +441,6 @@ def _psi_g_star(dist: WeightDist, alpha: float, minima: list) -> float:
     """psi(g_star(alpha)), with psi(0) = 0 below the core onset."""
     u = _g_star_u(dist, alpha, minima)
     return 0.0 if u is None else _psi_of_u(dist, u)
-
-
-def _psi_g_star_array(dist: WeightDist, alphas: np.ndarray, minima: list) -> np.ndarray:
-    """_psi_g_star at each of alphas: the bracket, the tolerance and the
-    empty and u = _U_HI cases of _g_star_u, with one bisection in u run on
-    the whole array.  Each element halves its own bracket to _U_TOL as the
-    scalar route does; a step can go the other way only where the array h
-    is within a last-bit difference of alpha."""
-    lo_u = np.zeros(alphas.shape)  # u of the rightmost minimum <= alpha; 0 if none
-    for x, v in minima:
-        u_x = -math.log1p(-x)  # math, not np: the scalar route's bracket
-        lo_u[(v <= alphas) & (u_x > lo_u)] = u_x
-    empty = lo_u == 0.0
-    none = empty & (_h(dist, 1e-13) > alphas)
-    lo_u[empty] = -math.log1p(-1e-13)
-    top = ~none & (_h_of_u(dist, _U_HI) <= alphas)
-    run = ~(none | top)
-    a = alphas[run]
-    lo, hi = lo_u[run], np.full(a.shape, _U_HI)
-    while (active := hi - lo > _U_TOL).any():
-        mid = (lo + hi) / 2
-        ok = _h_of_u_array(dist, mid) <= a
-        lo = np.where(active & ok, mid, lo)
-        hi = np.where(active & ~ok, mid, hi)
-    u = np.full(alphas.shape, _U_HI)
-    u[run] = 0.5 * (lo + hi)
-    return np.where(none, 0.0, _psi_of_u_array(dist, u))
-
-
-def _psi_g_star_scan(dist: WeightDist, minima: list, a: float, step: float, a_max: float):
-    """(alphas, psi(g_star(alphas))) for alpha = a, a + step, ... up to
-    a_max.  np.cumsum adds in sequence, so the alphas are those of a scalar
-    loop doing a += step.  The bisection runs on _SCAN_BLOCK alphas at a
-    time, which keeps its temporaries small: on the whole scan at once they
-    raised the peak memory of a threshold-reports benchmark run by 0.4 MB."""
-    n = int((a_max - a) / step) + 2  # one more than fit: rounding may add one
-    alphas = np.cumsum(np.r_[a, np.full(max(n - 1, 0), step)])
-    alphas = alphas[alphas <= a_max]
-    psi = [_psi_g_star_array(dist, alphas[i:i + _SCAN_BLOCK], minima)
-           for i in range(0, alphas.size, _SCAN_BLOCK)]
-    return alphas, np.concatenate([np.zeros(0), *psi])
 
 
 def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float:
@@ -508,35 +468,51 @@ def discontinuities(dist: WeightDist) -> list:
     return _h_landscape(dist)[2]
 
 
-def alpha_bar(dist: WeightDist, step: float = ALPHA_BAR_STEP) -> float:
-    """inf{alpha > alpha_sharp : psi(g_star(alpha)) < 0}.
+def _psi_events(dist: WeightDist, landscape) -> list:
+    """(alpha, sign) at each alpha where the sign of psi(g_star(alpha))
+    can change, ascending; sign is the sign from there on.
 
-    Scans alpha up to ALPHA_BAR_MAX at the given step for the first sign
-    change of psi o g_star, then bisects to ALPHA_BAR_TOL.  If the change
-    happens across a jump of g_star, the jump point itself is returned.  The
-    default step resolves sign windows a few 1e-4 wide; lower it for even
-    closer-spaced features.
+    g_star only takes values on the branch of h visible from the right, and
+    along it alpha = h(x) rises with x (Molloy 2005), so the events are the
+    jumps of g_star, after which the sign is that of psi(g_right), and the
+    roots of psi on that branch.  Below the first jump g_star = 0 and
+    psi(0) = 0.  A root counts when every local minimum of h to its right
+    lies above h there; otherwise g_star jumps over it.
     """
     if dist.min_weight < 3:
-        raise InvalidParam("alpha_bar requires min_weight >= 3")
-    return _alpha_bar(dist, step, _h_landscape(dist))
+        raise InvalidParam("alpha_bar and the psi(g_star) sign pattern require min_weight >= 3")
+    _, mins, jumps = landscape
+    events = [(alpha_d, int(np.sign(_psi(dist, x)))) for alpha_d, _, x in jumps]
+    us = _U_GRID
+    pos = _psi_of_u_array(dist, us) > 0.0
+    for i in np.flatnonzero(pos[1:] != pos[:-1]) + 1:
+        ref = bool(pos[i - 1])
+        lo, hi = _bisect(lambda u: (_psi_of_u(dist, u) > 0.0) == ref,
+                         float(us[i - 1]), float(us[i]), _U_TOL)
+        u0 = 0.5 * (lo + hi)
+        a0, x0 = _h_of_u(dist, u0), -math.expm1(-u0)
+        if all(v > a0 for x, v in mins if x > x0):
+            events.append((a0, -1 if ref else 1))
+    return sorted(events)
 
 
-def _alpha_bar(dist: WeightDist, step: float, landscape) -> float:
-    a_sharp, mins, jumps = landscape
-    alphas, psi = _psi_g_star_scan(dist, mins, a_sharp + step, step, ALPHA_BAR_MAX + step)
-    neg = np.flatnonzero(~(psi >= 0.0))  # NaN counts as negative
-    if not neg.size:
-        raise NoConvergence(
-            f"psi(g_star(alpha)) never negative on ({a_sharp}, {ALPHA_BAR_MAX}]")
-    i = int(neg[0])
-    prev, a = (float(alphas[i - 1]) if i else a_sharp), float(alphas[i])
-    lo, hi = _bisect(lambda al: _psi_g_star(dist, al, mins) >= 0.0, prev, a, ALPHA_BAR_TOL)
-    a_bar = 0.5 * (lo + hi)
-    for alpha_d, _, _ in jumps:
-        if abs(a_bar - alpha_d) <= 10.0 * ALPHA_BAR_TOL:
-            return alpha_d
-    return a_bar
+def alpha_bar(dist: WeightDist) -> float:
+    """inf{alpha > alpha_sharp : psi(g_star(alpha)) < 0}.
+
+    Read off the visible branch of h, with no scan in alpha: the alpha of
+    the first jump of g_star that lands where psi < 0, or of the first root
+    of psi on that branch where psi turns negative, whichever comes first.
+    A root is bisected to _U_TOL in u = -log(1 - x), so for the fixed
+    weights r = 3..16 alpha_bar is within 1e-15 of its closed form.
+    """
+    return _alpha_bar(dist, _h_landscape(dist))
+
+
+def _alpha_bar(dist: WeightDist, landscape) -> float:
+    for alpha, sign in _psi_events(dist, landscape):
+        if sign < 0:
+            return alpha
+    raise NoConvergence(f"psi(g_star(alpha)) never negative for u up to {_U_HI}")
 
 
 def psi_roots(dist: WeightDist) -> list:
@@ -558,14 +534,12 @@ def psi_roots(dist: WeightDist) -> list:
 
 def psi_gstar_sign_pattern(dist: WeightDist) -> str:
     """Condensed sign sequence of psi(g_star(alpha)) for alpha in
-    (alpha_sharp, 1.02], sampled every 2e-5, e.g. "+-" for a single
-    transition or "+-+-" for the re-entrant mixtures."""
-    a_sharp, mins, _ = _h_landscape(dist)
-    step = 2e-5
-    _, psi = _psi_g_star_scan(dist, mins, a_sharp + step, step, 1.02)
-    pos = psi[(psi > 0.0) | (psi < 0.0)] > 0.0  # zeros carry no sign
-    runs = pos[np.r_[True, pos[1:] != pos[:-1]]] if pos.size else pos
-    return "".join("+" if p else "-" for p in runs)
+    (alpha_sharp, 1.02], e.g. "+-" for a single transition or "+-+-" for
+    the re-entrant mixtures.  Read off the visible branch of h as alpha_bar
+    is, so no sign window is too narrow to show."""
+    signs = [s for a, s in _psi_events(dist, _h_landscape(dist)) if a <= 1.02 and s]
+    runs = [s for i, s in enumerate(signs) if i == 0 or s != signs[i - 1]]
+    return "".join("+" if s > 0 else "-" for s in runs)
 
 
 # --- fixed-weight root x*_r by sandwich iteration ---------------------------
@@ -711,8 +685,7 @@ class ThresholdReport:
     tolerances: dict = field(default_factory=dict)
 
 
-def threshold_report(dist: WeightDist, witness_alpha: float | None = None,
-                     scan_step: float = ALPHA_BAR_STEP) -> ThresholdReport:
+def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> ThresholdReport:
     """Compute every threshold for one weight distribution.
 
     alpha_bar and x_star require min_weight >= 3 and are None otherwise
@@ -724,14 +697,14 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None,
     a_bar = x_st = transversal = None
     is_root = False
     if dist.min_weight >= 3:
-        a_bar = _alpha_bar(dist, scan_step, landscape)
+        a_bar = _alpha_bar(dist, landscape)
         x_st = g_star(dist, a_bar, mins)
         is_root = abs(_psi_g_star(dist, a_bar, mins)) <= 1e-6
         d = 10.0 * ALPHA_BAR_TOL
         transversal = (_psi_g_star(dist, a_bar - d, mins) > 0.0
                        > _psi_g_star(dist, a_bar + d, mins))
-        # the ordering can only be certified to the alpha_bar bisection
-        # resolution; the true gap drops below it around fixed weight 22
+        # the ordering is certified to 10 ALPHA_BAR_TOL; the true gap drops
+        # below that around fixed weight 22
         if not (a_star <= a_bar + 10 * ALPHA_BAR_TOL and a_bar <= 1.0 + 1e-9):
             raise Inconsistent(
                 f"threshold ordering violated: alpha_star={a_star}, alpha_bar={a_bar}")
@@ -758,7 +731,6 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None,
             "gamma_refine": GAMMA_TOL,
             "g_star_bisect": GSTAR_TOL,
             "alpha_bar_bisect": ALPHA_BAR_TOL,
-            "alpha_bar_scan_step": scan_step,
             "jump_prominence": PROMINENCE,
         },
     )

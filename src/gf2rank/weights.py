@@ -76,10 +76,6 @@ class WeightDist:
     def max_weight(self) -> int:
         return self.atoms[-1][0]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(p) for _, p in self.atoms)
-
     def pgf(self, s, order: int = 0):
         """Evaluate the pgf or one of its first three derivatives at s.
 
@@ -126,15 +122,6 @@ class WeightDist:
 
     def to_json(self) -> str:
         return json.dumps({"atoms": [{"k": k, "p": float(p)} for k, p in self.atoms]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightDist":
-        try:
-            obj = json.loads(text)
-            atoms = [(a["k"], a["p"]) for a in obj["atoms"]]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(f"bad weight-distribution JSON: {exc}") from exc
-        return cls(tuple(atoms))
 
     @classmethod
     def fixed(cls, r: int) -> "WeightDist":

@@ -341,6 +341,16 @@ def test_verify_asymptotics_exit0():
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_failure_exits_3(monkeypatch):
+    from gf2rank.verification import Check
+    checks = [Check("good", True, 1, 1), Check("bad", False, 1, 2, 0.5)]
+    monkeypatch.setattr("gf2rank.verification.run_suite", lambda name: checks)
+    result = CliRunner().invoke(main, ["verify", "fig1"])
+    assert result.exit_code == 3, (result.stdout, result.stderr, result.exception)
+    assert result.stdout.splitlines() == [c.line() for c in checks] + ["1/2 checks passed"]
+    assert result.stderr.splitlines() == ["verification failed: 1 of 2 checks failed"]
+
+
 def test_package_exports_are_an_explicit_list():
     import types
 

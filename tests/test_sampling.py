@@ -81,7 +81,7 @@ def test_sample_matrix_deterministic():
 
 def test_sample_matrix_total_units():
     mat = sample_matrix(cfg3(200, m=100, seed=5))
-    assert sum(mat.row_weights) == 300
+    assert sum(r.bit_count() for r in mat.rows) == 300
 
 
 def test_config_validation():

@@ -227,6 +227,15 @@ def test_alpha_bar_fixed3():
 def test_alpha_bar_needs_min_weight3():
     with pytest.raises(InvalidParam):
         alpha_bar(W2)
+    with pytest.raises(InvalidParam):
+        psi_gstar_sign_pattern(W2)
+
+
+def test_alpha_bar_matches_closed_form():
+    # alpha_bar_r = h(x*_r) at 256 bits; the root of psi is bisected on the
+    # u = -log(1 - x) scale, so the fixed weights keep every digit up to r = 16
+    for row in threshold_asymptotics(r_max=16):
+        assert abs(alpha_bar(WeightDist.fixed(row["r"])) - row["alpha_bar"]) <= 1e-14, row["r"]
 
 
 def test_threshold_ordering_random_mixtures():
@@ -333,7 +342,6 @@ def test_threshold_report_fixed3():
     assert rep.bar_crossing_transversal
     assert rep.gamma0 is not None and rep.beta0 is not None
     assert len(rep.discontinuities) == 1
-    assert rep.tolerances["alpha_bar_scan_step"] == pytest.approx(1e-4)
 
 
 def test_threshold_report_weight2():
@@ -381,7 +389,7 @@ def test_one_h_sweep_per_call(call, monkeypatch):
     assert calls == 1
 
 
-# --- the array sweeps and the batched scan against the scalar routes ---------
+# --- the array sweeps and the visible-branch events against the scalar routes
 
 FIG8 = parse_rho("0.9:3,0.1:38")
 ORACLE_MIXTURES = ("0.5:4,0.3:9,0.2:17", "0.7:3,0.3:5", "0.2:6,0.8:31")
@@ -392,14 +400,23 @@ ORACLE_IDS = (["W3", "FIG1", "FIG2", "FIG8"] + [f"r={r}" for r in range(4, 13)]
 oracle_dists = pytest.mark.parametrize("dist", ORACLE_DISTS, ids=ORACLE_IDS)
 
 
-def _scalar_alpha_bar(dist, step=thresholds.ALPHA_BAR_STEP):
-    # the alpha_bar scan as one scalar psi(g_star) evaluation per alpha
+# the alpha scans that alpha_bar and psi_gstar_sign_pattern replaced, one
+# scalar psi(g_star) evaluation per alpha; the oracles for both
+ORACLE_BAR_STEP = 1e-4
+ORACLE_BAR_END = 1.05
+ORACLE_PATTERN_STEP = 2e-5
+
+
+def _scalar_alpha_bar(dist):
+    # the first sign change is bisected to ALPHA_BAR_TOL and snapped to a
+    # jump of g_star within 10 ALPHA_BAR_TOL
     a_sharp, mins, jumps = thresholds._h_landscape(dist)
     psg = thresholds._psi_g_star
+    step = ORACLE_BAR_STEP
     prev, a = a_sharp, a_sharp + step
-    while a <= thresholds.ALPHA_BAR_MAX + step and psg(dist, a, mins) >= 0.0:
+    while a <= ORACLE_BAR_END + step and psg(dist, a, mins) >= 0.0:
         prev, a = a, a + step
-    if a > thresholds.ALPHA_BAR_MAX + step:
+    if a > ORACLE_BAR_END + step:
         raise NoConvergence("no sign change")
     lo, hi = thresholds._bisect(lambda al: psg(dist, al, mins) >= 0.0, prev, a,
                                 thresholds.ALPHA_BAR_TOL)
@@ -412,7 +429,7 @@ def _scalar_alpha_bar(dist, step=thresholds.ALPHA_BAR_STEP):
 
 def _scalar_sign_pattern(dist):
     a_sharp, mins, _ = thresholds._h_landscape(dist)
-    step = 2e-5
+    step = ORACLE_PATTERN_STEP
     pattern = []
     a = a_sharp + step
     while a <= 1.02:
@@ -425,25 +442,18 @@ def _scalar_sign_pattern(dist):
 
 
 @oracle_dists
-def test_batched_psi_g_star_signs_match_scalar(dist):
-    # every alpha the alpha_bar scan evaluates
-    a_sharp, mins, _ = thresholds._h_landscape(dist)
-    step = thresholds.ALPHA_BAR_STEP
-    a_max = thresholds.ALPHA_BAR_MAX + step
-    alphas, psi = thresholds._psi_g_star_scan(dist, mins, a_sharp + step, step, a_max)
-    loop, a = [], a_sharp + step
-    while a <= a_max:
-        loop.append(a)
-        a += step
-    assert alphas.tolist() == loop
-    want = [thresholds._psi_g_star(dist, a, mins) for a in loop]
-    assert (psi < 0).any()
+def test_u_sweep_psi_signs_match_scalar(dist):
+    # the sweep that brackets the roots of psi for the visible-branch events
+    us = thresholds._U_GRID
+    psi = thresholds._psi_of_u_array(dist, us)
+    want = [thresholds._psi_of_u(dist, u) for u in us.tolist()]
     assert np.array_equal(np.sign(psi), np.sign(want))
 
 
 @oracle_dists
 def test_alpha_bar_matches_scalar_scan(dist):
-    assert alpha_bar(dist) == _scalar_alpha_bar(dist)
+    # within the width of the oracle's own bisection bracket
+    assert abs(alpha_bar(dist) - _scalar_alpha_bar(dist)) <= thresholds.ALPHA_BAR_TOL
 
 
 @oracle_dists
