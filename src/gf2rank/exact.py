@@ -9,15 +9,16 @@ Everything here has two faces:
 The all-even probability P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m is
 computed for both row models: the binomial allocation scheme (balls into
 urns, lambda_j from the closed pgf form) and the exact uniform-support scheme
-(lambda_j from hypergeometric even-overlap sums).  The ``lambda_j^m``
-alternate in sign and cancel catastrophically in doubles already for a few
-hundred columns.  In the exact scheme the lambda_j are exact rationals, so
+(lambda_j from hypergeometric even-overlap sums).  The binomial sampler
+redraws empty rows, so E[N] in that model conditions lambda_j on a nonempty
+row; ``pi_multinomial`` is the urn quantity, empty rows included.  The
+``lambda_j^m`` alternate in sign and cancel catastrophically in doubles
+already for a few hundred columns.  The lambda_j are exact rationals, so
 P[A(n,m)], the expected null count and its weight profile are exact integer
 sums over a common denominator of the lambda_j, each rounded once at the
-requested precision, with no retry; a true zero comes out as 0.  In the
-binomial scheme ``pi_multinomial`` is a guarded mpf sum that retries at
-doubled precision whenever its rounding-error bound is too large relative to
-the result.
+requested precision, with no retry; a true zero comes out as 0.  The float
+``pi_multinomial`` is a guarded mpf sum that retries at doubled precision
+whenever its rounding-error bound is too large relative to the result.
 """
 
 from __future__ import annotations
@@ -108,6 +109,19 @@ def _lambdas_binomial(n: int, dist: WeightDist) -> list:
     return lams
 
 
+def _lambdas_binomial_rows(n: int, dist: WeightDist) -> list:
+    """lambda_j of the binomial sampler's rows, which are never empty:
+    (lambda_j - P0) / (1 - P0), with P0 = 2^-n sum_j C(n,j) lambda_j the
+    chance of an empty throw (0 when every weight is odd)."""
+    lams = _lambdas_binomial(n, dist)
+    if all(k % 2 for k, _ in dist.atoms):
+        return lams
+    p0 = Fraction(*_parity_sum(n, 1, lams))
+    if p0 == 1:
+        raise InvalidParam(f"binomial rows at n={n} need an odd weight; every weight is even")
+    return [(q - p0) / (1 - p0) for q in lams]
+
+
 def _lambdas_exact(n: int, law) -> list:
     """lambda_j = 2 p_j - 1 in the uniform-support scheme, where p_j is the
     hypergeometric even-overlap probability under the per-n law."""
@@ -127,8 +141,16 @@ def _rounded(num: int, den: int, precision: int):
     return mp.make_mpf(mp.libmp.from_rational(num, den, precision, mp.libmp.round_nearest))
 
 
-def _parity_sum_exact(n: int, m: int, lams) -> Fraction:
-    return sum(comb(n, j) * q**m for j, q in enumerate(lams)) / Fraction(2) ** n
+def _parity_sum(n: int, m: int, lams) -> tuple:
+    """(num, den) with 2^-n sum_j C(n,j) lambda_j^m = num / den exactly: with
+    lambda_j = a_j / d, num = sum_j C(n,j) a_j^m and den = 2^n d^m."""
+    d, a = _over_common_denominator(lams)
+    num = 0
+    c = 1  # C(n, j), by its recurrence in j
+    for j, x in enumerate(a):
+        num += c * x**m
+        c = c * (n - j) // (j + 1)
+    return num, d**m << n
 
 
 def _parity_sum_guarded(n: int, m: int, lam, precision: int):
@@ -150,15 +172,17 @@ def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PR
     """P[every column sum is even] in the binomial allocation scheme:
     2^-n * sum_j C(n,j) rho(1 - 2j/n)^m.
 
-    For the point mass at weight 1 this is the classical probability that all
-    n cells of a multinomial(m; 1/n, ..., 1/n) vector are even.
+    The urn quantity: an empty row counts, though the binomial sampler
+    redraws it.  For the point mass at weight 1 this is the classical
+    probability that all n cells of a multinomial(m; 1/n, ..., 1/n) vector
+    are even.
     """
     if n < 1 or m < 0:
         raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
     if _structurally_zero(m, (k for k, _ in dist.atoms)):
         return Fraction(0) if exact else mp.mpf(0)
     if exact:
-        return _parity_sum_exact(n, m, _lambdas_binomial(n, dist))
+        return Fraction(*_parity_sum(n, m, _lambdas_binomial(n, dist)))
     return _parity_sum_guarded(n, m, lambda j: dist.pgf(1 - 2 * mp.mpf(j) / n), precision)
 
 
@@ -188,16 +212,8 @@ def prob_A_general(n: int, m: int, law, precision: int = DEFAULT_PRECISION,
         return Fraction(0) if exact else mp.mpf(0)
     if not exact and precision < 1:
         raise InvalidParam(f"precision {precision} < 1 bit")
-    lams = _lambdas_exact(n, law)
-    if exact:
-        return _parity_sum_exact(n, m, lams)
-    d, a = _over_common_denominator(lams)
-    num = 0
-    c = 1  # C(n, j), by its recurrence in j
-    for j, x in enumerate(a):
-        num += c * x**m
-        c = c * (n - j) // (j + 1)
-    return _rounded(num, d**m << n, precision)
+    num, den = _parity_sum(n, m, _lambdas_exact(n, law))
+    return Fraction(num, den) if exact else _rounded(num, den, precision)
 
 
 def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
@@ -206,6 +222,10 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     decomposition by weight: E[N(n,m;l)] = C(m,l) P[A(n,l)].
 
     Returns (total, profile) where profile maps l to E[N(n,m;l)].
+
+    In the binomial model lambda_j is that of the sampler's rows, which are
+    never empty: (rho(1 - 2j/n) - P0) / (1 - P0), P0 the chance of an empty
+    throw.  At n = 1 with every weight even InvalidParam is raised.
 
     With lambda_j = a_j / d over the least common denominator d,
     E[N(n,m;l)] = C(m,l) S_l / (2^n d^l) where S_l = sum_j C(n,j) a_j^l is an
@@ -220,7 +240,7 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
         law = dist.per_n_law_exact(n)
         lams, weights = _lambdas_exact(n, law), [r for r, _ in law]
     elif model == "binomial":
-        lams, weights = _lambdas_binomial(n, dist), [k for k, _ in dist.atoms]
+        lams, weights = _lambdas_binomial_rows(n, dist), [k for k, _ in dist.atoms]
     else:
         raise InvalidParam(f"model {model!r} not in ('exact', 'binomial')")
     d, a = _over_common_denominator(lams)

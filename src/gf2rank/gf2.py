@@ -60,9 +60,6 @@ class GF2Matrix:
     def m(self) -> int:
         return len(self.rows)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 @dataclass
 class RankState:

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the closed-form routes they check:
 probabilities come from exhaustive enumeration over row tuples, ball throws,
-or trial paths, in exact rational arithmetic.
+or trial paths, in exact rational arithmetic.  Both row models share the
+all-even and E[2^corank] enumerations over a row alphabet.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ def _row_alphabet(n: int, law):
     return alphabet
 
 
-def prob_A_enumerated(n: int, m: int, law, limit: int = 10**7) -> Fraction:
-    """P[all column sums even] by summing over every m-tuple of rows."""
-    alphabet = _row_alphabet(n, law)
+def _all_even(alphabet, m: int, limit: int) -> Fraction:
+    """P[the XOR of m i.i.d. rows from the alphabet is 0], summed over every
+    m-tuple of rows."""
     if len(alphabet) ** m > limit:
         raise TooLarge(f"{len(alphabet)}^{m} row tuples exceed {limit}")
-    # uniform-probability fast path: count good tuples
-    if len({p for _, p in alphabet}) == 1:
-        share = alphabet[0][1]
+    shares = {p for _, p in alphabet}
+    if len(shares) == 1:  # uniform-probability fast path: count good tuples
         good = 0
         for rows in product([a for a, _ in alphabet], repeat=m):
             acc = 0
@@ -52,7 +52,7 @@ def prob_A_enumerated(n: int, m: int, law, limit: int = 10**7) -> Fraction:
                 acc ^= x
             if acc == 0:
                 good += 1
-        return good * share**m
+        return good * shares.pop() ** m
     total = Fraction(0)
     for rows in product(alphabet, repeat=m):
         acc = 0
@@ -65,9 +65,8 @@ def prob_A_enumerated(n: int, m: int, law, limit: int = 10**7) -> Fraction:
     return total
 
 
-def mean_null_count_enumerated(n: int, m: int, law, limit: int = 10**6) -> Fraction:
-    """E[2^corank] by enumerating every possible matrix of m rows."""
-    alphabet = _row_alphabet(n, law)
+def _mean_two_to_corank(n: int, m: int, alphabet, limit: int) -> Fraction:
+    """E[2^corank] over every matrix of m i.i.d. rows from the alphabet."""
     if len(alphabet) ** m > limit:
         raise TooLarge(f"{len(alphabet)}^{m} matrices exceed {limit}")
     total = Fraction(0)
@@ -81,47 +80,55 @@ def mean_null_count_enumerated(n: int, m: int, law, limit: int = 10**6) -> Fract
     return total
 
 
-def pi_multinomial_enumerated(n: int, m: int, dist: WeightDist,
-                              limit: int = 10**7) -> Fraction:
-    """P[all urn occupancies even] by enumerating every ball-throw sequence
-    of the binomial scheme (per-row weight drawn from dist, balls uniform)."""
-    weights = [(k, _exact_fraction(p)) for k, p in dist.atoms]
-    per_row = []
-    for k, p in weights:
-        share = p / Fraction(n) ** k
+def _ball_rows(dist: WeightDist, n: int, limit: int) -> dict:
+    """{mask: probability} of one throw of the binomial scheme: W from dist,
+    W balls uniform over n urns, the row the set of odd urns (0 if none)."""
+    rows: dict = {}
+    for k, p in dist.atoms:
+        if n**k > limit:
+            raise TooLarge(f"{n}^{k} throws exceed {limit}")
+        share = _exact_fraction(p) / Fraction(n) ** k
         for balls in product(range(n), repeat=k):
             mask = 0
             for u in balls:
                 mask ^= 1 << u
-            per_row.append((mask, share))
-    if len(per_row) ** m > limit:
-        raise TooLarge(f"{len(per_row)}^{m} throw sequences exceed {limit}")
-    total = Fraction(0)
-    for rows in product(per_row, repeat=m):
-        acc = 0
-        prob = Fraction(1)
-        for x, p in rows:
-            acc ^= x
-            prob *= p
-        if acc == 0:
-            total += prob
-    return total
+            rows[mask] = rows.get(mask, Fraction(0)) + share
+    return rows
+
+
+def prob_A_enumerated(n: int, m: int, law, limit: int = 10**7) -> Fraction:
+    """P[all column sums even] by summing over every m-tuple of rows."""
+    return _all_even(_row_alphabet(n, law), m, limit)
+
+
+def mean_null_count_enumerated(n: int, m: int, law, limit: int = 10**6) -> Fraction:
+    """E[2^corank] by enumerating every possible matrix of m rows."""
+    return _mean_two_to_corank(n, m, _row_alphabet(n, law), limit)
+
+
+def binomial_null_count_enumerated(n: int, m: int, dist: WeightDist,
+                                   limit: int = 10**6) -> Fraction:
+    """E[2^corank] for rows of the binomial sampler, by enumerating every
+    matrix of m nonempty ball-throw rows.  The sampler redraws an empty row,
+    so the nonempty rows' probabilities are renormalised to sum to 1."""
+    rows = _ball_rows(dist, n, limit)
+    keep = 1 - rows.pop(0, Fraction(0))
+    return _mean_two_to_corank(n, m, [(x, p / keep) for x, p in rows.items()], limit)
+
+
+def pi_multinomial_enumerated(n: int, m: int, dist: WeightDist,
+                              limit: int = 10**7) -> Fraction:
+    """P[all urn occupancies even] by enumerating every m-tuple of ball-throw
+    rows of the binomial scheme, empty rows included."""
+    return _all_even(list(_ball_rows(dist, n, limit).items()), m, limit)
 
 
 def binomial_weight_law(dist: WeightDist, n: int, limit: int = 10**6) -> list:
     """Exact pmf of the binomial-model row weight (odd-urn count), including 0."""
     masses: dict = {}
-    for k, p in dist.atoms:
-        p = _exact_fraction(p)
-        if n**k > limit:
-            raise TooLarge(f"{n}^{k} throws exceed {limit}")
-        share = p / Fraction(n) ** k
-        for balls in product(range(n), repeat=k):
-            mask = 0
-            for u in balls:
-                mask ^= 1 << u
-            w = mask.bit_count()
-            masses[w] = masses.get(w, Fraction(0)) + share
+    for mask, p in _ball_rows(dist, n, limit).items():
+        w = mask.bit_count()
+        masses[w] = masses.get(w, Fraction(0)) + p
     return sorted(masses.items())
 
 

@@ -2,7 +2,8 @@
 
 Rows are hyperedges, columns are vertices.  The 2-core is the terminal state
 of repeatedly deleting a hyperedge incident to a degree-1 vertex; the result
-does not depend on the deletion order.  Columns are never deleted, so
+does not depend on the deletion order, so ``peel_2core`` has one: first in,
+first out over the pending degree-1 vertices.  Columns are never deleted, so
 "occupied" counts the columns that still meet an alive edge at termination.
 
 A deleted row has a column that no row left at that point touches, so it
@@ -15,14 +16,11 @@ the matrix is the independent route that the tests compare it with.
 
 from __future__ import annotations
 
-import random as _pyrandom
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from .gf2 import GF2Matrix, RankState, row_cols
-
-PEEL_ORDERS = ("fifo", "lifo", "random")
 
 
 class Hypergraph:
@@ -82,13 +80,13 @@ class CoreStats:
         assert self.incidences == sum(k * v for k, v in self.rows_by_weight.items())
 
 
-def peel_2core(h: Hypergraph, order: str = "fifo", rng_seed: int = 0) -> CoreStats:
+def peel_2core(h: Hypergraph) -> CoreStats:
     """Run the degree-1 deletion process to termination and report the core.
 
-    ``order`` picks which pending degree-1 vertex is processed next (fifo,
-    lifo, or random); the terminal core is the same for every choice, which
-    the test suite fuzzes.  The hypergraph is consumed (degrees and alive
-    flags reflect the terminal state afterwards).
+    Pending degree-1 vertices are processed first in, first out.  The
+    terminal core does not depend on that order; the tests check it against
+    a reference peeler that deletes in another order.  The hypergraph is
+    consumed (degrees and alive flags reflect the terminal state afterwards).
     """
     degree = h.vertex_degree
     alive = h.alive
@@ -96,19 +94,9 @@ def peel_2core(h: Hypergraph, order: str = "fifo", rng_seed: int = 0) -> CoreSta
     edge_xor = h._edge_xor
 
     pending = deque(v for v in range(h.n_vertices) if degree[v] == 1)
-    rng = _pyrandom.Random(rng_seed) if order == "random" else None
 
     while pending:
-        if order == "fifo":
-            v = pending.popleft()
-        elif order == "lifo":
-            v = pending.pop()
-        elif order == "random":
-            i = rng.randrange(len(pending))
-            pending[i], pending[-1] = pending[-1], pending[i]
-            v = pending.pop()
-        else:
-            raise ValueError(f"order {order!r} not in {PEEL_ORDERS}")
+        v = pending.popleft()
         if degree[v] != 1:
             continue  # stale entry
         eid = edge_xor[v]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidParam
 from .gf2 import GF2Matrix, RankState
-from .weights import WeightDist, sample_weight_exact
+from .weights import WeightDist
 
 MODELS = ("exact", "binomial")
 
@@ -99,7 +99,7 @@ def _binomial_row(dist: WeightDist, n: int, rng) -> int:
 def sample_row(cfg: SampleConfig, rng) -> int:
     """One row of M(n, m) as a column bitmask."""
     if cfg.model == "exact":
-        k = sample_weight_exact(cfg.dist, cfg.n, rng)
+        k = min(cfg.dist.sample(rng), cfg.n)
         return _uniform_subset_mask(cfg.n, k, rng)
     return _binomial_row(cfg.dist, cfg.n, rng)
 

@@ -23,15 +23,16 @@ g_star takes its values on the branch of h that is visible from the right,
 and along that branch alpha = h(x) rises with x.  So alpha_bar and the
 psi(g_star) sign pattern are read off that branch, with no scan in alpha:
 the sign can change only at a jump of g_star or at a root of psi on the
-branch, and the roots come from one sweep of psi on the u = -log(1 - x)
-scale.
+branch.  The roots of psi have one route, a sweep of psi on the
+u = -log(1 - x) scale, which keeps full precision near x = 1; psi_roots
+returns the same roots as x.
 
 All one-dimensional optima use a dense bracket grid (log-refined toward the
 interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
 weights.  The endpoint convention 0^0 = 1 is applied throughout.
 
-The grid sweeps of h, psi and the R integrand are numpy array evaluations;
+The grid sweeps of h, psi (in u) and the R integrand are numpy arrays;
 F_gamma is still swept point by point.  The scalar functions (_h, _psi,
 _h_of_u, _psi_of_u, _g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they
 do every golden-section and bisection refinement, and the tests use them as
@@ -80,11 +81,13 @@ def _golden_min(f, a: float, b: float, tol: float):
 
 
 def _bisect(pred, lo, hi, tol):
-    """Halve [lo, hi] to width tol, moving lo to each midpoint where pred
-    holds and hi to the others; returns the final bracket.  Works on floats
-    and on mpf."""
+    """Halve [lo, hi] to width tol, or until lo and hi are adjacent numbers,
+    moving lo to each midpoint where pred holds and hi to the others; returns
+    the final bracket.  Works on floats and on mpf."""
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break  # adjacent floats: tol is below their spacing (u > 64 for _U_TOL)
         if pred(mid):
             lo = mid
         else:
@@ -325,12 +328,6 @@ def _ratio_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
     return np.where(pos, dist.pgf(xs) / np.where(pos, r1, 1.0), xs / dist.min_weight)
 
 
-def _psi_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
-    # _psi over an array of x in (0, 1)
-    xs = np.minimum(xs, X_HI)
-    return xs + (1.0 + _ratio_array(dist, xs) - xs) * np.log1p(-xs)
-
-
 def _h_landscape(dist: WeightDist):
     """One sweep of h over _X_GRID: (alpha_sharp, minima, jumps).
 
@@ -419,6 +416,20 @@ _U_GRID = _frozen(np.r_[-np.log1p(-_X_GRID),
                         np.geomspace(-math.log1p(-_X_GRID[-1]), _U_HI, 129)[1:]])
 
 
+def _psi_u_roots(dist: WeightDist) -> list:
+    """(u0, psi > 0 left of u0) at each sign change of psi over _U_GRID,
+    ascending, with u0 bisected to _U_TOL by the scalar _psi_of_u."""
+    us = _U_GRID
+    pos = _psi_of_u_array(dist, us) > 0.0
+    roots = []
+    for i in np.flatnonzero(pos[1:] != pos[:-1]) + 1:
+        ref = bool(pos[i - 1])
+        lo, hi = _bisect(lambda u: (_psi_of_u(dist, u) > 0.0) == ref,
+                         float(us[i - 1]), float(us[i]), _U_TOL)
+        roots.append((0.5 * (lo + hi), ref))
+    return roots
+
+
 def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
     """u-coordinate of g_star(alpha); None when the level set is empty."""
     lo_x = 0.0
@@ -483,16 +494,10 @@ def _psi_events(dist: WeightDist, landscape) -> list:
         raise InvalidParam("alpha_bar and the psi(g_star) sign pattern require min_weight >= 3")
     _, mins, jumps = landscape
     events = [(alpha_d, int(np.sign(_psi(dist, x)))) for alpha_d, _, x in jumps]
-    us = _U_GRID
-    pos = _psi_of_u_array(dist, us) > 0.0
-    for i in np.flatnonzero(pos[1:] != pos[:-1]) + 1:
-        ref = bool(pos[i - 1])
-        lo, hi = _bisect(lambda u: (_psi_of_u(dist, u) > 0.0) == ref,
-                         float(us[i - 1]), float(us[i]), _U_TOL)
-        u0 = 0.5 * (lo + hi)
+    for u0, was_pos in _psi_u_roots(dist):
         a0, x0 = _h_of_u(dist, u0), -math.expm1(-u0)
         if all(v > a0 for x, v in mins if x > x0):
-            events.append((a0, -1 if ref else 1))
+            events.append((a0, -1 if was_pos else 1))
     return sorted(events)
 
 
@@ -516,20 +521,9 @@ def _alpha_bar(dist: WeightDist, landscape) -> float:
 
 
 def psi_roots(dist: WeightDist) -> list:
-    """All roots of psi in (0, 1), by grid sign changes plus bisection."""
-    grid = _X_GRID
-    vals = _psi_array(dist, grid)
-    pos = vals > 0.0
-    roots = []
-    for i in np.flatnonzero((vals[1:] == 0.0) | (pos[1:] != pos[:-1])) + 1:
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        else:
-            ref = bool(pos[i - 1])
-            lo, hi = _bisect(lambda x: (_psi(dist, x) > 0.0) == ref,
-                             float(grid[i - 1]), float(grid[i]), X_TOL)
-            roots.append(0.5 * (lo + hi))
-    return [r for i, r in enumerate(roots) if i == 0 or r - roots[i - 1] > 1e-9]
+    """All roots of psi in (0, 1), ascending: the sign changes of psi on the
+    u = -log(1 - x) scale that alpha_bar reads, returned as x = 1 - e^-u0."""
+    return [-math.expm1(-u0) for u0, _ in _psi_u_roots(dist)]
 
 
 def psi_gstar_sign_pattern(dist: WeightDist) -> str:

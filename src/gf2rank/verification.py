@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 
@@ -186,6 +187,15 @@ def suite_oracles() -> list:
         a = pi_multinomial(n, m, dist, exact=True)
         b = oracles.pi_multinomial_enumerated(n, m, dist)
         checks.append(_equal(f"oracle pi-balls n={n} m={m} W={r}", b, a))
+
+    # E[N] of the binomial model against the sampler's rows: the nonempty
+    # ball throws, renormalised
+    w23 = WeightDist(((2, Fraction(1, 2)), (3, Fraction(1, 2))))
+    for name, dist in (("2", WeightDist.fixed(2)), ("4", WeightDist.fixed(4)), ("2/3", w23)):
+        for n, m in product(range(2, 5), range(1, 4)):
+            want = oracles.binomial_null_count_enumerated(n, m, dist)
+            got, _ = expected_null_count(n, m, dist, model="binomial", exact=True)
+            checks.append(_equal(f"oracle E[N] binomial n={n} m={m} W={name}", want, got))
     return checks
 
 

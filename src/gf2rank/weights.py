@@ -6,7 +6,9 @@ atoms.  It induces, for every column count n, two per-n row-weight laws:
 * the exact model, where the drawn weight is truncated to ``min(W, n)`` and the
   row support is a uniform subset of that size, and
 * the binomial model, where W balls are thrown uniformly into n urns and the
-  row is the set of urns holding an odd number of balls (possibly empty).
+  row is the set of urns holding an odd number of balls.  A throw that leaves
+  every urn even gives no row: it is redrawn, so binomial rows are never
+  empty.
 
 Probabilities are stored as given.  Floats are the default; exact rationals
 (``fractions.Fraction`` or int) are accepted and preserved, which the oracle
@@ -97,12 +99,6 @@ class WeightDist:
         """E[W] = pgf'(1)."""
         return sum(k * p for k, p in self.atoms)
 
-    def prob(self, k: int):
-        for kk, p in self.atoms:
-            if kk == k:
-                return p
-        return 0
-
     def sample(self, rng) -> int:
         """Draw one weight from the limiting law."""
         return self.weight_at(rng.random())
@@ -166,17 +162,3 @@ def parse_rho(spec: str) -> WeightDist:
         raise InvalidDistribution(f"probabilities sum to {total}, off by > {_PARSE_SUM_TOL}")
     return WeightDist(tuple((k, p / total) for k, p in atoms))
 
-
-def sample_weight_exact(dist: WeightDist, n: int, rng) -> int:
-    """Row weight under the exact model with n columns: min(W, n)."""
-    return min(dist.sample(rng), n)
-
-
-def sample_weight_binomial(dist: WeightDist, n: int, rng) -> int:
-    """Row weight under the binomial model: throw W balls into n urns
-    and count urns with odd occupancy.  May return 0 (empty row)."""
-    w = dist.sample(rng)
-    odd = 0
-    for u in rng.integers(0, n, size=w):
-        odd ^= 1 << int(u)
-    return odd.bit_count()

@@ -267,12 +267,14 @@ def test_tn_rows_replay_stream(r, model):
     ["simulate", "--exp", "dense", "-n", "10", "--trials", "2", "--threads", "1",
      "--r-values", "x"],
     ["sample", "--rho", "r=2", "-n", "1", "-m", "2", "--model", "binomial"],
+    ["exact", "--what", "en", "--rho", "r=2", "-n", "1", "-m", "2", "--model", "binomial"],
     ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "x",
      "--cell-probs", "0.3,0.7", "-n", "5"],
     ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "0",
      "--cell-probs", "0.3,y", "-n", "5"],
 ], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
-        "dense-r-values", "binomial-even-n1", "parity-targets", "parity-cell-probs"])
+        "dense-r-values", "binomial-even-n1", "en-binomial-even-n1", "parity-targets",
+        "parity-cell-probs"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
 

@@ -163,13 +163,27 @@ GATE_DISTS = (
 GATE_NS = tuple(range(1, 21)) + (22, 25, 28, 30)
 
 
+def _empty_row(n, dist):
+    """P0, the chance that a throw of the binomial scheme leaves every urn
+    even: the urn all-even probability of a single row."""
+    return pi_multinomial(n, 1, dist, exact=True)
+
+
 def _per_l_route(n, m, dist, model):
-    """E[N] as sum_l C(m,l) P[A(n,l)], one all-even probability per l."""
+    """E[N] as sum_l C(m,l) P[A(n,l)], one all-even probability per l.
+
+    The binomial sampler redraws empty rows.  A throw is empty with chance
+    P0 and otherwise a sampler row, so by binomial inversion the sampler's
+    P[A(n,l)] is (1 - P0)^-l sum_k C(l,k) (-P0)^(l-k) pi(n,k), with pi the
+    urn probability that counts empty rows."""
     if model == "exact":
         law = dist.per_n_law_exact(n)
         prob = lambda l: prob_A_general(n, l, law, exact=True)
     else:
-        prob = lambda l: pi_multinomial(n, l, dist, exact=True)
+        p0 = _empty_row(n, dist)
+        pis = [pi_multinomial(n, k, dist, exact=True) for k in range(m + 1)]
+        prob = lambda l: sum(math.comb(l, k) * (-p0) ** (l - k) * pis[k]
+                             for k in range(l + 1)) / (1 - p0) ** l
     profile = {l: math.comb(m, l) * prob(l) for l in range(m + 1)}
     return sum(profile.values()), profile
 
@@ -177,17 +191,23 @@ def _per_l_route(n, m, dist, model):
 @pytest.mark.parametrize("model", ["exact", "binomial"])
 def test_expected_null_count_matches_per_l_route(model):
     # 6 distributions x 24 n x 2 models = 288 cases; m = n + 2 puts every
-    # l in 0..n+2 in the profile, and m = n - 1 checks a second total
+    # l in 0..n+2 in the profile, and m = n - 1 checks a second total.  At
+    # n = 1 weight 2 makes no nonempty binomial row, which is refused.
     for dist in GATE_DISTS:
         for n in GATE_NS:
             for m in (n + 2, n - 1):
+                if model == "binomial" and n == 1 and dist is W2:
+                    with pytest.raises(InvalidParam):
+                        expected_null_count(n, m, dist, model=model, exact=True)
+                    continue
                 got = expected_null_count(n, m, dist, model=model, exact=True)
                 assert got == _per_l_route(n, m, dist, model), (dist, n, m)
 
 
 def _lambda(n, j, dist, model):
-    if model == "binomial":
-        return dist.pgf(Fraction(n - 2 * j, n))
+    if model == "binomial":  # a sampler row: a throw conditioned on being nonempty
+        p0 = _empty_row(n, dist)
+        return (dist.pgf(Fraction(n - 2 * j, n)) - p0) / (1 - p0)
     return 2 * sum(Fraction(p) * hypergeometric_even_overlap(n, j, r)
                    for r, p in dist.per_n_law_exact(n)) - 1
 

@@ -250,3 +250,20 @@ def test_run_Tn_equals_scalar_replay():
                 assert run_Tn(cfg) == _replay_Tn(cfg), f"numpy {np.__version__}, {cfg}"
                 cases += 1
     assert cases >= 200
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_mean_two_to_corank_matches_expected_null_count(model):
+    # E[2^corank] of the sampler's matrices against the closed form of the
+    # same row model: at n = 3, m = 3, weight 2 the binomial value is 20/9,
+    # while counting empty rows would give 3.03
+    from gf2rank.exact import expected_null_count
+    from gf2rank.peeling import corank
+
+    dist, n, m, trials = WeightDist.fixed(2), 3, 3, 4000
+    want = float(expected_null_count(n, m, dist, model=model, exact=True)[0])
+    counts = [2 ** corank(sample_matrix(SampleConfig(n, m, dist, model, seed)))
+              for seed in range(trials)]
+    mean = np.mean(counts)
+    se = np.std(counts) / np.sqrt(trials)
+    assert abs(mean - want) <= 4 * se, (mean, want, se)

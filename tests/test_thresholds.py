@@ -1,4 +1,5 @@
 import math
+import signal
 
 import mpmath as mp
 import numpy as np
@@ -256,6 +257,46 @@ def test_psi_single_root_fixed_weights():
         assert lo < roots[0] < 1.0
 
 
+def test_psi_roots_match_x_star_iteration():
+    # the u-scale root keeps full precision where x = 1 - e^-u nears 1
+    for r in range(3, 41):
+        x_star = x_star_iteration(r)[0]
+        roots = psi_roots(WeightDist.fixed(r))
+        assert len(roots) == 1 and abs(roots[0] - x_star) <= 1e-14, (r, roots, x_star)
+
+
+def test_psi_roots_min_weight_2_no_spurious_roots():
+    # psi cancels to O(x^3) near 0 when weight 2 is present; rounding noise
+    # there must not show up as roots
+    for spec, count in (("r=2", 0), ("0.3:2,0.7:5", 2), ("0.2:2,0.8:30", 2)):
+        roots = psi_roots(parse_rho(spec))
+        assert len(roots) == count and all(x > 1e-6 for x in roots), (spec, roots)
+
+
+def test_heavy_fixed_weights_return():
+    # past u = 64 doubles are further apart than _U_TOL, where a bisection
+    # that waited for its bracket to shrink below _U_TOL never ended
+    def stop(signum, frame):
+        raise TimeoutError("threshold calls at weight 70/100 still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(60)
+    try:
+        w70, w100 = WeightDist.fixed(70), WeightDist.fixed(100)
+        a_bar = alpha_bar(w70)
+        g = g_star(w100, 0.99)
+        core = core_theory(w100, 0.99)
+        report = threshold_report(w100)
+        roots = psi_roots(w100)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert 1.0 - 1e-12 <= a_bar <= 1.0
+    assert g > 1.0 - 1e-12 and core.g_star == g and core.aspect_sign == 1
+    assert report.alpha_bar == 1.0 and report.x_star_is_psi_root
+    assert len(roots) == 1 and roots[0] > 1.0 - 1e-12
+
+
 def test_x_star_iteration_r3():
     x, lower, upper = x_star_iteration(3)
     assert x == pytest.approx(0.883414, abs=1e-6)
@@ -463,11 +504,9 @@ def test_sign_pattern_matches_scalar_scan(dist):
 
 @oracle_dists
 def test_array_sweeps_match_scalar(dist):
-    # h has no cancellation, so it is compared relative to its value; psi and
-    # the log R integrand are sums whose terms can cancel, so they are
-    # compared relative to the sum of the terms' magnitudes: x,
-    # (1 + ratio) log(1-x) and x log(1-x) for psi, alpha log(rho), log 2 and
-    # the entropy for the R integrand
+    # h has no cancellation, so it is compared relative to its value; the log
+    # R integrand is a sum whose terms can cancel, so it is compared relative
+    # to the sum of the terms' magnitudes: alpha log(rho), log 2 and the entropy
     rel = 1e-15
     xs = thresholds._X_GRID
     h = thresholds._h_array(dist, xs)
@@ -475,11 +514,6 @@ def test_array_sweeps_match_scalar(dist):
     assert np.array_equal(np.isinf(h), np.isinf(want))
     fin = np.isfinite(want)
     assert (np.abs(h - want)[fin] <= rel * want[fin]).all()
-
-    psi = thresholds._psi_array(dist, xs)
-    want = np.array([thresholds._psi(dist, float(x)) for x in xs])
-    scale = xs + (1.0 + thresholds._ratio_array(dist, xs) + xs) * np.abs(np.log1p(-xs))
-    assert (np.abs(psi - want) <= rel * scale).all()
 
     g = thresholds._GAMMA_GRID[:-1]
     ent = np.array([-thresholds._xlogx(x) - thresholds._xlogx(1.0 - x) for x in g])

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gf2rank.errors import InvalidDistribution, ParseError
-from gf2rank.weights import (
-    WeightDist,
-    parse_rho,
-    sample_weight_binomial,
-    sample_weight_exact,
-)
+from gf2rank.sampling import SampleConfig, sample_row
+from gf2rank.weights import WeightDist, parse_rho
 
 FIG1 = WeightDist(((3, 0.9), (24, 0.1)))
+
+
+def row_weights(dist, n, model, rng, draws):
+    """Weights of ``draws`` successive sample_row rows."""
+    cfg = SampleConfig(n=n, m=0, dist=dist, model=model)
+    return [sample_row(cfg, rng).bit_count() for _ in range(draws)]
 
 
 def test_pgf_point_mass():
@@ -68,7 +70,7 @@ def test_parse_point_mass():
 def test_parse_mixture():
     d = parse_rho("0.9:3,0.1:24")
     assert [k for k, _ in d.atoms] == [3, 24]
-    assert abs(d.prob(3) - 0.9) < 1e-12
+    assert abs(dict(d.atoms)[3] - 0.9) < 1e-12
     assert abs(sum(p for _, p in d.atoms) - 1.0) < 1e-12
 
 
@@ -107,32 +109,34 @@ def test_json_roundtrip():
 
 def test_sample_exact_point_mass(rng):
     d = WeightDist.fixed(3)
-    assert all(sample_weight_exact(d, 100, rng) == 3 for _ in range(200))
+    assert row_weights(d, 100, "exact", rng, 200) == [3] * 200
     # truncation below the support: W_n = min(W, n)
-    assert all(sample_weight_exact(d, 2, rng) == 2 for _ in range(50))
+    assert row_weights(d, 2, "exact", rng, 50) == [2] * 50
 
 
 def test_sample_exact_mixture_frequency(rng):
     draws = 100_000
-    hits = sum(1 for _ in range(draws) if sample_weight_exact(FIG1, 1000, rng) == 24)
+    hits = row_weights(FIG1, 1000, "exact", rng, draws).count(24)
     assert abs(hits / draws - 0.1) <= 0.01
 
 
 def test_sample_binomial_one_urn(rng):
     d = WeightDist.fixed(3)
-    assert all(sample_weight_binomial(d, 1, rng) == 1 for _ in range(50))
+    assert row_weights(d, 1, "binomial", rng, 50) == [1] * 50
 
 
 def test_sample_binomial_collision_rate(rng):
-    # two balls collide with probability exactly 1/n
-    d, n, draws = WeightDist.fixed(2), 1000, 100_000
-    hits = sum(1 for _ in range(draws) if sample_weight_binomial(d, n, rng) == 2)
-    assert abs(hits / draws - (1.0 - 1.0 / n)) <= 5e-4
+    # three balls land in distinct urns with probability exactly
+    # (n-1)(n-2)/n^2; a collision leaves one odd urn.  (At weight 2 a
+    # collision empties the row, which the sampler redraws.)
+    d, n, draws = WeightDist.fixed(3), 1000, 100_000
+    hits = row_weights(d, n, "binomial", rng, draws).count(3)
+    assert abs(hits / draws - (n - 1) * (n - 2) / n**2) <= 5e-4
 
 
 def test_sample_binomial_weight_preserved(rng):
     d, n, draws = WeightDist.fixed(3), 10_000, 100_000
-    hits = sum(1 for _ in range(draws) if sample_weight_binomial(d, n, rng) == 3)
+    hits = row_weights(d, n, "binomial", rng, draws).count(3)
     assert hits / draws >= 0.999
 
 
@@ -140,7 +144,7 @@ def test_binomial_converges_in_distribution(rng):
     draws = 50_000
     devs = {}
     for n in (100, 10_000):
-        hits = sum(1 for _ in range(draws) if sample_weight_binomial(FIG1, n, rng) == 3)
+        hits = row_weights(FIG1, n, "binomial", rng, draws).count(3)
         devs[n] = abs(hits / draws - 0.9)
     assert devs[10_000] < devs[100]
     assert devs[10_000] <= 0.005
