@@ -4,9 +4,10 @@ Rows are Python ints used as bitsets: bit i is column i.  CPython ints give
 word-packed XOR, which keeps elimination at a few hundred nanoseconds per
 basis operation even for thousands of columns.
 
-``RankState`` is the elimination kernel.  The corank engine that peels a
-matrix to its 2-core before eliminating lives in ``peeling`` (``corank``);
-a ``RankState`` fed every row is the independent route the tests check it by.
+``RankState`` is the elimination kernel.  The kernel that peels a matrix to
+its 2-core before eliminating lives in ``peeling`` (``eliminate_core``, behind
+``corank`` and ``run_Tn``); a ``RankState`` fed every row is the independent
+route the tests check it by.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ def row_from_cols(cols: Iterable[int]) -> int:
 
 
 def row_cols(row: int) -> List[int]:
+    # Clears the top bit each step: bit_length is O(1) and the row shrinks,
+    # where taking the low bit (row & -row) costs two passes over the row.
     cols = []
     while row:
-        low = row & -row
-        cols.append(low.bit_length() - 1)
-        row ^= low
+        top = row.bit_length() - 1
+        cols.append(top)
+        row ^= 1 << top
+    cols.reverse()
     return cols
 
 
@@ -65,13 +69,15 @@ class GF2Matrix:
 class RankState:
     """Incremental row basis over GF(2), kept in row-echelon form.
 
-    Each basis row is stored under its pivot (its lowest set bit), and pivots
-    are unique, so reducing an incoming row strictly raises its lowest bit and
-    terminates after at most one XOR per basis row.
+    Each basis row is stored under its pivot, its highest set bit, and pivots
+    are unique, so reducing an incoming row strictly lowers its highest bit and
+    terminates after at most one XOR per basis row.  The pivot is read off
+    ``bit_length`` in O(1), and the row shrinks as it is reduced; a lowest-bit
+    pivot would cost two passes over the whole row per step (``row & -row``).
     """
 
     n_cols: int
-    basis: dict = field(default_factory=dict)  # pivot -> row
+    basis: dict = field(default_factory=dict)  # pivot + 1 (the bit length) -> row
     corank: int = 0
 
     def absorb(self, row: int) -> bool:
@@ -79,17 +85,17 @@ class RankState:
 
         A zero row is accepted and counted dependent.
         """
-        if row.bit_length() > self.n_cols:
-            raise DimensionMismatch(
-                f"row spans column {row.bit_length() - 1} >= n_cols {self.n_cols}")
+        p = row.bit_length()
+        if p > self.n_cols:
+            raise DimensionMismatch(f"row spans column {p - 1} >= n_cols {self.n_cols}")
         basis = self.basis
         while row:
-            p = (row & -row).bit_length() - 1
             b = basis.get(p)
             if b is None:
                 basis[p] = row
                 return False
             row ^= b
+            p = row.bit_length()
         self.corank += 1
         return True
 

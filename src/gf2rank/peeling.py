@@ -1,4 +1,4 @@
-"""Hypergraph view of a GF(2) matrix, its 2-core, and the corank engine.
+"""Hypergraph view of a GF(2) matrix, its 2-core, and the elimination kernel.
 
 Rows are hyperedges, columns are vertices.  The 2-core is the terminal state
 of repeatedly deleting a hyperedge incident to a degree-1 vertex; the result
@@ -7,11 +7,22 @@ first out over the pending degree-1 vertices.  Columns are never deleted, so
 "occupied" counts the columns that still meet an alive edge at termination.
 
 A deleted row has a column that no row left at that point touches, so it
-lies in no null combination: corank(M) = corank(2-core).  ``corank`` is the
-one corank route of the package.  It peels the matrix with ``peel_2core``,
-relabels the occupied core columns in ascending core degree, and absorbs
-the core rows into a ``gf2.RankState``.  A ``RankState`` fed every row of
-the matrix is the independent route that the tests compare it with.
+lies in no null combination: every dependency among the rows lies in their
+2-core.  ``eliminate_core`` is the one elimination kernel of the package.  It
+peels with ``peel_2core``, numbers the occupied core columns so that the
+lowest core degrees are pivoted on first, and absorbs the core rows in row
+order into a ``gf2.RankState``, optionally stopping at the first dependent
+one.  It has
+three callers:
+
+- ``corank`` runs it to the end: corank(M) = corank(2-core);
+- ``sampling.run_Tn`` stops it at the first dependent core row of n + 1
+  rows, which is the first dependent row (weights 3 and up);
+- the ``core`` experiment's hypercycle check reads the corank and the core
+  statistics from one call.
+
+A ``RankState`` fed every row of the matrix is the independent route that
+the tests compare it with.
 """
 
 from __future__ import annotations
@@ -58,11 +69,16 @@ class Hypergraph:
         return len(self.edges)
 
     @classmethod
-    def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
-        # GF2Matrix rows fit n_cols, and row_cols lists each column once, in order.
+    def from_rows(cls, n_vertices: int, rows: Iterable[int]) -> "Hypergraph":
+        """Hypergraph of nonzero column-bitmask rows that fit n_vertices columns."""
+        # row_cols lists each column once, in order.
         h = cls.__new__(cls)
-        h._index(matrix.n_cols, [tuple(row_cols(r)) for r in matrix.rows])
+        h._index(n_vertices, [tuple(row_cols(r)) for r in rows])
         return h
+
+    @classmethod
+    def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
+        return cls.from_rows(matrix.n_cols, matrix.rows)
 
 
 @dataclass(frozen=True)
@@ -130,26 +146,38 @@ def peel_2core(h: Hypergraph) -> CoreStats:
     )
 
 
-def _core_corank(h: Hypergraph) -> int:
-    """Corank of the alive edges of a hypergraph that peel_2core has consumed.
+def eliminate_core(h: Hypergraph, stop: bool = False) -> Tuple[CoreStats, int]:
+    """Peel h to its 2-core, then absorb the core edges in edge order.
 
-    Only occupied columns get a position, in ascending core degree, so core
-    rows stay short and the sparse columns become the first pivots.
+    Returns (stats, x).  Without ``stop``, x is the corank of h's edges.  With
+    ``stop``, x is the index of the first core edge that depends on the core
+    edges before it.  That is the first edge of h that depends on the edges
+    before it: a dependency among edges 0..i lies in their 2-core, which lies
+    in h's.  Raises ValueError if no edge does.
+
+    Only occupied columns get a position, so core rows stay short.  Positions
+    go in descending core degree, so the columns of lowest core degree hold
+    the highest bits and become the first pivots (``RankState`` pivots on the
+    highest bit).  The hypergraph is consumed, as by ``peel_2core``.
     """
+    stats = peel_2core(h)
     degree = h.vertex_degree
-    occupied = sorted((v for v in range(h.n_vertices) if degree[v]), key=degree.__getitem__)
+    occupied = sorted((v for v in range(h.n_vertices) if degree[v]), key=degree.__getitem__,
+                      reverse=True)
     pos = [0] * h.n_vertices
     for i, v in enumerate(occupied):
         pos[v] = i
     state = RankState(len(occupied))
-    for e, live in zip(h.edges, h.alive):
-        if not live:
-            continue
+    edges = h.edges
+    for i in stats.core_edge_ids:
         row = 0
-        for v in e:
+        for v in edges[i]:
             row |= 1 << pos[v]
-        state.absorb(row)
-    return state.corank
+        if state.absorb(row) and stop:
+            return stats, i
+    if stop:
+        raise ValueError(f"none of the {h.m} edges depends on the edges before it")
+    return stats, state.corank
 
 
 def corank(matrix: GF2Matrix) -> int:
@@ -159,9 +187,7 @@ def corank(matrix: GF2Matrix) -> int:
     count itself is never materialized as a float).  Computed on the 2-core,
     whose corank equals the matrix's.
     """
-    h = Hypergraph.from_matrix(matrix)
-    peel_2core(h)
-    return _core_corank(h)
+    return eliminate_core(Hypergraph.from_matrix(matrix))[1]
 
 
 def check_E(stats: CoreStats, n: int, eps: float) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from gf2rank.errors import InvalidParam
 from gf2rank.experiments import (
     ExperimentConfig,
+    _core_trial,
     exp_classical_limits,
     exp_core_vs_theory,
     exp_dense_survival,
@@ -14,8 +15,11 @@ from gf2rank.experiments import (
     run_experiment,
     write_records_csv,
 )
-from gf2rank.sampling import SampleConfig, make_rng, run_Tn, sample_row
+from gf2rank.gf2 import RankState
+from gf2rank.peeling import Hypergraph, peel_2core
+from gf2rank.sampling import SampleConfig, make_rng, run_Tn, sample_matrix, sample_row
 from gf2rank.thresholds import F_of_alpha, alpha_bar, alpha_star, core_theory
+from gf2rank.verification import FIG1_RHO
 from gf2rank.weights import WeightDist, parse_rho
 
 W2, W3 = WeightDist.fixed(2), WeightDist.fixed(3)
@@ -82,6 +86,31 @@ def test_core_hypercycle_consistency():
     entry = res.summary["per_n"][2000]
     assert entry["hypercycle_violations"] == 0
     assert entry["more_rows_freq"] == 1.0  # well above alpha_bar
+
+
+def test_core_trial_has_null_matches_full_rankstate():
+    # has_null comes from the core elimination kernel; the oracle absorbs every
+    # row of the matrix into a RankState over all n columns
+    seen = set()
+    for dist in (W3, parse_rho(FIG1_RHO)):
+        a_star, a_bar = alpha_star(dist), alpha_bar(dist)
+        alphas = (a_star - 0.03, (a_star + a_bar) / 2, a_bar + 0.03)
+        for model in ("exact", "binomial"):
+            for n in (30, 500):
+                for alpha in alphas:
+                    for seed in (1, 2):
+                        cfg = SampleConfig(n, round(alpha * n), dist, model, seed)
+                        rec, _ = _core_trial((cfg, True, 0.05))
+                        mat = sample_matrix(cfg)
+                        state = RankState(n)
+                        for row in mat.rows:
+                            state.absorb(row)
+                        assert rec["has_null"] == int(state.corank > 0), (dist, model, n, alpha, seed)
+                        stats = peel_2core(Hypergraph.from_matrix(mat))
+                        assert (rec["core_rows"], rec["occupied_cols"]) == (
+                            stats.core_rows, stats.occupied_cols)
+                        seen.add(rec["has_null"])
+    assert seen == {0, 1}
 
 
 def test_core_rows_exceed_cols_above_bar():

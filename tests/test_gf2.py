@@ -126,6 +126,19 @@ def test_rank_is_order_invariant(rng):
         assert corank(GF2Matrix(n, perm)) == base
 
 
+def test_absorb_flags_rows_in_span_of_earlier_rows(rng):
+    # each verdict against the span of the earlier rows, listed in full
+    for _ in range(100):
+        n = int(rng.integers(1, 11))
+        st_ = RankState(n)
+        span = {0}
+        for _ in range(int(rng.integers(1, 14))):
+            row = int(rng.integers(0, 1 << n))
+            assert st_.absorb(row) == (row in span)
+            span |= {x ^ row for x in span}
+        assert len(span) == 2 ** (len(st_.basis))
+
+
 def test_corank_nondecreasing_in_m(rng):
     st_ = RankState(12)
     prev = 0

@@ -3,12 +3,13 @@ import pytest
 import scipy.stats
 
 from conftest import naive_core
-from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors
+from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors, row_from_cols
 from gf2rank.peeling import (
     CoreStats,
     Hypergraph,
     check_E,
     corank,
+    eliminate_core,
     peel_2core,
 )
 from gf2rank.sampling import SampleConfig, sample_matrix
@@ -183,3 +184,23 @@ def test_corank_edge_cases():
     for name, (mat, want) in cases.items():
         assert corank(mat) == want == full_corank(mat), name
     assert peel_2core(Hypergraph.from_matrix(cases["peels-away"][0])).core_rows == 0
+
+
+def test_eliminate_core_stop_is_first_dependent_edge(rng):
+    # the stop index against a RankState fed every edge in order; peeled edges
+    # are never eliminated, yet the first dependent edge is always a core edge
+    stopped = 0
+    for _ in range(400):
+        n, edges = random_hypergraph(rng)
+        state = RankState(n)
+        first = next((i for i, e in enumerate(edges) if state.absorb(row_from_cols(e))), None)
+        stats = peel_2core(Hypergraph(n, edges))
+        if first is None:
+            with pytest.raises(ValueError):
+                eliminate_core(Hypergraph(n, edges), stop=True)
+            continue
+        got_stats, got = eliminate_core(Hypergraph(n, edges), stop=True)
+        assert got == first and first in stats.core_edge_ids
+        assert got_stats == stats
+        stopped += 1
+    assert stopped > 100

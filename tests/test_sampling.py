@@ -242,14 +242,25 @@ def _replay_Tn(cfg):
 
 
 def test_run_Tn_equals_scalar_replay():
+    # every GATE_DISTS law: w3, w7, fig1 and fig2 take the 2-core route,
+    # w1, w2 and mix40 (minimum weight 2) the row-by-row one
     seeds = [derive_stream_seed(8, t) for t in range(5)]
     cases = 0
-    for name in ("w1", "w2", "w3", "fig1", "mix40"):
+    for name, dist in GATE_DISTS.items():
         for model in MODELS:
-            for cfg in _configs(GATE_DISTS[name], model, (1, 2, 5, 30, 300), seeds):
+            for cfg in _configs(dist, model, (1, 2, 5, 30, 300, 1000), seeds):
                 assert run_Tn(cfg) == _replay_Tn(cfg), f"numpy {np.__version__}, {cfg}"
                 cases += 1
-    assert cases >= 200
+    assert cases >= 400
+
+
+def test_run_Tn_core_route_equals_scalar_replay_large_n():
+    # the 2-core route where fill-in is heavy: n = 3000 in both row models, 10^4 once
+    cfgs = [SampleConfig(3000, 0, GATE_DISTS[name], model=model, seed=derive_stream_seed(9, t))
+            for name in ("w3", "fig1") for model in MODELS for t in range(3)]
+    cfgs.append(SampleConfig(10_000, 0, GATE_DISTS["w3"], seed=derive_stream_seed(9, 3)))
+    for cfg in cfgs:
+        assert run_Tn(cfg) == _replay_Tn(cfg), f"numpy {np.__version__}, {cfg}"
 
 
 @pytest.mark.parametrize("model", MODELS)
