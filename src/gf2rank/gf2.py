@@ -6,8 +6,8 @@ basis operation even for thousands of columns.
 
 ``RankState`` is the elimination kernel.  The kernel that peels a matrix to
 its 2-core before eliminating lives in ``peeling`` (``eliminate_core``, behind
-``corank`` and ``run_Tn``); a ``RankState`` fed every row is the independent
-route the tests check it by.
+``corank``); a ``RankState`` fed every row is the independent route the tests
+check it by.
 """
 
 from __future__ import annotations

@@ -7,20 +7,12 @@ first out over the pending degree-1 vertices.  Columns are never deleted, so
 "occupied" counts the columns that still meet an alive edge at termination.
 
 A deleted row has a column that no row left at that point touches, so it
-lies in no null combination: every dependency among the rows lies in their
-2-core.  ``eliminate_core`` is the one elimination kernel of the package.  It
-peels with ``peel_2core``, numbers the occupied core columns so that the
-lowest core degrees are pivoted on first, and absorbs the core rows in row
-order into a ``gf2.RankState``, optionally stopping at the first dependent
-one.  It has
-three callers:
-
-- ``corank`` runs it to the end: corank(M) = corank(2-core);
-- ``sampling.run_Tn`` stops it at the first dependent core row of n + 1
-  rows, which is the first dependent row (weights 3 and up);
-- the ``core`` experiment's hypercycle check reads the corank and the core
-  statistics from one call.
-
+lies in no null combination: corank(M) = corank(2-core).  ``eliminate_core``
+is the one elimination kernel of the package.  It peels with ``peel_2core``,
+numbers the occupied core columns so that the lowest core degrees are
+pivoted on first, and absorbs the core rows into a ``gf2.RankState``.
+``corank`` reads the corank from it, and the ``core`` experiment's
+hypercycle check reads the core statistics and the corank from one call.
 A ``RankState`` fed every row of the matrix is the independent route that
 the tests compare it with.
 """
@@ -69,16 +61,11 @@ class Hypergraph:
         return len(self.edges)
 
     @classmethod
-    def from_rows(cls, n_vertices: int, rows: Iterable[int]) -> "Hypergraph":
-        """Hypergraph of nonzero column-bitmask rows that fit n_vertices columns."""
-        # row_cols lists each column once, in order.
-        h = cls.__new__(cls)
-        h._index(n_vertices, [tuple(row_cols(r)) for r in rows])
-        return h
-
-    @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
-        return cls.from_rows(matrix.n_cols, matrix.rows)
+        # GF2Matrix rows fit n_cols, and row_cols lists each column once, in order.
+        h = cls.__new__(cls)
+        h._index(matrix.n_cols, [tuple(row_cols(r)) for r in matrix.rows])
+        return h
 
 
 @dataclass(frozen=True)
@@ -146,14 +133,8 @@ def peel_2core(h: Hypergraph) -> CoreStats:
     )
 
 
-def eliminate_core(h: Hypergraph, stop: bool = False) -> Tuple[CoreStats, int]:
-    """Peel h to its 2-core, then absorb the core edges in edge order.
-
-    Returns (stats, x).  Without ``stop``, x is the corank of h's edges.  With
-    ``stop``, x is the index of the first core edge that depends on the core
-    edges before it.  That is the first edge of h that depends on the edges
-    before it: a dependency among edges 0..i lies in their 2-core, which lies
-    in h's.  Raises ValueError if no edge does.
+def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int]:
+    """Peel h to its 2-core and return (stats, corank of h's edges).
 
     Only occupied columns get a position, so core rows stay short.  Positions
     go in descending core degree, so the columns of lowest core degree hold
@@ -173,10 +154,7 @@ def eliminate_core(h: Hypergraph, stop: bool = False) -> Tuple[CoreStats, int]:
         row = 0
         for v in edges[i]:
             row |= 1 << pos[v]
-        if state.absorb(row) and stop:
-            return stats, i
-    if stop:
-        raise ValueError(f"none of the {h.m} edges depends on the edges before it")
+        state.absorb(row)
     return stats, state.corank
 
 

@@ -8,18 +8,15 @@ harness runs see identical randomness.
 
 ``sample_row`` defines the stream: one ``random()`` for the weight, then one
 bounded ``integers`` draw per Floyd step (exact model) or per ball (binomial
-model).  ``sample_rows`` is the block route.  ``sample_matrix`` calls it
-in blocks of 1024 rows, ``run_Tn`` once for all n + 1 rows of its
-look-ahead when every weight is 3 or more, and ``stream_rows`` (``run_Tn``
-at weight 1 or 2, the classical-limit trials) in blocks of at most 256.
-It draws one ``BitGenerator.random_raw`` block and decodes its 64-bit words
-in Python the way numpy's ``Generator`` consumes them for PCG64: ``random()``
-takes the top 53 bits of a fresh word, and ``integers(0, h)`` is Lemire's
-bounded draw on a 32-bit half-word, low half first, with the high half kept
-in the generator's ``has_uint32``/``uinteger`` buffer.  It returns the rows
-that successive ``sample_row`` calls would and leaves the generator where
-they would, so the seed -> matrix map is unchanged; ``sample_row`` stays as
-its test oracle.
+model).  ``sample_rows`` is the block route that ``sample_matrix``,
+``run_Tn`` and the classical-limit trials use.  It draws one
+``BitGenerator.random_raw`` block and decodes its 64-bit words in Python the
+way numpy's ``Generator`` consumes them for PCG64: ``random()`` takes the top
+53 bits of a fresh word, and ``integers(0, h)`` is Lemire's bounded draw on a
+32-bit half-word, low half first, with the high half kept in the generator's
+``has_uint32``/``uinteger`` buffer.  It returns the rows that successive
+``sample_row`` calls would and leaves the generator where they would, so the
+seed -> matrix map is unchanged; ``sample_row`` stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import numpy as np
 
 from .errors import InvalidParam
 from .gf2 import GF2Matrix, RankState
-from .peeling import Hypergraph, eliminate_core
 from .weights import WeightDist
 
 MODELS = ("exact", "binomial")
@@ -216,24 +212,10 @@ def run_Tn(cfg: SampleConfig) -> int:
     """First m at which the rows become linearly dependent over GF(2).
 
     Always at most n + 1, since n + 1 rows over n columns are dependent.  The
-    configured m is ignored.  The rng is private, so drawing rows ahead of the
-    dependency changes nothing.
-
-    With every weight 3 or more, T_n is close to n (about alpha_bar * n), so
-    one ``sample_rows`` call draws n + 1 rows and ``eliminate_core`` stops at
-    the first core row that depends on the core rows before it.  That row is
-    the first dependent row: the dependency among the first T_n rows lies in
-    their 2-core, which lies in the 2-core of any longer prefix.  Rows that
-    peeling deletes are never eliminated.
-
-    When some weight is 1 or 2, the rows are read from ``stream_rows`` one at
-    a time until one depends on the rows before it.  At fixed weight 1 or 2,
-    T_n is far below n (about sqrt(n) at weight 1, below n / 2 at weight 2),
-    so drawing n + 1 rows would cost more than it saves.
+    configured m is ignored; rows are read from ``stream_rows`` and absorbed
+    one at a time until one depends on the rows before it.  The rng is
+    private, so drawing a block ahead of the dependency changes nothing.
     """
-    if cfg.dist.min_weight >= 3:
-        rows = sample_rows(cfg, make_rng(cfg.seed), cfg.n + 1)
-        return eliminate_core(Hypergraph.from_rows(cfg.n, rows), stop=True)[1] + 1
     state = RankState(cfg.n)
     for m, row in enumerate(stream_rows(cfg), 1):
         if state.absorb(row):

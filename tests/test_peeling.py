@@ -186,21 +186,14 @@ def test_corank_edge_cases():
     assert peel_2core(Hypergraph.from_matrix(cases["peels-away"][0])).core_rows == 0
 
 
-def test_eliminate_core_stop_is_first_dependent_edge(rng):
-    # the stop index against a RankState fed every edge in order; peeled edges
-    # are never eliminated, yet the first dependent edge is always a core edge
-    stopped = 0
+def test_eliminate_core_matches_peel_and_full_rankstate(rng):
+    # the kernel's stats against peel_2core, its corank against a RankState
+    # fed every edge of the hypergraph
     for _ in range(400):
         n, edges = random_hypergraph(rng)
         state = RankState(n)
-        first = next((i for i, e in enumerate(edges) if state.absorb(row_from_cols(e))), None)
-        stats = peel_2core(Hypergraph(n, edges))
-        if first is None:
-            with pytest.raises(ValueError):
-                eliminate_core(Hypergraph(n, edges), stop=True)
-            continue
-        got_stats, got = eliminate_core(Hypergraph(n, edges), stop=True)
-        assert got == first and first in stats.core_edge_ids
-        assert got_stats == stats
-        stopped += 1
-    assert stopped > 100
+        for e in edges:
+            state.absorb(row_from_cols(e))
+        stats, sigma = eliminate_core(Hypergraph(n, edges))
+        assert stats == peel_2core(Hypergraph(n, edges))
+        assert sigma == state.corank

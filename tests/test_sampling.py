@@ -242,8 +242,7 @@ def _replay_Tn(cfg):
 
 
 def test_run_Tn_equals_scalar_replay():
-    # every GATE_DISTS law: w3, w7, fig1 and fig2 take the 2-core route,
-    # w1, w2 and mix40 (minimum weight 2) the row-by-row one
+    # every GATE_DISTS law in both row models
     seeds = [derive_stream_seed(8, t) for t in range(5)]
     cases = 0
     for name, dist in GATE_DISTS.items():
@@ -254,8 +253,8 @@ def test_run_Tn_equals_scalar_replay():
     assert cases >= 400
 
 
-def test_run_Tn_core_route_equals_scalar_replay_large_n():
-    # the 2-core route where fill-in is heavy: n = 3000 in both row models, 10^4 once
+def test_run_Tn_equals_scalar_replay_large_n():
+    # where fill-in is heavy: n = 3000 in both row models, 10^4 once
     cfgs = [SampleConfig(3000, 0, GATE_DISTS[name], model=model, seed=derive_stream_seed(9, t))
             for name in ("w3", "fig1") for model in MODELS for t in range(3)]
     cfgs.append(SampleConfig(10_000, 0, GATE_DISTS["w3"], seed=derive_stream_seed(9, 3)))
