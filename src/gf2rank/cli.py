@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 import mpmath as mp
@@ -48,20 +47,13 @@ from .thresholds import _psi as psi_extended, core_theory, g_star, h_psi, thresh
 from .weights import WeightDist, parse_rho
 
 
-@dataclass
-class CliInvocation:
-    """Resolved invocation, logged into every output header."""
-
-    subcommand: str
-    params: dict
-
-
-def _envelope(inv: CliInvocation, result) -> dict:
+def _envelope(command: str, params: dict, result) -> dict:
+    """The JSON output: the resolved invocation, then the result."""
     return {
         "tool": "gf2rank",
         "version": __version__,
-        "command": inv.subcommand,
-        "config": inv.params,
+        "command": command,
+        "config": params,
         "result": result,
     }
 
@@ -96,8 +88,8 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text)
 
 
-def _emit_json(inv: CliInvocation, result, out: str | None) -> None:
-    _emit(json.dumps(_envelope(inv, result), indent=2, default=_json_default), out)
+def _emit_json(command: str, params: dict, result, out: str | None) -> None:
+    _emit(json.dumps(_envelope(command, params, result), indent=2, default=_json_default), out)
 
 
 # (error classes, exit code, stderr prefix) for every Gf2RankError subclass
@@ -161,7 +153,6 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
             rows.append({"r": r, "alpha_sharp": _num(rep.alpha_sharp),
                          "alpha_star": _num(rep.alpha_star),
                          "alpha_bar": _num(bar) if bar is not None else None})
-        inv = CliInvocation("thresholds", {"table1": True, "format": fmt})
         if fmt == "text":
             lines = [f"{'r':>2} {'alpha_sharp':>12} {'alpha_star':>12} {'alpha_bar':>12}"]
             for row in rows:
@@ -172,13 +163,12 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
                              .replace("nan", "     —"))
             _emit("\n".join(lines), out)
         else:
-            _emit_json(inv, {"table": rows}, out)
+            _emit_json("thresholds", {"table1": True, "format": fmt}, {"table": rows}, out)
         return
     if rho_spec is None:
         raise ParseError("--rho is required unless --table1 is given")
     dist = parse_rho(rho_spec)
     report = threshold_report(dist, witness_alpha=alpha)
-    inv = CliInvocation("thresholds", {"rho": rho_spec, "alpha": alpha, "format": fmt})
     payload = {
         "alpha_sharp": _num(report.alpha_sharp),
         "alpha_star": _num(report.alpha_star),
@@ -207,7 +197,7 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
             lines.append(f"g_star jump at alpha={a:.9f}: {l:.6f} -> {r:.6f}")
         _emit("\n".join(lines), out)
     else:
-        _emit_json(inv, payload, out)
+        _emit_json("thresholds", {"rho": rho_spec, "alpha": alpha, "format": fmt}, payload, out)
 
 
 @main.command("curves")
@@ -221,6 +211,8 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
 @_guard
 def cmd_curves(rho_spec, what, grid, lo, hi, out):
     """Emit curve data as CSV for figure reproduction."""
+    if grid < 1:
+        raise InvalidParam(f"--grid {grid} < 1")
     dist = parse_rho(rho_spec)
     names = tuple(w.strip() for w in what.split(","))
     x_kind = set(names) <= {"h", "psi"}
@@ -304,7 +296,7 @@ def cmd_rank(path, n, enum, out):
         vectors, profile = enumerate_null_vectors(mat)
         result["null_vectors"] = [f"{v:0{mat.m}b}"[::-1] for v in vectors]
         result["weight_profile"] = profile
-    _emit_json(CliInvocation("rank", {"in": path, "n": n}), result, out)
+    _emit_json("rank", {"in": path, "n": n}, result, out)
 
 
 @main.command("core")
@@ -350,9 +342,8 @@ def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
             "incidence_frac": th.incidence_frac,
             "aspect_sign": th.aspect_sign,
         }
-    inv = CliInvocation("core", {"in": path, "rho": rho_spec, "n": n, "m": m,
-                                 "seed": seed, "model": model, "eps": eps})
-    _emit_json(inv, result, out)
+    _emit_json("core", {"in": path, "rho": rho_spec, "n": n, "m": m,
+                        "seed": seed, "model": model, "eps": eps}, result, out)
 
 
 @main.command("tn")
@@ -436,7 +427,7 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
         if r is None:
             raise ParseError("--r is required for --what gfq")
         result = {"survival": _num(gfq_dense_survival(q, r, n))}
-    _emit_json(CliInvocation("exact", params), result, out)
+    _emit_json("exact", params, result, out)
 
 
 # --- experiments ---------------------------------------------------------------
@@ -482,7 +473,7 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
     if csv_path:
         write_records_csv(csv_path, res.records,
                           meta={"tool": "gf2rank", "version": __version__, **res.config})
-    _emit_json(CliInvocation("simulate", res.config), res.summary, out)
+    _emit_json("simulate", res.config, res.summary, out)
 
 
 @main.command("verify")

@@ -277,8 +277,8 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
     even-conditioned Poisson(mu) variables, both sum pmfs evaluated by
     dynamic-programming convolution of the truncated single-variable pmfs.
     """
-    if n < 1 or m < 0 or mu <= 0:
-        raise InvalidParam(f"need n >= 1, m >= 0, mu > 0; got {n}, {m}, {mu}")
+    if n < 1 or m < 0 or not (math.isfinite(mu) and mu > 0):
+        raise InvalidParam(f"need n >= 1, m >= 0, finite mu > 0; got {n}, {m}, {mu}")
     with mp.workprec(precision):
         mpmu = mp.mpf(mu)
         cut = truncation if truncation is not None else int(m + mpmu + 40 * mp.sqrt(mpmu) + 40)
@@ -351,8 +351,8 @@ class ParitySpec:
             raise InvalidParam(f"targets {self.targets} not all in 0..{self.r - 1}")
         if len(self.cell_probs) != 1 << self.k:
             raise InvalidParam(f"{len(self.cell_probs)} cell probabilities for k={self.k}")
-        if any(p < 0 for p in self.cell_probs):
-            raise InvalidParam("negative cell probability")
+        if not all(math.isfinite(p) and p >= 0 for p in self.cell_probs):
+            raise InvalidParam(f"cell probabilities {self.cell_probs} not all finite and >= 0")
         total = sum(self.cell_probs)
         if all(isinstance(p, (int, Fraction)) for p in self.cell_probs):
             if total != 1:

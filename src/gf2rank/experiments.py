@@ -31,8 +31,6 @@ from .thresholds import (
 )
 from .weights import WeightDist
 
-EXPERIMENTS = ("tn", "core", "null-growth", "classical", "profile", "dense")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,6 +52,9 @@ class ExperimentConfig:
             raise InvalidParam(f"experiment {self.experiment!r} not in {EXPERIMENTS}")
         if self.trials < 1:
             raise InvalidParam(f"trials {self.trials} < 1")
+        for name in ("alpha", "eps", "window_eps", "z"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParam(f"{name} {getattr(self, name)} is not finite")
         if not self.eps > 0:
             raise InvalidParam(f"eps {self.eps} is not > 0")
 
@@ -144,7 +145,7 @@ def _corank_trial(cfg: SampleConfig):
 
 
 def _profile_trial(cfg: SampleConfig):
-    _, profile = enumerate_null_vectors(sample_matrix(cfg), max_m=cfg.m)
+    _, profile = enumerate_null_vectors(sample_matrix(cfg))
     return profile
 
 
@@ -201,19 +202,19 @@ def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult("tn", _config_dict(cfg), records, summary)
 
 
-def exp_core_vs_theory(cfg: ExperimentConfig, check_corank: bool | None = None) -> ExperimentResult:
+def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean core fractions against the limit law, plus the aspect-ratio sign.
 
-    When check_corank is enabled (default at n <= 5000), trials whose core has
-    more rows than occupied columns also verify corank >= 1 directly, the
-    pigeonhole consequence of a hypercycle.
+    At n <= 5000, trials whose core has more rows than occupied columns also
+    verify corank >= 1 directly, the pigeonhole consequence of a hypercycle;
+    larger n only peel.
     """
     dist = cfg.dist
     th = core_theory(dist, cfg.alpha)
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):
-        check = check_corank if check_corank is not None else n <= 5000
+        check = n <= 5000
         m = round(cfg.alpha * n)
         sample = partial(SampleConfig, n, m, dist, cfg.model)
         _, out = _fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
@@ -304,6 +305,8 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
         raise InvalidParam("classical limits are for the fixed weights r=1 or r=2")
     r = dist.min_weight
     z = cfg.z
+    if r == 2 and not 0.0 <= z <= 1.0:
+        raise InvalidParam(f"z {z} outside [0, 1], where the r=2 law is defined")
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):
@@ -399,6 +402,9 @@ _RUNNERS = {
     "profile": exp_weight_profile,
     "dense": exp_dense_survival,
 }
+
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -56,10 +56,6 @@ class Hypergraph:
                 self._edge_xor[v] ^= i
         self.alive = [True] * len(edges)
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
     @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
         # GF2Matrix rows fit n_cols, and row_cols lists each column once, in order.

@@ -39,10 +39,16 @@ do every golden-section and bisection refinement, and the tests use them as
 the oracle for the arrays.  numpy's log, exp and pow may differ from math's in
 the last bit, so an array value can differ from its scalar counterpart by a
 few ulps.
+
+The fixed-weight routines x_star_iteration (the root x*_r of psi) and
+_alpha_star_lambda_system (alpha_star_r) each have one body that runs in
+float or, given a precision in bits, in mpf; threshold_asymptotics uses the
+mpf route.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -151,8 +157,10 @@ def F_of_alpha(dist: WeightDist, alpha: float):
     Returns (value, gamma0, beta0) where beta0 = rho(1-2 g0)/(1 + rho(1-2 g0))
     is the null-vector row-usage fraction at the optimum.
     """
-    # swept point by point with the scalar F_gamma; ROADMAP direction 2 says
-    # why the array sweep waits
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise InvalidParam(f"alpha {alpha} is not a finite number >= 0")
+    # swept point by point with the scalar F_gamma: ROADMAP direction 1 says
+    # why the array sweep waits (at its speed the benchmark's mixture draw hangs)
     grid = _GAMMA_GRID
     vals = np.array([F_gamma(dist, alpha, g) for g in grid.tolist()])
     cands = _grid_sup(lambda g: F_gamma(dist, alpha, g), grid, vals, ends=(0, -1))
@@ -168,10 +176,9 @@ def alpha_star(dist: WeightDist) -> float:
     For a fixed weight r >= 3 the result is cross-checked against two
     independent routes (the stationary-point equation in gamma, and the
     hyperbolic-substitution system); disagreement beyond ROUTE_TOL raises
-    Inconsistent.
+    Inconsistent.  F(0) = sup_gamma (H(gamma) - log 2) = 0, so the
+    bisection starts at alpha = 0.
     """
-    if F_of_alpha(dist, 0.0)[0] > TOL_F:
-        return 0.0
     hi = 1.0 if F_of_alpha(dist, 1.0)[0] > TOL_F else 2.0  # alpha_star <= 1; guard anyway
     lo, hi = _bisect(lambda a: F_of_alpha(dist, a)[0] <= TOL_F, 0.0, hi, ALPHA_TOL)
     a_sup = 0.5 * (lo + hi)
@@ -460,8 +467,8 @@ def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float
     Right-continuous in alpha; jumps exactly at the levels of the local
     minima of h that are visible from the right.
     """
-    if alpha < 0:
-        raise InvalidParam(f"alpha {alpha} < 0")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParam(f"alpha {alpha} is not a finite number >= 0")
     mins = _h_landscape(dist)[1] if _minima is None else _minima
     u = _g_star_u(dist, alpha, mins)
     return 0.0 if u is None else -math.expm1(-u)
@@ -538,39 +545,45 @@ def psi_gstar_sign_pattern(dist: WeightDist) -> str:
 
 # --- fixed-weight root x*_r by sandwich iteration ---------------------------
 
-def x_star_iteration(r: int, steps: int = 5000):
+def x_star_iteration(r: int, steps: int = 5000, precision: int = 0):
     """The unique root of psi in (0,1) for the fixed weight r >= 3, bracketed
     by the monotone iteration of i(x) = 1 - exp(-x / (1 - x (r-1)/r)).
 
     Starting from a_0 = (r-2)/(r-1) and b_0 = 1 the lower sequence increases
     and the upper decreases toward the root; iteration stops once they agree
-    to 1e-14.  Returns (x_star, lower_seq, upper_seq).
+    to 1e-14, or, with precision > 0, runs in mpf at that many bits and stops
+    at 2^(10 - precision).  Raises NoConvergence when the two sequences stall
+    apart or steps run out.  Returns (x_star, lower_seq, upper_seq).
     """
     if r < 3:
         raise InvalidParam(f"r {r} < 3")
-    theta = (r - 1.0) / r
+    ctx = mp if precision else math
+    num = mp.mpf if precision else float
+    with mp.workprec(precision) if precision else contextlib.nullcontext():
+        theta = num(r - 1) / r
+        tol = mp.mpf(2) ** (10 - precision) if precision else 1e-14
 
-    def step_fn(x):
-        return 1.0 - math.exp(-x / (1.0 - theta * x))
+        def step_fn(x):
+            return 1 - ctx.exp(-x / (1 - theta * x))
 
-    a = (r - 2.0) / (r - 1.0)
-    b = 1.0
-    lower, upper = [a], [b]
-    for _ in range(steps):
-        if b - a < 1e-14:
-            return 0.5 * (a + b), lower, upper
-        a2, b2 = step_fn(a), step_fn(b)
-        if a2 <= a and b2 >= b:
-            break  # float fixpoint reached on both sides
-        if a2 > a:
-            a = a2
-            lower.append(a)
-        if b2 < b:
-            b = b2
-            upper.append(b)
-    if b - a < 1e-14:
-        return 0.5 * (a + b), lower, upper
-    raise NoConvergence(f"sandwich stalled at width {b - a:.3e} after {steps} steps")
+        a = num(r - 2) / (r - 1)
+        b = num(1)
+        lower, upper = [a], [b]
+        for _ in range(steps):
+            if b - a < tol:
+                return (a + b) / 2, lower, upper
+            a2, b2 = step_fn(a), step_fn(b)
+            if a2 <= a and b2 >= b:
+                break  # fixpoint of the number type reached on both sides
+            if a2 > a:
+                a = a2
+                lower.append(a)
+            if b2 < b:
+                b = b2
+                upper.append(b)
+        if b - a < tol:
+            return (a + b) / 2, lower, upper
+    raise NoConvergence(f"sandwich stalled at width {float(b - a):.3e} after {steps} steps")
 
 
 # --- 2-core limit quantities ------------------------------------------------
@@ -628,17 +641,6 @@ def core_theory(dist: WeightDist, alpha: float) -> CoreTheory:
 
 # --- large-r asymptotics (arbitrary precision) ------------------------------
 
-def _x_star_mp(r: int):
-    theta = mp.mpf(r - 1) / r
-    step_fn = lambda x: 1 - mp.exp(-x / (1 - theta * x))
-    a, b = mp.mpf(r - 2) / (r - 1), mp.mpf(1)
-    for _ in range(20000):
-        a, b = step_fn(a), step_fn(b)
-        if b - a < mp.mpf(2) ** (10 - mp.mp.prec):
-            break
-    return (a + b) / 2
-
-
 def threshold_asymptotics(r_max: int = 12, precision: int = 256) -> list:
     """Scaled threshold gaps for r = 3..r_max, computed in arbitrary precision:
     (1 - alpha_star_r) e^r log 2 and (1 - alpha_bar_r) e^r, both -> 1."""
@@ -648,7 +650,7 @@ def threshold_asymptotics(r_max: int = 12, precision: int = 256) -> list:
     with mp.workprec(precision):
         for r in range(3, r_max + 1):
             a_star = _alpha_star_lambda_system(r, precision=precision)
-            xs = _x_star_mp(r)
+            xs = x_star_iteration(r, steps=20000, precision=precision)[0]
             a_bar = -mp.log(1 - xs) / (r * xs ** (r - 1))
             rows.append({
                 "r": r,
@@ -692,8 +694,9 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> Th
     is_root = False
     if dist.min_weight >= 3:
         a_bar = _alpha_bar(dist, landscape)
-        x_st = g_star(dist, a_bar, mins)
-        is_root = abs(_psi_g_star(dist, a_bar, mins)) <= 1e-6
+        u = _g_star_u(dist, a_bar, mins)  # one bisection gives g_star and psi there
+        x_st, psi_bar = (0.0, 0.0) if u is None else (-math.expm1(-u), _psi_of_u(dist, u))
+        is_root = abs(psi_bar) <= 1e-6
         d = 10.0 * ALPHA_BAR_TOL
         transversal = (_psi_g_star(dist, a_bar - d, mins) > 0.0
                        > _psi_g_star(dist, a_bar + d, mins))

@@ -44,8 +44,6 @@ FIG8_RHO = "0.9:3,0.1:38"
 RATE_ALPHAS = (0.9, 0.95)
 RATE_NS = (60, 120, 240, 480)
 
-SUITES = ("table1", "fig1", "fig2", "fig8", "oracles", "asymptotics", "all")
-
 
 @dataclass(frozen=True)
 class Check:
@@ -221,20 +219,21 @@ def suite_asymptotics() -> list:
     return checks
 
 
+_SUITES = {
+    "table1": suite_table1,
+    "fig1": suite_fig1,
+    "fig2": suite_fig2,
+    "fig8": suite_fig8,
+    "oracles": suite_oracles,
+    "asymptotics": suite_asymptotics,
+}
+SUITES = (*_SUITES, "all")
+
+
 def run_suite(name: str) -> list:
     if name == "all":
-        checks = []
-        for s in SUITES[:-1]:
-            checks.extend(run_suite(s))
-        return checks
-    fn = {
-        "table1": suite_table1,
-        "fig1": suite_fig1,
-        "fig2": suite_fig2,
-        "fig8": suite_fig8,
-        "oracles": suite_oracles,
-        "asymptotics": suite_asymptotics,
-    }.get(name)
+        return [c for fn in _SUITES.values() for c in fn()]
+    fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return fn()

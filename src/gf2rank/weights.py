@@ -128,7 +128,8 @@ class WeightDist:
 def parse_rho(spec: str) -> WeightDist:
     """Parse a weight spec: ``p1:k1,p2:k2,...`` or ``r=K`` for a point mass.
 
-    Probabilities must sum to 1 within 1e-9 and are renormalized to sum to 1.
+    Probabilities must sum to 1 within 1e-9 and are renormalized to sum to 1;
+    WeightDist then checks each weight and probability.
     """
     spec = spec.strip()
     if not spec:
@@ -152,11 +153,6 @@ def parse_rho(spec: str) -> WeightDist:
         except ValueError as exc:
             raise ParseError(f"malformed token {tok!r}: {exc}") from exc
         atoms.append((k, p))
-    for k, p in atoms:
-        if k < 1:
-            raise InvalidDistribution(f"weight {k} < 1")
-        if p <= 0:
-            raise InvalidDistribution(f"probability {p} <= 0")
     total = sum(p for _, p in atoms)
     if abs(total - 1.0) > _PARSE_SUM_TOL:
         raise InvalidDistribution(f"probabilities sum to {total}, off by > {_PARSE_SUM_TOL}")

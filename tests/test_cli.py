@@ -152,6 +152,13 @@ def test_rank_enumerate_too_large_exits_2():
     assert "max_m 24" in run_fail(["rank", "--enumerate"], 2, stdin=rows)
 
 
+def test_simulate_profile_too_large_names_m():
+    # the limit named is the enumeration cap, not one derived from m
+    args = ["simulate", "--exp", "profile", "--rho", "r=3", "-n", "40", "--trials", "2",
+            "--threads", "1"]
+    assert run_fail(args, 2) == "error: m 38 > max_m 24"
+
+
 def test_exact_poisson_truncation_exits_4():
     line = run_fail(["exact", "--what", "poisson", "-n", "5", "-m", "5", "--truncation", "3"], 4)
     assert line.startswith("numerical error: Poisson tail mass")
@@ -272,11 +279,36 @@ def test_tn_rows_replay_stream(r, model):
      "--cell-probs", "0.3,0.7", "-n", "5"],
     ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "0",
      "--cell-probs", "0.3,y", "-n", "5"],
+    ["curves", "--rho", "r=3", "--grid", "0"],
+    ["curves", "--rho", "r=3", "--what", "gstar,psi_of_gstar", "--grid", "0"],
+    ["curves", "--rho", "r=3", "--grid", "-1"],
+    ["thresholds", "--rho", "r=3", "--alpha", "nan"],
+    ["thresholds", "--rho", "r=3", "--alpha", "-1"],
+    ["simulate", "--exp", "core", "--rho", "r=3", "-n", "50", "--alpha", "nan"],
+    ["simulate", "--exp", "classical", "--rho", "r=2", "-n", "50", "--z", "2"],
+    ["simulate", "--exp", "classical", "--rho", "r=1", "-n", "50", "--z", "nan"],
+    ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--window-eps", "nan"],
+    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "nan"],
+    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "inf"],
+    ["exact", "--what", "parity", "-n", "2", "--cell-probs", "nan,0.5"],
+    ["curves", "--rho", "r=3", "--what", "gstar", "--lo", "nan", "--grid", "3"],
 ], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
         "dense-r-values", "binomial-even-n1", "en-binomial-even-n1", "parity-targets",
-        "parity-cell-probs"])
+        "parity-cell-probs", "curves-grid0", "curves-gstar-grid0", "curves-grid-neg",
+        "thresholds-alpha-nan", "thresholds-alpha-neg", "simulate-alpha-nan",
+        "classical-r2-z2", "classical-z-nan", "tn-window-eps-nan", "poisson-mu-nan",
+        "poisson-mu-inf", "parity-cell-probs-nan", "curves-gstar-lo-nan"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
+
+
+def test_simulate_classical_r2_default_z_runs():
+    # z = 1 closes the r=2 law's domain: both limits are 0 there
+    out = run_ok("simulate", "--exp", "classical", "--rho", "r=2", "-n", "50", "--trials", "4",
+                 "--threads", "1")
+    entry = json.loads(out)["result"]["per_n"]["50"]
+    assert entry["z"] == 1.0
+    assert entry["limit_tail"] == entry["limit_tail_iid"] == 0.0
 
 
 def test_exact_pi():

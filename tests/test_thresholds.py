@@ -58,6 +58,15 @@ def test_F_of_alpha_alpha2_lower_bound():
         assert F_of_alpha(dist, 2.0)[0] >= math.log(2) - 1e-12
 
 
+def test_F_of_alpha_at_zero_is_zero():
+    # F(0) = sup_gamma (H(gamma) - log 2) = 0 whatever the weights, which is
+    # why alpha_star's bisection starts at alpha = 0 with no probe of F(0)
+    dists = [WeightDist.fixed(r) for r in range(1, 41)]
+    dists += mixture_batch(37, 20) + mixture_batch(41, 10, min_weight=1)
+    for dist in dists:
+        assert abs(F_of_alpha(dist, 0.0)[0]) <= thresholds.TOL_F, dist
+
+
 def test_F_positive_for_weight_one():
     for alpha in (0.01, 0.1, 0.5):
         assert F_of_alpha(W1, alpha)[0] > 0
@@ -327,6 +336,17 @@ def test_x_star_requires_r3():
         x_star_iteration(2)
     with pytest.raises(NoConvergence):
         x_star_iteration(3, steps=2)
+
+
+def test_x_star_iteration_mpf_route_matches_float():
+    # the same sandwich in mpf at 256 bits; its step budget is checked too
+    for r in range(3, 17):
+        x_mp, lower, upper = x_star_iteration(r, precision=256)
+        assert isinstance(x_mp, mp.mpf) and isinstance(lower[-1], mp.mpf)
+        assert abs(float(x_mp) - x_star_iteration(r)[0]) <= 1e-14, r
+        assert lower[-1] <= x_mp <= upper[-1]
+    with pytest.raises(NoConvergence):
+        x_star_iteration(3, steps=50, precision=256)
 
 
 def test_core_theory_subcritical():
