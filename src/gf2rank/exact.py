@@ -36,6 +36,7 @@ from .errors import (
     InvalidParam,
     NumericalResidue,
     PrecisionLoss,
+    TooLarge,
     TruncationTooSmall,
 )
 from .weights import WeightDist
@@ -44,6 +45,7 @@ DEFAULT_PRECISION = 256
 _MAX_PRECISION = 1 << 14
 _REL_TOL = 1e-15
 _TAIL_TOL = mp.mpf("1e-20")
+_POISSON_MAX_TERMS = 10_000  # pmf terms poissonization_check builds; 10^4 take about 1.3 s
 
 
 def _exact_fraction(p) -> Fraction:
@@ -276,12 +278,15 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
     where S sums n i.i.d. Poisson(mu) variables and S_E sums n i.i.d.
     even-conditioned Poisson(mu) variables, both sum pmfs evaluated by
     dynamic-programming convolution of the truncated single-variable pmfs.
+    Raises TooLarge when the truncation exceeds ``_POISSON_MAX_TERMS``.
     """
     if n < 1 or m < 0 or not (math.isfinite(mu) and mu > 0):
         raise InvalidParam(f"need n >= 1, m >= 0, finite mu > 0; got {n}, {m}, {mu}")
     with mp.workprec(precision):
         mpmu = mp.mpf(mu)
         cut = truncation if truncation is not None else int(m + mpmu + 40 * mp.sqrt(mpmu) + 40)
+        if cut > _POISSON_MAX_TERMS:
+            raise TooLarge(f"Poisson truncation {cut:.4g} exceeds {_POISSON_MAX_TERMS} terms")
         pmf = [mp.e**-mpmu * mpmu**k / mp.factorial(k) for k in range(cut + 1)]
         tail = 1 - mp.fsum(pmf)
         if tail > _TAIL_TOL:

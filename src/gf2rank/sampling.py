@@ -10,19 +10,31 @@ harness runs see identical randomness.
 bounded ``integers`` draw per Floyd step (exact model) or per ball (binomial
 model).  ``sample_rows`` is the block route that ``sample_matrix``,
 ``run_Tn`` and the classical-limit trials use.  It draws one
-``BitGenerator.random_raw`` block and decodes its 64-bit words in Python the
-way numpy's ``Generator`` consumes them for PCG64: ``random()`` takes the top
-53 bits of a fresh word, and ``integers(0, h)`` is Lemire's bounded draw on a
-32-bit half-word, low half first, with the high half kept in the generator's
-``has_uint32``/``uinteger`` buffer.  It returns the rows that successive
-``sample_row`` calls would and leaves the generator where they would, so the
-seed -> matrix map is unchanged; ``sample_row`` stays as its test oracle.
+``BitGenerator.random_raw`` block and decodes it with array operations the
+way numpy's ``Generator`` consumes PCG64 words: ``random()`` takes the top
+53 bits of a fresh word, and ``integers(0, h)`` is Lemire's bounded draw
+``(x * h) >> 32`` on a 32-bit half-word x, low half first, with the high
+half kept in the generator's ``has_uint32``/``uinteger`` buffer.
+
+The decoder places the rows first.  A row's cursor c = 2 p - b (p the word
+of its weight, b = 1 when a half-word is buffered) moves by k + 2 for a
+weight-k row, so a one-atom law has the cursors in closed form and a mixture
+walks them once over the weights read off the block.  Rows of one weight
+are then decoded together: Lemire's products, Floyd's step (a draw already
+taken gives column h - 1) or the odd urns, and one int mask per row.  The
+first row it cannot take -- a draw with low word below h, which covers
+Lemire's rejection zone, a bound h = 1 (weight k >= n in the exact model,
+n = 1 in the binomial one) or an empty binomial throw -- ends the decoded
+prefix; the generator is set to that row's start, ``sample_row`` draws it,
+and the decoding resumes.  So ``sample_rows`` returns the rows that
+successive ``sample_row`` calls would and leaves the generator where they
+would, and the seed -> matrix map is unchanged; ``sample_row`` stays as its
+test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -34,8 +46,9 @@ MODELS = ("exact", "binomial")
 
 _U32 = 0xFFFFFFFF
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53, as numpy's random() scales 53 bits
-_MATRIX_BLOCK = 1024  # rows per sample_rows call in sample_matrix
-_STREAM_BLOCK = 256   # rows per sample_rows call in stream_rows
+# rows per sample_rows call in sample_matrix and stream_rows: 1024 beat 256
+# and 512 on the mc-tn benchmark workload and 4096 on mc-core
+_BLOCK = 1024
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -107,93 +120,128 @@ def sample_row(cfg: SampleConfig, rng) -> int:
 def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
     """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls.
 
-    Decodes one ``random_raw`` block as numpy's Generator would (see the module
+    Decodes ``random_raw`` blocks as numpy's Generator would (see the module
     docstring) and leaves ``rng`` exactly where those calls would leave it,
-    buffered half-word included.  Generators other than PCG64 take the scalar
-    route, as does n above 2^32 - 1, where numpy leaves the 32-bit draw.
+    buffered half-word included.  A row that the block decoder cannot take is
+    drawn by ``sample_row`` itself.  Generators other than PCG64 take the
+    scalar route, as does n above 2^32 - 1, where numpy leaves the 32-bit
+    draw, and a config whose every row starts with a bound h = 1.
     """
     bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64 or cfg.n > _U32:
+    exact = cfg.model == "exact"
+    if (type(bg) is not np.random.PCG64 or cfg.n > _U32
+            or (cfg.dist.min_weight >= cfg.n if exact else cfg.n == 1)):
         return [sample_row(cfg, rng) for _ in range(count)]
-    start = bg.state
-    rows, used, has, half = _decode_rows(cfg, bg, count, start["has_uint32"], start["uinteger"])
-    bg.state = start  # back to the start of the block, then over the words used
-    bg.advance(used)
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = has, half
-    bg.state = state
+    rows = []
+    while len(rows) < count:
+        start = bg.state
+        got, used, has, half, stuck = _decode_block(cfg, bg, count - len(rows),
+                                                    start["has_uint32"], start["uinteger"])
+        rows += got
+        bg.state = start  # back to the start of the block, then over the words used
+        bg.advance(used)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bg.state = state
+        if stuck:
+            rows.append(sample_row(cfg, rng))
     return rows
 
 
-def _decode_rows(cfg: SampleConfig, bg, count: int, has: int, half: int):
-    """(rows, words used, has, half) for ``count`` rows decoded from bg's raw
-    words, where (has, half) is numpy's buffered half-word before and after."""
+def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int):
+    """(rows, words used, has, half, stuck) for at most ``count`` rows decoded
+    from one block of bg's raw words, where (has, half) is numpy's buffered
+    half-word before and after.  stuck says that the next row is one the
+    decoder cannot take (see the module docstring)."""
+    n, exact = cfg.n, cfg.model == "exact"
+    words, c, k, stuck = _place_rows(cfg, bg, count, has)
+    # half-word 0 is the one buffered at the block's start; word w holds
+    # half-words 2w + 1 (low) and 2w + 2 (high)
+    halves = np.concatenate((np.array([half], np.uint32), words.astype("<u8", copy=False).view("<u4")))
+    masks = np.empty(len(c), dtype=object)
+    bad = np.zeros(len(c), dtype=bool)
+    for kk, _ in cfg.dist.atoms:
+        sel = np.flatnonzero(k == kk)
+        if len(sel):
+            masks[sel], bad[sel] = _rows_of_weight(n, kk, exact, c[sel], halves)
+    f = int(np.argmax(bad)) if bad.any() else len(c)
+    if f == 0:
+        return [], 0, has, half, True
+    ends = c[:f] + 2 + k[:f]  # the cursor after each row
+    used = int(ends[-1] + 1) >> 1
+    split = np.flatnonzero(k[:f] > (c[:f] & 1))  # rows that split a fresh word
+    if len(split):
+        last = int(ends[split[-1]])  # the last half-word such a row draws
+        half = int(halves[last + (last & 1)])
+    return masks[:f].tolist(), used, 2 * used - int(ends[-1]), half, stuck or f < len(c)
+
+
+def _place_rows(cfg: SampleConfig, bg, count: int, has: int):
+    """(words, c, k, stuck): one block of raw words and the cursor and weight
+    of at most ``count`` rows that fit in it.  The weight word takes 2
+    half-word places and the k draws k more, so the cursor moves by k + 2 a
+    row.  stuck says that the row after the last one has a bound h = 1."""
     n, dist, exact = cfg.n, cfg.dist, cfg.model == "exact"
-    weight_at, k0, mixed = dist.weight_at, dist.min_weight, len(dist.atoms) > 1
-    # words one row attempt takes without a rejection: at most, and on average
-    most = 1 + ((min(dist.max_weight, n) if exact else dist.max_weight) + 1) // 2
-    per_row = 1 + float(dist.mean()) / 2
-    words = bg.random_raw(int(count * per_row) + most).tolist()
-    i = 0
-    rows = []
-    left = count
-    while left > 0:
-        if i + most > len(words):
-            words += bg.random_raw(int(left * per_row) + most).tolist()
-        k = weight_at((words[i] >> 11) * _DOUBLE_UNIT) if mixed else k0
-        i += 1
-        if exact:  # Floyd's step j = h - 1 draws from [0, h)
-            k = min(k, n)
-            bounds = range(n - k + 1, n + 1)
-        else:  # each of the k balls draws its urn from [0, n)
-            bounds = repeat(n, k)
-        mask = 0
-        for h in bounds:
-            if h == 1:  # integers(0, 1) draws nothing
-                r = 0
-            else:
-                if has:
-                    x, has = half, 0
-                else:
-                    w = words[i]
-                    i += 1
-                    x, half, has = w & _U32, w >> 32, 1
-                m = x * h
-                if m & _U32 < h:  # Lemire's rejection zone
-                    m, i, has, half = _lemire_redraw(bg, words, i, has, half, h, m)
-                r = m >> 32
-            if exact:
-                bit = 1 << r
-                mask |= bit if not mask & bit else 1 << (h - 1)
-            else:
-                mask ^= 1 << r
-        if mask:  # only a binomial row can come out empty; it is redrawn
-            rows.append(mask)
-            left -= 1
-    return rows, i, has, half
+    ks = [k for k, _ in dist.atoms]
+    if len(ks) == 1:
+        step = ks[0] + 2
+        return (bg.random_raw((step * count - has + 1) >> 1), step * np.arange(count) - has,
+                np.full(count, ks[0]), False)
+    mean = float(dist.mean())
+    spread = sum(float(p) * (k - mean) ** 2 for k, p in dist.atoms) ** 0.5
+    words = bg.random_raw(int(count * (1 + mean / 2) + 2 * spread * count ** 0.5) + ks[-1])
+    at = np.searchsorted(dist._cum, (words >> 11) * _DOUBLE_UNIT)  # dist.weight_at, word by word
+    weight = np.append(np.asarray(ks)[np.minimum(at, len(ks) - 1)], 0)
+    # the next cursor from each cursor -1 .. 2N; -1 where the row does not
+    # fit in the block, -2 where it has h = 1
+    cur = np.arange(-1, 2 * len(words) + 1)
+    p = (cur + 1) >> 1
+    nxt = cur + 2 + weight[p]
+    nxt[(p == len(words)) | (nxt > 2 * len(words))] = -1
+    if exact:
+        nxt[(weight[p] >= n) & (p < len(words))] = -2
+    nxt = nxt.tolist()
+    cs, c = [], -has
+    for _ in range(count):
+        if nxt[c + 1] < 0:
+            break
+        cs.append(c)
+        c = nxt[c + 1]
+    cs = np.asarray(cs, np.int64)
+    return words, cs, weight[(cs + 1) >> 1], len(cs) < count and nxt[c + 1] == -2
 
 
-def _lemire_redraw(bg, words, i, has, half, h, m):
-    # numpy's rejection loop: redraw while the low word is below 2^32 mod h;
-    # words grows in place when the block runs out
-    threshold = (1 << 32) % h
-    while m & _U32 < threshold:
-        if has:
-            x, has = half, 0
-        else:
-            if i == len(words):
-                words += bg.random_raw(16).tolist()
-            w = words[i]
-            i += 1
-            x, half, has = w & _U32, w >> 32, 1
-        m = x * h
-    return m, i, has, half
+def _rows_of_weight(n: int, k: int, exact: bool, c, halves):
+    """(masks, bad) of the weight-k rows at cursors c: Lemire's product x h of
+    each draw, then Floyd's step (exact model) or the odd urns (binomial)."""
+    j = np.arange(k)
+    idx = c[:, None] + 3 + j
+    idx[:, 0] -= 2 * (c & 1)  # a buffered first draw takes half-word c + 1
+    h = np.asarray(n - k + 1 + j if exact else np.full(k, n), dtype=np.uint64)
+    prod = halves[idx].astype(np.uint64) * h
+    bad = ((prod & _U32) < h).any(axis=1)
+    cols = prod >> 32
+    if exact:
+        # Floyd's step takes column h - 1 where the draw is already taken,
+        # which can first happen only where two draws are equal
+        s = np.sort(cols, axis=1)
+        clash = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+        sub = cols[clash]
+        for t in range(1, k):
+            sub[(sub[:, :t] == sub[:, t, None]).any(axis=1), t] = n - k + t
+        cols[clash] = sub
+    # the exact model's columns are distinct, so xor sets them as or would;
+    # the binomial model keeps the urns hit an odd number of times
+    masks = np.zeros(len(c), dtype=object)
+    for t in range(k):
+        masks ^= 1 << cols[:, t].astype(object)
+    return masks, bad | (masks == 0)
 
 
 def stream_rows(cfg: SampleConfig):
     """The rows of cfg.seed's stream, one at a time, drawn in blocks."""
     rng = make_rng(cfg.seed)
-    block = min(_STREAM_BLOCK, cfg.n + 1)
+    block = min(_BLOCK, cfg.n + 1)
     while True:
         yield from sample_rows(cfg, rng, block)
 
@@ -202,8 +250,8 @@ def sample_matrix(cfg: SampleConfig) -> GF2Matrix:
     """M(n, m) with i.i.d. rows, reproducible from cfg.seed."""
     rng = make_rng(cfg.seed)
     mat = GF2Matrix(cfg.n)
-    for start in range(0, cfg.m, _MATRIX_BLOCK):
-        for row in sample_rows(cfg, rng, min(_MATRIX_BLOCK, cfg.m - start)):
+    for start in range(0, cfg.m, _BLOCK):
+        for row in sample_rows(cfg, rng, min(_BLOCK, cfg.m - start)):
             mat.append_row(row)
     return mat
 

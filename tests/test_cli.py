@@ -290,6 +290,8 @@ def test_tn_rows_replay_stream(r, model):
     ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--window-eps", "nan"],
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "nan"],
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "inf"],
+    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "1e300"],
+    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--truncation", "1000000000000"],
     ["exact", "--what", "parity", "-n", "2", "--cell-probs", "nan,0.5"],
     ["curves", "--rho", "r=3", "--what", "gstar", "--lo", "nan", "--grid", "3"],
 ], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
@@ -297,7 +299,7 @@ def test_tn_rows_replay_stream(r, model):
         "parity-cell-probs", "curves-grid0", "curves-gstar-grid0", "curves-grid-neg",
         "thresholds-alpha-nan", "thresholds-alpha-neg", "simulate-alpha-nan",
         "classical-r2-z2", "classical-z-nan", "tn-window-eps-nan", "poisson-mu-nan",
-        "poisson-mu-inf", "parity-cell-probs-nan", "curves-gstar-lo-nan"])
+        "poisson-mu-inf", "poisson-mu-huge", "poisson-truncation-huge", "parity-cell-probs-nan", "curves-gstar-lo-nan"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
 

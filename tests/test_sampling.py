@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -163,9 +165,9 @@ def _next_draws(rng):
 
 def _assert_block_route(cfg, blocks, buffered=False):
     """sample_rows over successive blocks gives the rows of successive
-    sample_row calls and leaves the generator where they leave it.  With
-    buffered, one integers() draw first makes the first block start from a
-    buffered half-word."""
+    sample_row calls and leaves the generator in the state they leave it,
+    buffered half-word included.  With buffered, one integers() draw first
+    makes the first block start from a buffered half-word."""
     scalar, block = make_rng(cfg.seed), make_rng(cfg.seed)
     if buffered:
         assert scalar.integers(0, 5) == block.integers(0, 5)
@@ -177,6 +179,7 @@ def _assert_block_route(cfg, blocks, buffered=False):
             i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
             pytest.fail(f"numpy {np.__version__}, {cfg}, block of {size}: first differing row {i}: "
                         f"{got[i] if i < len(got) else None} != {want[i] if i < len(want) else None}")
+    assert block.bit_generator.state == scalar.bit_generator.state, f"numpy {np.__version__}, {cfg}"
     got, want = _next_draws(block), _next_draws(scalar)
     assert got == want, f"numpy {np.__version__}, {cfg}: later draws {got} != {want}"
 
@@ -189,6 +192,10 @@ def test_sample_rows_equals_successive_sample_row(name, model):
     for cfg in _configs(GATE_DISTS[name], model, (1, 2, 3, 5, 40, 300, 3000), seeds):
         for buffered in (False, True):
             _assert_block_route(cfg, (1, 6, 1, 17, 32), buffered)
+    if name in ("w3", "fig1"):  # one full matrix block at large n
+        for cfg in _configs(GATE_DISTS[name], model, (4100, 10_000), seeds):
+            for buffered in (False, True):
+                _assert_block_route(cfg, (1024,), buffered)
 
 
 # (model, weight, seed) at n = 4100, where 2^32 mod 4100 = 4096, so a draw from
@@ -199,19 +206,76 @@ REJECTION_CASES = (("exact", 1, 73096), ("exact", 1, 257304),
                    ("binomial", 3, 41833), ("binomial", 3, 237019))
 
 
+def _lemire_rejected(rng, h):
+    # whether the 32-bit word of rng's next integers(0, h) draw falls in
+    # Lemire's rejection zone, low word below 2^32 mod h
+    state = rng.bit_generator.state
+    if state["has_uint32"]:
+        x = state["uinteger"]
+    else:
+        peek = np.random.PCG64()
+        peek.state = state
+        x = int(peek.random_raw()) & 0xFFFFFFFF
+    return (x * h) & 0xFFFFFFFF < (1 << 32) % h
+
+
+class _RejectionProbe:
+    """Generator stand-in for sample_row: makes each bounded draw one at a
+    time, as numpy does, and notes whether any fell in the rejection zone."""
+
+    def __init__(self, rng):
+        self.rng, self.rejected = rng, False
+
+    def random(self):
+        return self.rng.random()
+
+    def integers(self, low, high, size=None):
+        draws = []
+        for _ in range(1 if size is None else size):
+            self.rejected |= _lemire_rejected(self.rng, high - low)
+            draws.append(self.rng.integers(low, high))
+        return draws[0] if size is None else np.array(draws)
+
+
+def _spy_fallback(monkeypatch):
+    # each row sample_rows hands to sample_row notes whether it was rejected
+    fallbacks = []
+
+    def spy(cfg, rng):
+        probe = _RejectionProbe(rng)
+        row = sample_row(cfg, probe)
+        fallbacks.append(probe.rejected)
+        return row
+
+    monkeypatch.setattr(sampling, "sample_row", spy)
+    return fallbacks
+
+
 def test_sample_rows_lemire_rejection(monkeypatch):
-    rejections = []
-    redraw = sampling._lemire_redraw
-
-    def spy(bg, words, i, has, half, h, m):
-        rejections.append(m & 0xFFFFFFFF < (1 << 32) % h)
-        return redraw(bg, words, i, has, half, h, m)
-
-    monkeypatch.setattr(sampling, "_lemire_redraw", spy)
+    rejections = _spy_fallback(monkeypatch)
     for model, r, seed in REJECTION_CASES:
         rejections.clear()
         _assert_block_route(SampleConfig(4100, 0, WeightDist.fixed(r), model=model, seed=seed), (8,))
         assert any(rejections), (model, r, seed)
+
+
+# rows with no rejection that the block decoder still leaves to sample_row:
+# an empty binomial throw (two balls in one urn, 1 in 3 at n = 3) and a weight
+# k >= n, whose first Floyd step has h = 1 and draws nothing
+FALLBACK_CASES = {
+    "binomial-empty-throw": SampleConfig(3, 0, WeightDist.fixed(2), model="binomial", seed=5),
+    "exact-k-ge-n": SampleConfig(3, 0, WeightDist.fixed(3), seed=5),
+    "exact-mixed-k-ge-n": SampleConfig(5, 0, WeightDist(((2, 0.5), (7, 0.5))), seed=5),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACK_CASES))
+def test_sample_rows_fallback_rows(monkeypatch, name):
+    fallbacks = _spy_fallback(monkeypatch)
+    for buffered in (False, True):
+        fallbacks.clear()
+        _assert_block_route(FALLBACK_CASES[name], (8, 17), buffered)
+        assert fallbacks and not any(fallbacks), name
 
 
 def test_sample_rows_other_bit_generator_takes_scalar_route():
@@ -225,10 +289,35 @@ def test_sample_rows_other_bit_generator_takes_scalar_route():
 def test_sample_matrix_rows_equal_scalar_rows():
     # more rows than one block, so the matrix spans a block boundary
     for model in MODELS:
-        cfg = SampleConfig(n=50, m=2 * sampling._MATRIX_BLOCK + 5, dist=GATE_DISTS["fig1"],
+        cfg = SampleConfig(n=50, m=2 * sampling._BLOCK + 5, dist=GATE_DISTS["fig1"],
                            model=model, seed=9)
         rng = make_rng(cfg.seed)
         assert sample_matrix(cfg).rows == [sample_row(cfg, rng) for _ in range(cfg.m)]
+
+
+# sha256 of sample_matrix(cfg).rows at seed 1309, each row as (n + 7) // 8
+# little-endian bytes, recorded with the scalar word-by-word decoder that the
+# block decoder replaced: the seed -> matrix bits map must not drift
+STREAM_DIGESTS = {
+    ("w3", "exact", 3000, 2500): "83816e0231eb6d09513b54f317b3db658f8ce47dd7ce558f01596c6bdd8ad821",
+    ("w3", "binomial", 3000, 2500): "eff2180d41f7cb68c5a22a945cce994d374bc775154bf3327ba245717efa71d2",
+    ("fig1", "exact", 3000, 2500): "3be550ed6a430c08deb450446dc754f830c6afd7d99f628dd12421ccba25989a",
+    ("fig1", "binomial", 3000, 2500): "1c7c67e509756cf0f2ca8b96e86ceb97a2a8b16e45466dd559e20410dcbac83b",
+    ("fig2", "exact", 3000, 2500): "30ba7b1b5871ea10bcd9ecdb70c1e3c6450fa3c97f0c30d16841efeb7b95712e",
+    ("fig2", "binomial", 3000, 2500): "1a531587238c06b412d33a0142170d76617c9fc28aac9d7ba3cfc74dbb21911c",
+    ("mix40", "exact", 3000, 2500): "195b6d54efdfd1ca36eeba3a741b35d9166fca18a4ac6908bdfd8474c536bf71",
+    ("mix40", "binomial", 3000, 2500): "57e81c0d23f67a5c17020e42126ff76b9b055248736a5ba98e0ba6a2a5ac4b72",
+    ("w3", "exact", 10_000, 9500): "068f492bce94aa2e039864579bc801e729c0bea632d70053ddd01e7bfc82a777",
+}
+
+
+@pytest.mark.parametrize("key", list(STREAM_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_sample_matrix_stream_pinned(key):
+    name, model, n, m = key
+    digest = hashlib.sha256()
+    for row in sample_matrix(SampleConfig(n, m, GATE_DISTS[name], model=model, seed=1309)).rows:
+        digest.update(row.to_bytes((n + 7) // 8, "little"))
+    assert digest.hexdigest() == STREAM_DIGESTS[key], f"numpy {np.__version__}"
 
 
 def _replay_Tn(cfg):
