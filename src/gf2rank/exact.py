@@ -282,6 +282,8 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
     """
     if n < 1 or m < 0 or not (math.isfinite(mu) and mu > 0):
         raise InvalidParam(f"need n >= 1, m >= 0, finite mu > 0; got {n}, {m}, {mu}")
+    if truncation is not None and truncation < 0:
+        raise InvalidParam(f"Poisson truncation {truncation} < 0")
     with mp.workprec(precision):
         mpmu = mp.mpf(mu)
         cut = truncation if truncation is not None else int(m + mpmu + 40 * mp.sqrt(mpmu) + 40)
@@ -291,7 +293,7 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
         tail = 1 - mp.fsum(pmf)
         if tail > _TAIL_TOL:
             raise TruncationTooSmall(
-                f"Poisson tail mass {mp.nstr(tail, 5)} beyond {cut} exceeds {_TAIL_TOL}")
+                f"Poisson tail mass {mp.nstr(tail, 5)} beyond {cut} exceeds {mp.nstr(_TAIL_TOL, 3)}")
         p_even = mp.e**-mpmu * mp.cosh(mpmu)
         pmf_even = [pmf[k] / p_even if k % 2 == 0 else mp.mpf(0) for k in range(cut + 1)]
 

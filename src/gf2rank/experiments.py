@@ -52,6 +52,10 @@ class ExperimentConfig:
             raise InvalidParam(f"experiment {self.experiment!r} not in {EXPERIMENTS}")
         if self.trials < 1:
             raise InvalidParam(f"trials {self.trials} < 1")
+        if self.seed < 0:
+            raise InvalidParam(f"seed {self.seed} < 0")
+        if self.threads < 1:
+            raise InvalidParam(f"threads {self.threads} < 1")
         for name in ("alpha", "eps", "window_eps", "z"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParam(f"{name} {getattr(self, name)} is not finite")

@@ -8,28 +8,32 @@ harness runs see identical randomness.
 
 ``sample_row`` defines the stream: one ``random()`` for the weight, then one
 bounded ``integers`` draw per Floyd step (exact model) or per ball (binomial
-model).  ``sample_rows`` is the block route that ``sample_matrix``,
-``run_Tn`` and the classical-limit trials use.  It draws one
-``BitGenerator.random_raw`` block and decodes it with array operations the
-way numpy's ``Generator`` consumes PCG64 words: ``random()`` takes the top
-53 bits of a fresh word, and ``integers(0, h)`` is Lemire's bounded draw
-``(x * h) >> 32`` on a 32-bit half-word x, low half first, with the high
-half kept in the generator's ``has_uint32``/``uinteger`` buffer.
+model), and a binomial throw that leaves every urn even is redrawn.
+``sample_rows`` is the block route that ``sample_matrix``, ``run_Tn`` and the
+classical-limit trials use.  It draws one ``BitGenerator.random_raw`` block
+and decodes it with array operations the way numpy's ``Generator`` consumes
+PCG64 words: ``random()`` takes the top 53 bits of a fresh word, and
+``integers(0, h)`` is Lemire's bounded draw ``(x * h) >> 32`` on a 32-bit
+half-word x, low half first, with the high half kept in the generator's
+``has_uint32``/``uinteger`` buffer.  A bound h = 1 gives 0 and takes no
+half-word.
 
-The decoder places the rows first.  A row's cursor c = 2 p - b (p the word
-of its weight, b = 1 when a half-word is buffered) moves by k + 2 for a
-weight-k row, so a one-atom law has the cursors in closed form and a mixture
-walks them once over the weights read off the block.  Rows of one weight
-are then decoded together: Lemire's products, Floyd's step (a draw already
-taken gives column h - 1) or the odd urns, and one int mask per row.  The
-first row it cannot take -- a draw with low word below h, which covers
-Lemire's rejection zone, a bound h = 1 (weight k >= n in the exact model,
-n = 1 in the binomial one) or an empty binomial throw -- ends the decoded
-prefix; the generator is set to that row's start, ``sample_row`` draws it,
-and the decoding resumes.  So ``sample_rows`` returns the rows that
-successive ``sample_row`` calls would and leaves the generator where they
-would, and the seed -> matrix map is unchanged; ``sample_row`` stays as its
-test oracle.
+The decoder works on attempts: a weight and its draws, which give a row
+unless they are an empty binomial throw.  An attempt takes 2 + d half-word
+places, where d counts its draws with h > 1: min(k, n) - [k >= n] in the
+exact model, whose first Floyd step has h = 1 for a weight k >= n, and
+k [n > 1] in the binomial one.  The attempt's cursor c = 2 p - b (p the word
+of its weight, b = 1 when a half-word is buffered) moves by 2 + d, so a
+one-atom law has the cursors in closed form and a mixture walks them once
+over the weights read off the block.  Attempts of one weight are then
+decoded together: Lemire's products, column 0 for a bound h = 1, Floyd's
+step (a draw already taken gives column h - 1) or the odd urns, and one int
+mask per attempt; a mask of 0 yields no row.  Only a Lemire rejection (a low
+word below 2^32 mod h) ends the decoded prefix: the generator is set to
+that attempt's start, ``sample_row`` draws the row, and the decoding
+resumes.  So ``sample_rows`` returns the rows that successive ``sample_row``
+calls would and leaves the generator where they would, and the seed ->
+matrix map is unchanged; ``sample_row`` stays as its test oracle.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ class SampleConfig:
             raise InvalidParam(f"n {self.n} < 1")
         if self.m < 0:
             raise InvalidParam(f"m {self.m} < 0")
+        if self.seed < 0:
+            raise InvalidParam(f"seed {self.seed} < 0")
         if self.model not in MODELS:
             raise InvalidParam(f"model {self.model!r} not in {MODELS}")
         # One urn holds every ball, so only an odd weight gives a nonempty row.
@@ -122,39 +128,36 @@ def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
 
     Decodes ``random_raw`` blocks as numpy's Generator would (see the module
     docstring) and leaves ``rng`` exactly where those calls would leave it,
-    buffered half-word included.  A row that the block decoder cannot take is
+    buffered half-word included.  An attempt with a Lemire rejection is
     drawn by ``sample_row`` itself.  Generators other than PCG64 take the
     scalar route, as does n above 2^32 - 1, where numpy leaves the 32-bit
-    draw, and a config whose every row starts with a bound h = 1.
+    draw.
     """
     bg = rng.bit_generator
-    exact = cfg.model == "exact"
-    if (type(bg) is not np.random.PCG64 or cfg.n > _U32
-            or (cfg.dist.min_weight >= cfg.n if exact else cfg.n == 1)):
+    if type(bg) is not np.random.PCG64 or cfg.n > _U32:
         return [sample_row(cfg, rng) for _ in range(count)]
     rows = []
     while len(rows) < count:
         start = bg.state
-        got, used, has, half, stuck = _decode_block(cfg, bg, count - len(rows),
-                                                    start["has_uint32"], start["uinteger"])
+        got, used, has, half = _decode_block(cfg, bg, count - len(rows),
+                                             start["has_uint32"], start["uinteger"])
         rows += got
         bg.state = start  # back to the start of the block, then over the words used
         bg.advance(used)
         state = bg.state
         state["has_uint32"], state["uinteger"] = has, half
         bg.state = state
-        if stuck:
+        if not used:  # the first attempt has a Lemire rejection
             rows.append(sample_row(cfg, rng))
     return rows
 
 
 def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int):
-    """(rows, words used, has, half, stuck) for at most ``count`` rows decoded
-    from one block of bg's raw words, where (has, half) is numpy's buffered
-    half-word before and after.  stuck says that the next row is one the
-    decoder cannot take (see the module docstring)."""
-    n, exact = cfg.n, cfg.model == "exact"
-    words, c, k, stuck = _place_rows(cfg, bg, count, has)
+    """(rows, words used, has, half) of at most ``count`` attempts decoded
+    from one block of bg's raw words, up to the first one with a Lemire
+    rejection, where (has, half) is numpy's buffered half-word before and
+    after.  No word is used when the first attempt has a rejection."""
+    words, c, k = _place_rows(cfg, bg, count, has)
     # half-word 0 is the one buffered at the block's start; word w holds
     # half-words 2w + 1 (low) and 2w + 2 (high)
     halves = np.concatenate((np.array([half], np.uint32), words.astype("<u8", copy=False).view("<u4")))
@@ -163,43 +166,53 @@ def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int):
     for kk, _ in cfg.dist.atoms:
         sel = np.flatnonzero(k == kk)
         if len(sel):
-            masks[sel], bad[sel] = _rows_of_weight(n, kk, exact, c[sel], halves)
+            masks[sel], bad[sel] = _rows_of_weight(cfg, kk, c[sel], halves)
     f = int(np.argmax(bad)) if bad.any() else len(c)
     if f == 0:
-        return [], 0, has, half, True
-    ends = c[:f] + 2 + k[:f]  # the cursor after each row
-    used = int(ends[-1] + 1) >> 1
-    split = np.flatnonzero(k[:f] > (c[:f] & 1))  # rows that split a fresh word
+        return [], 0, has, half
+    c, d = c[:f], _draws(cfg, k[:f])
+    end = int(c[-1] + 2 + d[-1])  # the cursor after the last attempt
+    used = (end + 1) >> 1
+    split = np.flatnonzero(d > (c & 1))  # attempts that split a fresh word
     if len(split):
-        last = int(ends[split[-1]])  # the last half-word such a row draws
+        last = int(c[split[-1]] + 2 + d[split[-1]])  # the last half-word such an attempt draws
         half = int(halves[last + (last & 1)])
-    return masks[:f].tolist(), used, 2 * used - int(ends[-1]), half, stuck or f < len(c)
+    masks = masks[:f]
+    return masks[masks != 0].tolist(), used, 2 * used - end, half
+
+
+def _draws(cfg: SampleConfig, k):
+    """The half-words a weight-k attempt draws: one per bound h > 1.  An
+    exact-model k >= n starts Floyd's steps at h = 1, and every binomial
+    ball has h = n."""
+    n = cfg.n
+    if cfg.model == "exact":
+        return np.minimum(k, n) - (k >= n)
+    return k * (n > 1)
 
 
 def _place_rows(cfg: SampleConfig, bg, count: int, has: int):
-    """(words, c, k, stuck): one block of raw words and the cursor and weight
-    of at most ``count`` rows that fit in it.  The weight word takes 2
-    half-word places and the k draws k more, so the cursor moves by k + 2 a
-    row.  stuck says that the row after the last one has a bound h = 1."""
-    n, dist, exact = cfg.n, cfg.dist, cfg.model == "exact"
-    ks = [k for k, _ in dist.atoms]
+    """(words, c, k): one block of raw words and the cursor and weight of at
+    most ``count`` attempts that fit in it.  The weight word takes 2
+    half-word places and the d draws d more, so the cursor moves by d + 2 an
+    attempt.  At n = 1 no attempt draws, so a buffered half-word stays put
+    and is never read."""
+    dist = cfg.dist
+    ks = np.array([k for k, _ in dist.atoms])
+    steps = 2 + _draws(cfg, ks)
     if len(ks) == 1:
-        step = ks[0] + 2
-        return (bg.random_raw((step * count - has + 1) >> 1), step * np.arange(count) - has,
-                np.full(count, ks[0]), False)
-    mean = float(dist.mean())
-    spread = sum(float(p) * (k - mean) ** 2 for k, p in dist.atoms) ** 0.5
-    words = bg.random_raw(int(count * (1 + mean / 2) + 2 * spread * count ** 0.5) + ks[-1])
-    at = np.searchsorted(dist._cum, (words >> 11) * _DOUBLE_UNIT)  # dist.weight_at, word by word
-    weight = np.append(np.asarray(ks)[np.minimum(at, len(ks) - 1)], 0)
-    # the next cursor from each cursor -1 .. 2N; -1 where the row does not
-    # fit in the block, -2 where it has h = 1
+        step = int(steps[0])
+        return bg.random_raw((step * count - has + 1) >> 1), step * np.arange(count) - has, np.full(count, ks[0])
+    mean = sum(float(p) * s for (_, p), s in zip(dist.atoms, steps))
+    spread = sum(float(p) * (s - mean) ** 2 for (_, p), s in zip(dist.atoms, steps)) ** 0.5
+    words = bg.random_raw(int(count * mean / 2 + 2 * spread * count ** 0.5) + int(steps[-1]))
+    weight = np.append(dist.weight_at((words >> 11) * _DOUBLE_UNIT), 0)
+    # the next cursor from each cursor -1 .. 2N; -1 where the attempt does
+    # not fit in the block
     cur = np.arange(-1, 2 * len(words) + 1)
     p = (cur + 1) >> 1
-    nxt = cur + 2 + weight[p]
+    nxt = cur + 2 + _draws(cfg, weight[p])
     nxt[(p == len(words)) | (nxt > 2 * len(words))] = -1
-    if exact:
-        nxt[(weight[p] >= n) & (p < len(words))] = -2
     nxt = nxt.tolist()
     cs, c = [], -has
     for _ in range(count):
@@ -208,19 +221,29 @@ def _place_rows(cfg: SampleConfig, bg, count: int, has: int):
         cs.append(c)
         c = nxt[c + 1]
     cs = np.asarray(cs, np.int64)
-    return words, cs, weight[(cs + 1) >> 1], len(cs) < count and nxt[c + 1] == -2
+    return words, cs, weight[(cs + 1) >> 1]
 
 
-def _rows_of_weight(n: int, k: int, exact: bool, c, halves):
-    """(masks, bad) of the weight-k rows at cursors c: Lemire's product x h of
-    each draw, then Floyd's step (exact model) or the odd urns (binomial)."""
-    j = np.arange(k)
-    idx = c[:, None] + 3 + j
-    idx[:, 0] -= 2 * (c & 1)  # a buffered first draw takes half-word c + 1
-    h = np.asarray(n - k + 1 + j if exact else np.full(k, n), dtype=np.uint64)
-    prod = halves[idx].astype(np.uint64) * h
-    bad = ((prod & _U32) < h).any(axis=1)
-    cols = prod >> 32
+def _rows_of_weight(cfg: SampleConfig, k: int, c, halves):
+    """(masks, bad) of the weight-k attempts at cursors c: Lemire's product
+    x h of each draw with h > 1, then Floyd's step (exact model) or the odd
+    urns (binomial).  A bound h = 1 gives column 0 and draws nothing; bad
+    marks a Lemire rejection, and a mask of 0 an empty binomial throw."""
+    n, exact = cfg.n, cfg.model == "exact"
+    if exact:
+        k = min(k, n)
+        h = np.arange(n - k + 1, n + 1, dtype=np.uint64)
+    else:
+        h = np.full(k, n, dtype=np.uint64)
+    h = h[h > 1]  # h = 1 comes first (exact k >= n) or everywhere (binomial n = 1)
+    cols = np.zeros((len(c), k), dtype=np.uint64)
+    bad = np.zeros(len(c), dtype=bool)
+    if len(h):
+        idx = c[:, None] + 3 + np.arange(len(h))
+        idx[:, 0] -= 2 * (c & 1)  # a buffered first draw takes half-word c + 1
+        prod = halves[idx].astype(np.uint64) * h
+        bad = ((prod & _U32) < (1 << 32) % h).any(axis=1)
+        cols[:, k - len(h):] = prod >> 32
     if exact:
         # Floyd's step takes column h - 1 where the draw is already taken,
         # which can first happen only where two draws are equal
@@ -235,7 +258,7 @@ def _rows_of_weight(n: int, k: int, exact: bool, c, halves):
     masks = np.zeros(len(c), dtype=object)
     for t in range(k):
         masks ^= 1 << cols[:, t].astype(object)
-    return masks, bad | (masks == 0)
+    return masks, bad
 
 
 def stream_rows(cfg: SampleConfig):
@@ -250,6 +273,8 @@ def sample_matrix(cfg: SampleConfig) -> GF2Matrix:
     """M(n, m) with i.i.d. rows, reproducible from cfg.seed."""
     rng = make_rng(cfg.seed)
     mat = GF2Matrix(cfg.n)
+    # block by block, so each row is appended while it is still in cache:
+    # one sample_rows call for all m rows was about 5% slower at n = 10^4
     for start in range(0, cfg.m, _BLOCK):
         for row in sample_rows(cfg, rng, min(_BLOCK, cfg.m - start)):
             mat.append_row(row)

@@ -103,8 +103,15 @@ class WeightDist:
         """Draw one weight from the limiting law."""
         return self.weight_at(rng.random())
 
-    def weight_at(self, u: float) -> int:
-        """The weight that ``sample`` draws when ``rng.random()`` returns u."""
+    def weight_at(self, u):
+        """The weight that ``sample`` draws when ``rng.random()`` returns u.
+
+        A numpy array u gives an int64 array of the weights, element by
+        element: ``np.searchsorted`` on the left side is ``bisect_left``.
+        """
+        if isinstance(u, np.ndarray):
+            i = np.searchsorted(self._cum, u)
+            return np.array([k for k, _ in self.atoms])[np.minimum(i, len(self.atoms) - 1)]
         i = bisect_left(self._cum, u)
         return self.atoms[min(i, len(self.atoms) - 1)][0]
 

@@ -294,12 +294,21 @@ def test_tn_rows_replay_stream(r, model):
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--truncation", "1000000000000"],
     ["exact", "--what", "parity", "-n", "2", "--cell-probs", "nan,0.5"],
     ["curves", "--rho", "r=3", "--what", "gstar", "--lo", "nan", "--grid", "3"],
+    ["sample", "--rho", "r=3", "-n", "3", "-m", "2", "--seed", "-1"],
+    ["tn", "--rho", "r=3", "-n", "10", "--trials", "2", "--seed", "-1"],
+    ["core", "--rho", "r=3", "-n", "100", "-m", "90", "--seed", "-1"],
+    ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--trials", "2", "--threads", "1",
+     "--seed", "-1"],
+    ["simulate", "--exp", "dense", "-n", "10", "--trials", "2", "--threads", "0"],
+    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--truncation", "-1"],
 ], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
         "dense-r-values", "binomial-even-n1", "en-binomial-even-n1", "parity-targets",
         "parity-cell-probs", "curves-grid0", "curves-gstar-grid0", "curves-grid-neg",
         "thresholds-alpha-nan", "thresholds-alpha-neg", "simulate-alpha-nan",
         "classical-r2-z2", "classical-z-nan", "tn-window-eps-nan", "poisson-mu-nan",
-        "poisson-mu-inf", "poisson-mu-huge", "poisson-truncation-huge", "parity-cell-probs-nan", "curves-gstar-lo-nan"])
+        "poisson-mu-inf", "poisson-mu-huge", "poisson-truncation-huge", "parity-cell-probs-nan", "curves-gstar-lo-nan",
+        "sample-seed-neg", "tn-seed-neg", "core-seed-neg", "simulate-seed-neg", "simulate-threads0",
+        "poisson-truncation-neg"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
 

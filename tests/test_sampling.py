@@ -259,9 +259,10 @@ def test_sample_rows_lemire_rejection(monkeypatch):
         assert any(rejections), (model, r, seed)
 
 
-# rows with no rejection that the block decoder still leaves to sample_row:
+# attempts with no rejection that the block decoder once left to sample_row:
 # an empty binomial throw (two balls in one urn, 1 in 3 at n = 3) and a weight
-# k >= n, whose first Floyd step has h = 1 and draws nothing
+# k >= n, whose first Floyd step has h = 1 and draws nothing.  Both are
+# decoded in the array path now, so sample_row never sees them.
 FALLBACK_CASES = {
     "binomial-empty-throw": SampleConfig(3, 0, WeightDist.fixed(2), model="binomial", seed=5),
     "exact-k-ge-n": SampleConfig(3, 0, WeightDist.fixed(3), seed=5),
@@ -275,7 +276,26 @@ def test_sample_rows_fallback_rows(monkeypatch, name):
     for buffered in (False, True):
         fallbacks.clear()
         _assert_block_route(FALLBACK_CASES[name], (8, 17), buffered)
-        assert fallbacks and not any(fallbacks), name
+        assert not fallbacks, name
+
+
+TINY_N_DISTS = {f"w{k}": WeightDist.fixed(k) for k in range(1, 10)}
+TINY_N_DISTS.update({spec: parse_rho(spec) for spec in ("0.2:1,0.5:2,0.3:5", "0.5:2,0.5:7",
+                                                        "0.9:2,0.1:4")})
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", list(TINY_N_DISTS))
+def test_sample_rows_tiny_n(monkeypatch, name, model):
+    # n at or below the weights: weights k >= n (h = 1 first), n = 1 (every
+    # binomial h = 1) and empty binomial throws, from both buffer states;
+    # only a Lemire rejection may reach sample_row
+    fallbacks = _spy_fallback(monkeypatch)
+    seeds = [derive_stream_seed(14, t) for t in range(3)]
+    for cfg in _configs(TINY_N_DISTS[name], model, range(1, 10), seeds):
+        for buffered in (False, True):
+            _assert_block_route(cfg, (1, 7, 300, 33), buffered)
+    assert all(fallbacks), (name, model)
 
 
 def test_sample_rows_other_bit_generator_takes_scalar_route():

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +106,22 @@ def test_json_roundtrip():
     obj = json.loads(FIG1.to_json())
     assert WeightDist(tuple((a["k"], a["p"]) for a in obj["atoms"])).atoms == FIG1.atoms
     assert obj == {"atoms": [{"k": 3, "p": 0.9}, {"k": 24, "p": 0.1}]}
+
+
+@pytest.mark.parametrize("dist", [
+    WeightDist.fixed(3),
+    FIG1,
+    WeightDist(((1, 0.2), (2, 0.5), (5, 0.3))),
+    WeightDist(((2, Fraction(1, 3)), (5, Fraction(1, 6)), (9, Fraction(1, 2)))),
+    WeightDist(((1, Fraction(1, 10)), (4, Fraction(7, 10)), (40, Fraction(1, 5)))),
+], ids=["w3", "fig1", "mix125", "frac259", "frac1-4-40"])
+def test_weight_at_array_equals_scalar(dist, rng):
+    # random u, every cumulative sum and its float neighbours on both sides
+    cum = np.array(dist._cum)
+    u = np.concatenate((rng.random(2000), cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0]))
+    got = dist.weight_at(u)
+    assert got.shape == u.shape
+    assert got.tolist() == [dist.weight_at(float(x)) for x in u]
 
 
 def test_sample_exact_point_mass(rng):
