@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 
 import mpmath as mp
 from concurrent.futures import ProcessPoolExecutor
@@ -86,14 +87,16 @@ def _fan_out(cfg: ExperimentConfig, ni: int, worker, payload):
 
     Trial t gets the stream seed derived from (cfg.seed, ni * cfg.trials + t),
     and the worker receives payload(seed).  Results come back in trial order,
-    serially or over cfg.threads processes.
+    serially or over min(cfg.threads, trials, CPUs) processes: a result
+    depends only on its seed, so the pool size changes none of them.
     """
     seeds = [derive_stream_seed(cfg.seed, ni * cfg.trials + t) for t in range(cfg.trials)]
     payloads = [payload(s) for s in seeds]
-    if cfg.threads <= 1 or len(payloads) < 2:
+    workers = min(cfg.threads, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return seeds, [worker(p) for p in payloads]
-    chunk = max(1, len(payloads) // (cfg.threads * 4))
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    chunk = max(1, len(payloads) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return seeds, list(pool.map(worker, payloads, chunksize=chunk))
 
 

@@ -1,19 +1,21 @@
-"""Bit-packed GF(2) rows, incremental rank tracking, null-space enumeration.
+"""GF(2) matrices as column tuples, incremental rank tracking, null-space enumeration.
 
-Rows are Python ints used as bitsets: bit i is column i.  CPython ints give
-word-packed XOR, which keeps elimination at a few hundred nanoseconds per
-basis operation even for thousands of columns.
+A ``GF2Matrix`` keeps each row as its sorted tuple of columns, the hyperedge
+that ``peeling`` indexes directly.  ``rows`` derives the bit-packed form on
+access: a Python int used as a bitset, bit i being column i.  CPython ints
+give word-packed XOR, which keeps elimination at a few hundred nanoseconds
+per basis operation even for thousands of columns.
 
-``RankState`` is the elimination kernel.  The kernel that peels a matrix to
-its 2-core before eliminating lives in ``peeling`` (``eliminate_core``, behind
-``corank``); a ``RankState`` fed every row is the independent route the tests
-check it by.
+``RankState`` is the elimination kernel over int rows.  The kernel that peels
+a matrix to its 2-core before eliminating lives in ``peeling``
+(``eliminate_core``, behind ``corank``); a ``RankState`` fed every row is the
+independent route the tests check it by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from .errors import DimensionMismatch, TooLarge, ParseError
 
@@ -40,29 +42,45 @@ def row_cols(row: int) -> List[int]:
 
 
 class GF2Matrix:
-    """Immutable-after-build list of nonzero rows over n_cols columns."""
+    """Immutable-after-build list of nonzero rows over n_cols columns.
 
-    __slots__ = ("n_cols", "rows")
+    ``cols`` holds one sorted, duplicate-free, non-empty tuple of columns per
+    row, each below n_cols.  The constructor takes rows as int bitmasks and
+    ``append_cols`` takes a row's column tuple; ``rows`` derives the int
+    bitmasks on each access and does not store them.
+    """
+
+    __slots__ = ("n_cols", "cols")
 
     def __init__(self, n_cols: int, rows: Iterable[int] = ()):
         if n_cols < 1:
             raise DimensionMismatch(f"n_cols {n_cols} < 1")
         self.n_cols = n_cols
-        self.rows: List[int] = []
+        self.cols: List[Tuple[int, ...]] = []
         for r in rows:
-            self.append_row(r)
+            if r < 0:
+                raise DimensionMismatch(f"row {r} < 0")
+            if r.bit_length() > n_cols:
+                raise DimensionMismatch(f"row spans column {r.bit_length() - 1} >= n_cols {n_cols}")
+            self.append_cols(tuple(row_cols(r)))
 
-    def append_row(self, row: int) -> None:
-        if row == 0:
+    def append_cols(self, cols: Tuple[int, ...]) -> None:
+        """Append the row with these columns, a sorted, duplicate-free tuple."""
+        if not cols:
             raise DimensionMismatch("zero row rejected (model guarantees weight >= 1)")
-        if row.bit_length() > self.n_cols:
-            raise DimensionMismatch(
-                f"row spans column {row.bit_length() - 1} >= n_cols {self.n_cols}")
-        self.rows.append(row)
+        if cols[-1] >= self.n_cols:
+            raise DimensionMismatch(f"row spans column {cols[-1]} >= n_cols {self.n_cols}")
+        if cols[0] < 0:
+            raise DimensionMismatch(f"column {cols[0]} < 0")
+        self.cols.append(cols)
+
+    @property
+    def rows(self) -> List[int]:
+        return [row_from_cols(c) for c in self.cols]
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.cols)
 
 
 @dataclass
@@ -77,8 +95,12 @@ class RankState:
     """
 
     n_cols: int
-    basis: dict = field(default_factory=dict)  # pivot + 1 (the bit length) -> row
+    # slot p holds the basis row of bit length p (pivot p - 1), 0 while empty
+    basis: list = field(init=False)
     corank: int = 0
+
+    def __post_init__(self):
+        self.basis = [0] * (self.n_cols + 1)
 
     def absorb(self, row: int) -> bool:
         """Feed one row; return True iff it was dependent on the rows so far.
@@ -90,8 +112,8 @@ class RankState:
             raise DimensionMismatch(f"row spans column {p - 1} >= n_cols {self.n_cols}")
         basis = self.basis
         while row:
-            b = basis.get(p)
-            if b is None:
+            b = basis[p]
+            if not b:
                 basis[p] = row
                 return False
             row ^= b
@@ -151,11 +173,14 @@ def enumerate_null_vectors(matrix: GF2Matrix, max_m: int = ENUM_LIMIT):
 def matrix_to_text(matrix: GF2Matrix, fmt: str = "sparse") -> str:
     lines = []
     if fmt == "sparse":
-        for r in matrix.rows:
-            lines.append(" ".join(str(c) for c in row_cols(r)))
+        for cols in matrix.cols:
+            lines.append(" ".join(map(str, cols)))
     elif fmt == "dense":
-        for r in matrix.rows:
-            lines.append("".join("1" if (r >> c) & 1 else "0" for c in range(matrix.n_cols)))
+        for cols in matrix.cols:
+            line = ["0"] * matrix.n_cols
+            for c in cols:
+                line[c] = "1"
+            lines.append("".join(line))
     else:
         raise ParseError(f"unknown matrix format {fmt!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -178,7 +203,7 @@ def matrix_from_text(text: str, n_cols: int | None = None, fmt: str = "auto") ->
         elif n_cols != width:
             raise ParseError(f"dense width {width} != n_cols {n_cols}")
         for ln in lines:
-            rows.append(row_from_cols(i for i, ch in enumerate(ln) if ch == "1"))
+            rows.append(tuple(i for i, ch in enumerate(ln) if ch == "1"))
     elif fmt == "sparse":
         maxc = -1
         for ln in lines:
@@ -189,9 +214,12 @@ def matrix_from_text(text: str, n_cols: int | None = None, fmt: str = "auto") ->
             if any(c < 0 for c in cols):
                 raise ParseError(f"negative column index in {ln!r}")
             maxc = max(maxc, max(cols, default=-1))
-            rows.append(row_from_cols(cols))
+            rows.append(tuple(sorted(set(cols))))
         if n_cols is None:
             n_cols = maxc + 1 if maxc >= 0 else 1
     else:
         raise ParseError(f"unknown matrix format {fmt!r}")
-    return GF2Matrix(n_cols, rows)
+    matrix = GF2Matrix(n_cols)
+    for cols in rows:
+        matrix.append_cols(cols)
+    return matrix

@@ -1,16 +1,19 @@
 """Hypergraph view of a GF(2) matrix, its 2-core, and the elimination kernel.
 
-Rows are hyperedges, columns are vertices.  The 2-core is the terminal state
-of repeatedly deleting a hyperedge incident to a degree-1 vertex; the result
-does not depend on the deletion order, so ``peel_2core`` has one: first in,
-first out over the pending degree-1 vertices.  Columns are never deleted, so
+Rows are hyperedges, columns are vertices: a ``GF2Matrix`` row is already its
+sorted tuple of columns, so ``Hypergraph.from_matrix`` indexes the matrix's
+``cols`` with no bit scan.  The 2-core is the terminal state of repeatedly
+deleting a hyperedge incident to a degree-1 vertex; the result does not
+depend on the deletion order, so ``peel_2core`` has one: first in, first out
+over the pending degree-1 vertices.  Columns are never deleted, so
 "occupied" counts the columns that still meet an alive edge at termination.
 
 A deleted row has a column that no row left at that point touches, so it
 lies in no null combination: corank(M) = corank(2-core).  ``eliminate_core``
 is the one elimination kernel of the package.  It peels with ``peel_2core``,
 numbers the occupied core columns so that the lowest core degrees are
-pivoted on first, and absorbs the core rows into a ``gf2.RankState``.
+pivoted on first, and absorbs the core rows, as int bitmasks over those
+positions, into a ``gf2.RankState``.
 ``corank`` reads the corank from it, and the ``core`` experiment's
 hypercycle check reads the core statistics and the corank from one call.
 A ``RankState`` fed every row of the matrix is the independent route that
@@ -23,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
-from .gf2 import GF2Matrix, RankState, row_cols
+from .gf2 import GF2Matrix, RankState
 
 
 class Hypergraph:
@@ -58,9 +61,9 @@ class Hypergraph:
 
     @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
-        # GF2Matrix rows fit n_cols, and row_cols lists each column once, in order.
+        # a GF2Matrix row is already a sorted, duplicate-free tuple below n_cols
         h = cls.__new__(cls)
-        h._index(matrix.n_cols, [tuple(row_cols(r)) for r in matrix.rows])
+        h._index(matrix.n_cols, list(matrix.cols))
         return h
 
 

@@ -26,9 +26,13 @@ k [n > 1] in the binomial one.  The attempt's cursor c = 2 p - b (p the word
 of its weight, b = 1 when a half-word is buffered) moves by 2 + d, so a
 one-atom law has the cursors in closed form and a mixture walks them once
 over the weights read off the block.  Attempts of one weight are then
-decoded together: Lemire's products, column 0 for a bound h = 1, Floyd's
-step (a draw already taken gives column h - 1) or the odd urns, and one int
-mask per attempt; a mask of 0 yields no row.  Only a Lemire rejection (a low
+decoded together into one array of columns: Lemire's products, column 0 for
+a bound h = 1, then Floyd's step (a draw already taken gives column h - 1)
+or one column per ball, sorted within each attempt.  From that array each
+attempt becomes an int mask, the form ``run_Tn`` and the classical-limit
+trials absorb, or, for ``sample_matrix``, a sorted column tuple, the form
+``GF2Matrix`` keeps.  A binomial row keeps the urns hit an odd number of
+times, and an empty throw yields no row.  Only a Lemire rejection (a low
 word below 2^32 mod h) ends the decoded prefix: the generator is set to
 that attempt's start, ``sample_row`` draws the row, and the decoding
 resumes.  So ``sample_rows`` returns the rows that successive ``sample_row``
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam
-from .gf2 import GF2Matrix, RankState
+from .gf2 import GF2Matrix, RankState, row_cols
 from .weights import WeightDist
 
 MODELS = ("exact", "binomial")
@@ -123,8 +127,9 @@ def sample_row(cfg: SampleConfig, rng) -> int:
     return _binomial_row(cfg.dist, cfg.n, rng)
 
 
-def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
-    """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls.
+def sample_rows(cfg: SampleConfig, rng, count: int, cols: bool = False) -> list:
+    """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls, as
+    int bitmasks or, with ``cols``, as sorted column tuples (``GF2Matrix.cols``).
 
     Decodes ``random_raw`` blocks as numpy's Generator would (see the module
     docstring) and leaves ``rng`` exactly where those calls would leave it,
@@ -133,14 +138,18 @@ def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
     scalar route, as does n above 2^32 - 1, where numpy leaves the 32-bit
     draw.
     """
+    def scalar():
+        row = sample_row(cfg, rng)
+        return tuple(row_cols(row)) if cols else row
+
     bg = rng.bit_generator
     if type(bg) is not np.random.PCG64 or cfg.n > _U32:
-        return [sample_row(cfg, rng) for _ in range(count)]
+        return [scalar() for _ in range(count)]
     rows = []
     while len(rows) < count:
         start = bg.state
-        got, used, has, half = _decode_block(cfg, bg, count - len(rows),
-                                             start["has_uint32"], start["uinteger"])
+        got, used, has, half = _decode_block(cfg, bg, count - len(rows), start["has_uint32"],
+                                             start["uinteger"], _col_tuples if cols else _masks)
         rows += got
         bg.state = start  # back to the start of the block, then over the words used
         bg.advance(used)
@@ -148,25 +157,28 @@ def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
         state["has_uint32"], state["uinteger"] = has, half
         bg.state = state
         if not used:  # the first attempt has a Lemire rejection
-            rows.append(sample_row(cfg, rng))
+            rows.append(scalar())
     return rows
 
 
-def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int):
+def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
     """(rows, words used, has, half) of at most ``count`` attempts decoded
     from one block of bg's raw words, up to the first one with a Lemire
     rejection, where (has, half) is numpy's buffered half-word before and
-    after.  No word is used when the first attempt has a rejection."""
+    after.  ``form`` (``_masks`` or ``_col_tuples``) turns the columns of
+    the attempts of one weight into rows.  No word is used when the first
+    attempt has a rejection."""
     words, c, k = _place_rows(cfg, bg, count, has)
     # half-word 0 is the one buffered at the block's start; word w holds
     # half-words 2w + 1 (low) and 2w + 2 (high)
     halves = np.concatenate((np.array([half], np.uint32), words.astype("<u8", copy=False).view("<u4")))
-    masks = np.empty(len(c), dtype=object)
+    parts = []
     bad = np.zeros(len(c), dtype=bool)
     for kk, _ in cfg.dist.atoms:
         sel = np.flatnonzero(k == kk)
         if len(sel):
-            masks[sel], bad[sel] = _rows_of_weight(cfg, kk, c[sel], halves)
+            cols, bad[sel] = _cols_of_weight(cfg, kk, c[sel], halves)
+            parts.append((sel, cols))
     f = int(np.argmax(bad)) if bad.any() else len(c)
     if f == 0:
         return [], 0, has, half
@@ -177,8 +189,13 @@ def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int):
     if len(split):
         last = int(c[split[-1]] + 2 + d[split[-1]])  # the last half-word such an attempt draws
         half = int(halves[last + (last & 1)])
-    masks = masks[:f]
-    return masks[masks != 0].tolist(), used, 2 * used - end, half
+    rows = [None] * f
+    for sel, cols in parts:
+        t = int(np.searchsorted(sel, f))
+        for i, row in zip(sel[:t].tolist(), form(cfg, cols[:t])):
+            rows[i] = row
+    # an empty binomial throw (mask 0, tuple ()) yields no row
+    return [row for row in rows if row], used, 2 * used - end, half
 
 
 def _draws(cfg: SampleConfig, k):
@@ -224,11 +241,12 @@ def _place_rows(cfg: SampleConfig, bg, count: int, has: int):
     return words, cs, weight[(cs + 1) >> 1]
 
 
-def _rows_of_weight(cfg: SampleConfig, k: int, c, halves):
-    """(masks, bad) of the weight-k attempts at cursors c: Lemire's product
-    x h of each draw with h > 1, then Floyd's step (exact model) or the odd
-    urns (binomial).  A bound h = 1 gives column 0 and draws nothing; bad
-    marks a Lemire rejection, and a mask of 0 an empty binomial throw."""
+def _cols_of_weight(cfg: SampleConfig, k: int, c, halves):
+    """(cols, bad) of the weight-k attempts at cursors c: each row of cols
+    holds one attempt's columns in ascending order, from Lemire's product
+    x h of each draw with h > 1, then Floyd's step (exact model) or one
+    column per ball (binomial).  A bound h = 1 gives column 0 and draws
+    nothing; bad marks a Lemire rejection."""
     n, exact = cfg.n, cfg.model == "exact"
     if exact:
         k = min(k, n)
@@ -244,21 +262,39 @@ def _rows_of_weight(cfg: SampleConfig, k: int, c, halves):
         prod = halves[idx].astype(np.uint64) * h
         bad = ((prod & _U32) < (1 << 32) % h).any(axis=1)
         cols[:, k - len(h):] = prod >> 32
+    s = np.sort(cols, axis=1)
     if exact:
         # Floyd's step takes column h - 1 where the draw is already taken,
         # which can first happen only where two draws are equal
-        s = np.sort(cols, axis=1)
         clash = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
         sub = cols[clash]
         for t in range(1, k):
             sub[(sub[:, :t] == sub[:, t, None]).any(axis=1), t] = n - k + t
-        cols[clash] = sub
-    # the exact model's columns are distinct, so xor sets them as or would;
-    # the binomial model keeps the urns hit an odd number of times
-    masks = np.zeros(len(c), dtype=object)
-    for t in range(k):
+        s[clash] = np.sort(sub, axis=1)
+    return s, bad
+
+
+def _masks(cfg: SampleConfig, cols) -> list:
+    """One int bitmask per row of cols.  The exact model's columns are
+    distinct, so xor sets them as or would; the binomial model keeps the
+    urns hit an odd number of times, and 0 marks an empty throw."""
+    masks = np.zeros(len(cols), dtype=object)
+    for t in range(cols.shape[1]):
         masks ^= 1 << cols[:, t].astype(object)
-    return masks, bad
+    return masks.tolist()
+
+
+def _col_tuples(cfg: SampleConfig, cols) -> list:
+    """One sorted column tuple per row of ascending columns cols, holding
+    the columns ``_masks`` sets: every one in the exact model, each urn hit
+    an odd number of times once in the binomial one, where () marks an
+    empty throw."""
+    if cfg.model == "exact":
+        return list(map(tuple, cols.tolist()))
+    keep = (cols[:, :, None] == cols[:, None, :]).sum(axis=2) % 2 == 1  # odd urns
+    keep[:, 1:] &= cols[:, 1:] != cols[:, :-1]  # once each
+    kept = np.sort(np.where(keep, cols, cfg.n), axis=1).tolist()  # n sorts past every column
+    return [tuple(row[:w]) for row, w in zip(kept, keep.sum(axis=1).tolist())]
 
 
 def stream_rows(cfg: SampleConfig):
@@ -273,11 +309,9 @@ def sample_matrix(cfg: SampleConfig) -> GF2Matrix:
     """M(n, m) with i.i.d. rows, reproducible from cfg.seed."""
     rng = make_rng(cfg.seed)
     mat = GF2Matrix(cfg.n)
-    # block by block, so each row is appended while it is still in cache:
-    # one sample_rows call for all m rows was about 5% slower at n = 10^4
     for start in range(0, cfg.m, _BLOCK):
-        for row in sample_rows(cfg, rng, min(_BLOCK, cfg.m - start)):
-            mat.append_row(row)
+        for cols in sample_rows(cfg, rng, min(_BLOCK, cfg.m - start), cols=True):
+            mat.append_cols(cols)
     return mat
 
 

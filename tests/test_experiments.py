@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from click.testing import CliRunner
 
+from gf2rank import experiments
+from gf2rank.cli import main
 from gf2rank.errors import InvalidParam
 from gf2rank.experiments import (
     ExperimentConfig,
@@ -52,6 +55,57 @@ def test_parallel_equals_serial():
         b = run_experiment(ExperimentConfig(seed=3, threads=2, **base))
         assert a.records == b.records, base["experiment"]
         assert a.summary == b.summary, base["experiment"]
+
+
+def _stub_pool(monkeypatch, cpus):
+    """Replace the process pool by an in-process stand-in that notes each
+    pool's max_workers, and report cpus CPUs: no process is started."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+def test_fan_out_pool_bounded_by_trials_and_cpus(monkeypatch):
+    # a huge thread count asks for at most one worker per trial and per CPU
+    sizes = _stub_pool(monkeypatch, 8)
+    base = dict(experiment="dense", dist=None, n_values=(18,), alpha=0.9, seed=3)
+    for trials, threads, want in ((2, 100_000, [2]), (40, 100_000, [8]), (40, 3, [3]),
+                                  (40, 1, []), (1, 100_000, [])):
+        sizes.clear()
+        got = run_experiment(ExperimentConfig(trials=trials, threads=threads, **base))
+        assert sizes == want, (trials, threads)
+        serial = run_experiment(ExperimentConfig(trials=trials, threads=1, **base))
+        assert got.records == serial.records and got.summary == serial.summary
+
+
+def test_simulate_huge_thread_count_starts_one_worker_per_trial(monkeypatch):
+    sizes = _stub_pool(monkeypatch, 2)
+    args = ["simulate", "--exp", "dense", "-n", "10", "--trials", "2", "--threads", "100000"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert sizes == [2]
+
+
+def test_fan_out_single_cpu_runs_serially(monkeypatch):
+    sizes = _stub_pool(monkeypatch, None)  # os.cpu_count() may not know
+    run_experiment(ExperimentConfig(experiment="dense", dist=None, n_values=(18,), trials=4,
+                                    seed=3, alpha=0.9, threads=4))
+    assert sizes == []
 
 
 def test_tn_window_summary_fields():

@@ -136,7 +136,7 @@ def test_absorb_flags_rows_in_span_of_earlier_rows(rng):
             row = int(rng.integers(0, 1 << n))
             assert st_.absorb(row) == (row in span)
             span |= {x ^ row for x in span}
-        assert len(span) == 2 ** (len(st_.basis))
+        assert len(span) == 2 ** sum(1 for b in st_.basis if b)  # filled pivot slots
 
 
 def test_corank_nondecreasing_in_m(rng):
@@ -158,6 +158,24 @@ def test_dependency_arrives_by_n_plus_one(rows):
             first_dep = i
     if len(rows) >= 11:
         assert first_dep is not None and first_dep <= 11
+
+
+def test_matrix_rows_are_column_tuples():
+    mat = GF2Matrix(6, [0b000011, 0b101000, 0b010101])
+    assert mat.cols == [(0, 1), (3, 5), (0, 2, 4)]
+    assert mat.rows == [0b000011, 0b101000, 0b010101]  # derived on access
+    mat.append_cols((5,))
+    assert mat.m == 4 and mat.rows[-1] == 0b100000
+    for bad in ((), (6,), (-1, 2)):
+        with pytest.raises(DimensionMismatch):
+            mat.append_cols(bad)
+    with pytest.raises(DimensionMismatch):
+        GF2Matrix(6, [-3])
+    assert mat.m == 4
+
+
+def test_sparse_text_sets_a_repeated_column_once():
+    assert matrix_from_text("3 1 3\n2\n", n_cols=4).cols == [(1, 3), (2,)]
 
 
 def test_row_cols_roundtrip():

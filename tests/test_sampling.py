@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.stats
 from gf2rank import sampling
 from gf2rank.errors import InvalidParam
 from gf2rank.gf2 import RankState, row_cols
+from gf2rank.peeling import Hypergraph
 from gf2rank.sampling import (
     MODELS,
     SampleConfig,
@@ -147,12 +149,12 @@ GATE_DISTS = {
 }
 
 
-def _configs(dist, model, ns, seeds):
+def _configs(dist, model, ns, seeds, m=0):
     # every valid config; the binomial model refuses n = 1 with only even weights
     for n in ns:
         for seed in seeds:
             try:
-                yield SampleConfig(n, 0, dist, model=model, seed=seed)
+                yield SampleConfig(n, m, dist, model=model, seed=seed)
             except InvalidParam:
                 pass
 
@@ -313,6 +315,47 @@ def test_sample_matrix_rows_equal_scalar_rows():
                            model=model, seed=9)
         rng = make_rng(cfg.seed)
         assert sample_matrix(cfg).rows == [sample_row(cfg, rng) for _ in range(cfg.m)]
+
+
+def _assert_cols_route(cfg):
+    """sample_matrix's column tuples are the columns of successive sample_row
+    bitmasks, and the hypergraph's edges are the matrix's rows."""
+    rng = make_rng(cfg.seed)
+    want = [tuple(row_cols(sample_row(cfg, rng))) for _ in range(cfg.m)]
+    mat = sample_matrix(cfg)
+    assert mat.cols == want, f"numpy {np.__version__}, {cfg}"
+    assert Hypergraph.from_matrix(mat).edges == [tuple(row_cols(r)) for r in mat.rows]
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", list(GATE_DISTS))
+def test_sample_matrix_cols_equal_scalar_rows(name, model):
+    # n = 1..9 truncate weights (exact) or repeat urns (binomial); one block
+    # boundary is crossed
+    seeds = (derive_stream_seed(15, 0), derive_stream_seed(15, 1))
+    for cfg in _configs(GATE_DISTS[name], model, [*range(1, 10), 3000], seeds, sampling._BLOCK + 5):
+        _assert_cols_route(cfg)
+
+
+def test_sample_matrix_cols_fallback_and_rejection_cases(monkeypatch):
+    for cfg in FALLBACK_CASES.values():  # an empty binomial throw among them
+        _assert_cols_route(dataclasses.replace(cfg, m=300))
+    rejections = _spy_fallback(monkeypatch)
+    for model, r, seed in REJECTION_CASES:
+        rejections.clear()
+        _assert_cols_route(SampleConfig(4100, 20, WeightDist.fixed(r), model=model, seed=seed))
+        assert any(rejections), (model, r, seed)
+
+
+def test_col_tuples_keep_odd_urns_once():
+    # sorted urns of four balls: an odd count keeps the urn, an even count
+    # drops it, and a throw with every count even gives no columns
+    cfg = SampleConfig(8, 0, WeightDist.fixed(4), model="binomial")
+    cols = np.array([[1, 1, 1, 4], [2, 2, 5, 5], [0, 3, 3, 7], [6, 6, 6, 6], [0, 1, 2, 3]],
+                    dtype=np.uint64)
+    got = sampling._col_tuples(cfg, cols)
+    assert got == [(1, 4), (), (0, 7), (), (0, 1, 2, 3)]
+    assert got == [tuple(row_cols(mask)) for mask in sampling._masks(cfg, cols)]
 
 
 # sha256 of sample_matrix(cfg).rows at seed 1309, each row as (n + 7) // 8
