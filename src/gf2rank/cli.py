@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 
@@ -43,7 +44,7 @@ from .experiments import EXPERIMENTS, ExperimentConfig, _fan_out, run_experiment
 from .gf2 import GF2Matrix, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
 from .peeling import Hypergraph, check_E, corank, peel_2core
 from .sampling import MODELS, SampleConfig, run_Tn, sample_matrix
-from .thresholds import _psi as psi_extended, core_theory, g_star, h_psi, threshold_report
+from .thresholds import core_theory, h_psi, threshold_report
 from .weights import WeightDist, parse_rho
 
 
@@ -230,23 +231,22 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
             vals = {"h": hv, "psi": pv}
             lines.append(f"{x:.12g}," + ",".join(f"{vals[n]:.12g}" for n in names))
     else:
-        sharp, minima = thresholds.alpha_sharp(dist)
+        sharp, minima, jumps = thresholds._h_landscape(dist)
         lo = sharp if lo is None else lo
         hi = 1.02 if hi is None else hi
-        jumps = thresholds.discontinuities(dist)
         lines.append("alpha," + ",".join(names))
 
-        def row(a, g):
-            vals = {"gstar": g, "psi_of_gstar": psi_extended(dist, g)}
+        def row(a, u):
+            vals = {"gstar": -math.expm1(-u), "psi_of_gstar": thresholds._psi_of_u(dist, u)}
             return f"{a:.12g}," + ",".join(f"{vals[n]:.12g}" for n in names)
 
         for i in range(grid + 1):
             a = lo + (hi - lo) * i / grid
-            lines.append(row(a, g_star(dist, a, minima)))
-        for a, g_left, g_right in jumps:
+            lines.append(row(a, thresholds._g_star_u(dist, a, minima) or 0.0))  # None: g* = 0
+        for a, u_left, u_right in jumps:
             if lo <= a <= hi:
-                lines.append(row(a, g_left))
-                lines.append(row(a, g_right))
+                lines.append(row(a, u_left))
+                lines.append(row(a, u_right))
     _emit("\n".join(lines), out)
 
 

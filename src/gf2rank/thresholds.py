@@ -14,7 +14,9 @@ Everything is driven by four functions of the weight pgf rho:
   psi(g_star(alpha)) < 0) is the onset of a core with more rows than
   occupied columns.
 
-The h-landscape of a distribution is one sweep of h over a fixed grid.  It
+The 2-core quantities are computed on u = -log(1 - x), which keeps full
+precision near x = 1, where heavy weights act; only h_psi takes an x.  The
+h-landscape of a distribution is one sweep of h over a fixed u grid.  It
 gives alpha_sharp, the local minima of h (which g_star needs) and the jump
 set of g_star.  Each public function computes it once per call and passes
 it down, so threshold_report and core_theory sweep h once each.
@@ -23,20 +25,19 @@ g_star takes its values on the branch of h that is visible from the right,
 and along that branch alpha = h(x) rises with x.  So alpha_bar and the
 psi(g_star) sign pattern are read off that branch, with no scan in alpha:
 the sign can change only at a jump of g_star or at a root of psi on the
-branch.  The roots of psi have one route, a sweep of psi on the
-u = -log(1 - x) scale, which keeps full precision near x = 1; psi_roots
-returns the same roots as x.
+branch.  The roots of psi have one route, a sweep of psi over the same u
+grid; psi_roots returns them as x.
 
 All one-dimensional optima use a dense bracket grid (log-refined toward the
 interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
 weights.  The endpoint convention 0^0 = 1 is applied throughout.
 
-The grid sweeps of h, psi (in u) and the R integrand are numpy arrays;
-F_gamma is still swept point by point.  The scalar functions (_h, _psi,
-_h_of_u, _psi_of_u, _g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they
-do every golden-section and bisection refinement, and the tests use them as
-the oracle for the arrays.  numpy's log, exp and pow may differ from math's in
+The grid sweeps of h, psi and the R integrand are numpy arrays; F_gamma is
+still swept point by point.  The scalar functions (_h_of_u, _psi_of_u,
+_g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they do every
+golden-section and bisection refinement, and the tests use them as the
+oracle for the arrays.  numpy's log, exp and pow may differ from math's in
 the last bit, so an array value can differ from its scalar counterpart by a
 few ulps.
 
@@ -62,7 +63,6 @@ from .weights import WeightDist
 TOL_F = 1e-12          # F > TOL_F counts as positive in the alpha_star bisection
 ALPHA_TOL = 1e-12      # alpha-bisection resolution
 GAMMA_TOL = 1e-12      # golden-section resolution in gamma
-X_TOL = 1e-13          # golden/bisection resolution in x
 GSTAR_TOL = 1e-12
 ALPHA_BAR_TOL = 1e-9   # alpha_bar resolution the report's checks assume
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
@@ -129,7 +129,6 @@ def _frozen(points) -> np.ndarray:
     return a
 
 
-_X_GRID = _frozen(_unit_grid(8192))
 _GAMMA_GRID = _frozen(sorted({0.5 * x for x in _unit_grid(2048, lo_exp=56)} | {0.0, 0.5}))
 
 
@@ -300,32 +299,10 @@ def h_psi(dist: WeightDist, x: float):
     return h, psi, hp, psip
 
 
-def _h(dist: WeightDist, x: float) -> float:
-    x = min(x, X_HI)
-    r1 = dist.pgf(x, 1)
-    if r1 <= 0.0:
-        return math.inf
-    return -math.log1p(-x) / r1
-
-
 def _ratio(dist: WeightDist, x: float) -> float:
     # rho(x) / rho'(x), or its limit x / min_weight where rho'(x) underflows
     r1 = dist.pgf(x, 1)
     return dist.pgf(x) / r1 if r1 > 0.0 else x / dist.min_weight
-
-
-def _psi(dist: WeightDist, x: float) -> float:
-    if x <= 0.0:
-        return 0.0  # continuous extension psi(0) = 0
-    x = min(x, X_HI)
-    return x + (1.0 + _ratio(dist, x) - x) * math.log1p(-x)
-
-
-def _h_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
-    # _h over an array of x in (0, 1)
-    xs = np.minimum(xs, X_HI)
-    with np.errstate(divide="ignore", over="ignore"):
-        return -np.log1p(-xs) / dist.pgf(xs, 1)  # r1 = 0 gives inf, as in _h
 
 
 def _ratio_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
@@ -333,64 +310,6 @@ def _ratio_array(dist: WeightDist, xs: np.ndarray) -> np.ndarray:
     r1 = dist.pgf(xs, 1)
     pos = r1 > 0.0
     return np.where(pos, dist.pgf(xs) / np.where(pos, r1, 1.0), xs / dist.min_weight)
-
-
-def _h_landscape(dist: WeightDist):
-    """One sweep of h over _X_GRID: (alpha_sharp, minima, jumps).
-
-    minima are the interior local minima of h, golden-refined and sorted by
-    location; jumps is the jump set of g_star as discontinuities describes
-    it.  The jumps reuse the grid values of h, so h is swept only once.
-    """
-    h = lambda x: _h(dist, x)
-    grid = _X_GRID
-    vals = _h_array(dist, grid)
-    mid = vals[1:-1]
-    mins = []
-    for i in np.flatnonzero((mid < vals[:-2]) & (mid <= vals[2:])) + 1:
-        x, v = _golden_min(h, float(grid[i - 1]), float(grid[i + 1]), X_TOL)
-        if not mins or x - mins[-1][0] > 1e-9:
-            mins.append((x, v))
-    h0 = h(1e-13)
-    a_sharp = min(min((v for _, v in mins), default=math.inf), h0)
-
-    kept = []
-    best_right = math.inf
-    for x, v in reversed(mins):
-        if v < best_right - PROMINENCE:
-            kept.append((x, v))
-            best_right = v
-    kept.reverse()
-    jumps = []
-    for j, (x, v) in enumerate(kept):
-        g_left = 0.0
-        if j > 0 or h0 <= v:  # min_weight <= 2: the first level set reaches 0
-            g_left = _rightmost_crossing_below(dist, v, vals, x)
-        jumps.append((v, g_left, x))
-    return a_sharp, mins, jumps
-
-
-def _rightmost_crossing_below(dist, level, vals, x_min):
-    # rightmost solution of h = level strictly left of the basin of x_min;
-    # vals holds h on _X_GRID.  Start at the grid point just left of x_min
-    # and step left to the first point with h <= level (or to point 0).
-    grid = _X_GRID
-    i = max(int(np.searchsorted(grid, x_min)) - 1, 0)
-    below = np.flatnonzero(~(vals[1:i + 1] > level))
-    i = int(below[-1]) + 1 if below.size else 0
-    lo, hi = _bisect(lambda x: _h(dist, x) <= level, float(grid[i]), float(grid[i + 1]),
-                     GSTAR_TOL)
-    return 0.5 * (lo + hi)
-
-
-def alpha_sharp(dist: WeightDist):
-    """(inf of h over (0,1), list of interior local minima of h).
-
-    The infimum accounts for the boundary behaviour as x -> 0 (finite for
-    min_weight <= 2, diverging for min_weight >= 3).
-    """
-    a_sharp, mins, _ = _h_landscape(dist)
-    return a_sharp, mins
 
 
 def _h_of_u(dist: WeightDist, u: float) -> float:
@@ -410,24 +329,100 @@ def _psi_of_u(dist: WeightDist, u: float) -> float:
     return x - u * (math.exp(-u) + _ratio(dist, x))
 
 
-def _psi_of_u_array(dist: WeightDist, us: np.ndarray) -> np.ndarray:
-    xs = -np.expm1(-us)
+_U_HI = 700.0  # e^-u stays a normal double; x = 1 - e^-u rounds to 1.0 past u ~ 37
+_U_TOL = 1e-14
+
+
+# _unit_grid(8192) mapped to u, then a coarse tail to _U_HI, where h and psi
+# are almost linear in u
+_U_GRID = -np.log1p(-np.array(_unit_grid(8192)))
+_U_GRID = _frozen(np.r_[_U_GRID, np.geomspace(_U_GRID[-1], _U_HI, 129)[1:]])
+# 1 - e^-u on _U_GRID by math.expm1, as the scalar refinements compute it:
+# numpy's expm1 may differ in the last bit, which rho' magnifies k-fold
+_U_GRID_X = _frozen([-math.expm1(-u) for u in _U_GRID.tolist()])
+
+
+def _h_of_u_array(dist: WeightDist) -> np.ndarray:
+    # _h_of_u over _U_GRID
+    with np.errstate(divide="ignore", over="ignore"):
+        return _U_GRID / dist.pgf(_U_GRID_X, 1)  # r1 = 0 gives inf, as in _h_of_u
+
+
+def _psi_of_u_array(dist: WeightDist) -> np.ndarray:
+    # _psi_of_u over _U_GRID
+    us, xs = _U_GRID, _U_GRID_X
     return np.where(xs > 0.0, xs - us * (np.exp(-us) + _ratio_array(dist, xs)), 0.0)
 
 
-_U_HI = 700.0  # e^-u stays a normal double; x = 1 - e^-u rounds to 1.0 past u ~ 37
-_U_TOL = 1e-14
-# _X_GRID mapped to u, where _psi_of_u keeps full precision near x = 1, then
-# a coarse tail to _U_HI, where h and psi are almost linear in u
-_U_GRID = _frozen(np.r_[-np.log1p(-_X_GRID),
-                        np.geomspace(-math.log1p(-_X_GRID[-1]), _U_HI, 129)[1:]])
+def _h_landscape(dist: WeightDist):
+    """One sweep of h over _U_GRID: (alpha_sharp, minima, jumps), all in u.
+
+    minima are the interior local minima of h as (u, h) pairs, golden-refined
+    and sorted by location; jumps are the jumps of g_star as (alpha, u_left,
+    u_right) triples, which discontinuities returns in x.  The jumps reuse
+    the grid values of h, so h is swept only once.
+    """
+    h = lambda u: _h_of_u(dist, u)
+    grid = _U_GRID
+    vals = _h_of_u_array(dist)
+    mid = vals[1:-1]
+    mins = []
+    for i in np.flatnonzero((mid < vals[:-2]) & (mid <= vals[2:])) + 1:
+        u, v = _golden_min(h, float(grid[i - 1]), float(grid[i + 1]), _U_TOL)
+        if not mins or u - mins[-1][0] > 1e-9:
+            mins.append((u, v))
+    h0 = h(1e-13)  # stands for the limit of h as x -> 0
+    a_sharp = min(min((v for _, v in mins), default=math.inf), h0)
+
+    kept = []
+    best_right = math.inf
+    for u, v in reversed(mins):
+        if v < best_right - PROMINENCE:
+            kept.append((u, v))
+            best_right = v
+    kept.reverse()
+    jumps = []
+    for j, (u, v) in enumerate(kept):
+        u_left = 0.0
+        if j > 0 or h0 <= v:  # min_weight <= 2: the first level set reaches 0
+            u_left = _rightmost_crossing_below(dist, v, vals, u)
+        jumps.append((v, u_left, u))
+    return a_sharp, mins, jumps
+
+
+def _rightmost_crossing_below(dist, level, vals, u_min):
+    # rightmost solution of h = level strictly left of the basin of u_min;
+    # vals holds h on _U_GRID.  Start at the grid point just left of u_min
+    # and step left to the first point with h <= level (or to point 0).
+    grid = _U_GRID
+    i = max(int(np.searchsorted(grid, u_min)) - 1, 0)
+    below = np.flatnonzero(~(vals[1:i + 1] > level))
+    i = int(below[-1]) + 1 if below.size else 0
+    lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= level, float(grid[i]), float(grid[i + 1]),
+                     GSTAR_TOL)
+    return 0.5 * (lo + hi)
+
+
+def _x_jumps(jumps: list) -> list:
+    # the jumps of _h_landscape with their landing points as x = 1 - e^-u
+    return [(a, -math.expm1(-u_left), -math.expm1(-u_right)) for a, u_left, u_right in jumps]
+
+
+def alpha_sharp(dist: WeightDist):
+    """(inf of h over (0,1), list of interior local minima of h as (x, h)).
+
+    The infimum accounts for the boundary behaviour as x -> 0 (finite for
+    min_weight <= 2, diverging for min_weight >= 3).
+    """
+    a_sharp, mins, _ = _h_landscape(dist)
+    return a_sharp, [(-math.expm1(-u), v) for u, v in mins]
 
 
 def _psi_u_roots(dist: WeightDist) -> list:
     """(u0, psi > 0 left of u0) at each sign change of psi over _U_GRID,
     ascending, with u0 bisected to _U_TOL by the scalar _psi_of_u."""
     us = _U_GRID
-    pos = _psi_of_u_array(dist, us) > 0.0
+    pos = _psi_of_u_array(dist) > 0.0
     roots = []
     for i in np.flatnonzero(pos[1:] != pos[:-1]) + 1:
         ref = bool(pos[i - 1])
@@ -438,20 +433,20 @@ def _psi_u_roots(dist: WeightDist) -> list:
 
 
 def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
-    """u-coordinate of g_star(alpha); None when the level set is empty."""
-    lo_x = 0.0
-    for x, v in minima:
-        if v <= alpha:
-            lo_x = max(lo_x, x)
-    if lo_x == 0.0:
-        if _h(dist, 1e-13) > alpha:
+    """u-coordinate of g_star(alpha) from the (u, h) minima of _h_landscape;
+    None when the level set is empty.  Every g_star route checks alpha here."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise InvalidParam(f"alpha {alpha} is not a finite number >= 0")
+    lo = max((u for u, v in minima if v <= alpha), default=0.0)
+    if lo == 0.0:
+        if _h_of_u(dist, 1e-13) > alpha:
             return None
-        lo_x = 1e-13
-    # exactly one crossing of h = alpha to the right of lo_x: any dip below
-    # alpha out there would be a local minimum <= alpha right of lo_x
+        lo = 1e-13
+    # exactly one crossing of h = alpha to the right of lo: any dip below
+    # alpha out there would be a local minimum <= alpha right of lo
     if _h_of_u(dist, _U_HI) <= alpha:
         return _U_HI
-    lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= alpha, -math.log1p(-lo_x), _U_HI, _U_TOL)
+    lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= alpha, lo, _U_HI, _U_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -465,11 +460,11 @@ def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float
     """sup{x in (0,1) : h(x) <= alpha}, with sup of the empty set = 0.
 
     Right-continuous in alpha; jumps exactly at the levels of the local
-    minima of h that are visible from the right.
+    minima of h that are visible from the right.  _minima, when given, are
+    the (x, h) minima that alpha_sharp returns.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise InvalidParam(f"alpha {alpha} is not a finite number >= 0")
-    mins = _h_landscape(dist)[1] if _minima is None else _minima
+    mins = (_h_landscape(dist)[1] if _minima is None
+            else [(-math.log1p(-x), v) for x, v in _minima])
     u = _g_star_u(dist, alpha, mins)
     return 0.0 if u is None else -math.expm1(-u)
 
@@ -483,7 +478,7 @@ def discontinuities(dist: WeightDist) -> list:
     entry is always at alpha_sharp.  A minimum counts as visible only if it
     lies more than PROMINENCE below every minimum to its right.
     """
-    return _h_landscape(dist)[2]
+    return _x_jumps(_h_landscape(dist)[2])
 
 
 def _psi_events(dist: WeightDist, landscape) -> list:
@@ -500,10 +495,10 @@ def _psi_events(dist: WeightDist, landscape) -> list:
     if dist.min_weight < 3:
         raise InvalidParam("alpha_bar and the psi(g_star) sign pattern require min_weight >= 3")
     _, mins, jumps = landscape
-    events = [(alpha_d, int(np.sign(_psi(dist, x)))) for alpha_d, _, x in jumps]
+    events = [(alpha_d, int(np.sign(_psi_of_u(dist, u)))) for alpha_d, _, u in jumps]
     for u0, was_pos in _psi_u_roots(dist):
-        a0, x0 = _h_of_u(dist, u0), -math.expm1(-u0)
-        if all(v > a0 for x, v in mins if x > x0):
+        a0 = _h_of_u(dist, u0)
+        if all(v > a0 for u, v in mins if u > u0):
             events.append((a0, -1 if was_pos else 1))
     return sorted(events)
 
@@ -718,7 +713,7 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> Th
         x_star=x_st,
         x_star_is_psi_root=is_root,
         bar_crossing_transversal=transversal,
-        discontinuities=tuple(jumps),
+        discontinuities=tuple(_x_jumps(jumps)),
         gamma0=gamma0,
         beta0=beta0,
         witness_alpha=witness_alpha,

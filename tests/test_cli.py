@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from gf2rank import errors
 from gf2rank.cli import main
 from gf2rank.sampling import SampleConfig, derive_stream_seed, run_Tn
+from gf2rank.thresholds import core_theory
 from gf2rank.weights import WeightDist
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "output-schema.json")
@@ -196,6 +197,22 @@ def test_curves_gstar_jump_rows():
     # the jump at 0.938536 appears as a duplicated alpha with left/right values
     dups = {a for a in alphas if alphas.count(a) == 2}
     assert any(abs(a - 0.938536) < 1e-4 for a in dups)
+
+
+@pytest.mark.parametrize("r", [36, 40])
+def test_curves_psi_of_gstar_sign_matches_core_theory(r):
+    # near alpha = 1 the heavy fixed weights put g_star within e^-r of 1,
+    # where psi must be evaluated on the u = -log(1 - x) scale
+    dist = WeightDist.fixed(r)
+    out = run_ok("curves", "--rho", f"r={r}", "--what", "gstar,psi_of_gstar",
+                 "--lo", "0.99", "--hi", "1.02", "--grid", "60")
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith("#")]
+    seen = set()
+    for a, _, p in rows[1:]:
+        sign = (float(p) > 0) - (float(p) < 0)
+        assert sign == core_theory(dist, float(a)).aspect_sign, a
+        seen.add(sign)
+    assert seen == {1, -1}
 
 
 def test_curves_rejects_mixed_kinds():

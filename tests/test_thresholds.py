@@ -377,6 +377,13 @@ def test_core_theory_incidence_identity():
                 alpha * th.g_star * dist.pgf(th.g_star, 1), abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5], ids=["nan", "inf", "neg"])
+@pytest.mark.parametrize("call", [g_star, core_theory], ids=["g_star", "core_theory"])
+def test_g_star_routes_reject_bad_alpha(call, alpha):
+    with pytest.raises(InvalidParam, match="finite number >= 0"):
+        call(W3, alpha)
+
+
 def test_core_theory_degree_pmf_mass():
     th = core_theory(W3, 0.95)
     pmf = th.col_degree_pmf(d_max=50)
@@ -436,16 +443,16 @@ def test_components_match_report(dist):
 ], ids=["threshold_report", "alpha_sharp", "discontinuities", "alpha_bar",
         "psi_gstar_sign_pattern", "core_theory", "g_star"])
 def test_one_h_sweep_per_call(call, monkeypatch):
-    # one sweep is one call of the array h over _X_GRID; the golden and
-    # bisection refinements evaluate the scalar _h
-    h_array = thresholds._h_array
+    # one sweep is one call of the array h over _U_GRID; the golden and
+    # bisection refinements evaluate the scalar _h_of_u
+    h_array = thresholds._h_of_u_array
     calls = 0
 
-    def counting_h_array(dist, xs):
+    def counting_h_array(dist):
         nonlocal calls
         calls += 1
-        return h_array(dist, xs)
-    monkeypatch.setattr(thresholds, "_h_array", counting_h_array)
+        return h_array(dist)
+    monkeypatch.setattr(thresholds, "_h_of_u_array", counting_h_array)
     call(FIG1)
     assert calls == 1
 
@@ -506,7 +513,7 @@ def _scalar_sign_pattern(dist):
 def test_u_sweep_psi_signs_match_scalar(dist):
     # the sweep that brackets the roots of psi for the visible-branch events
     us = thresholds._U_GRID
-    psi = thresholds._psi_of_u_array(dist, us)
+    psi = thresholds._psi_of_u_array(dist)
     want = [thresholds._psi_of_u(dist, u) for u in us.tolist()]
     assert np.array_equal(np.sign(psi), np.sign(want))
 
@@ -528,9 +535,9 @@ def test_array_sweeps_match_scalar(dist):
     # R integrand is a sum whose terms can cancel, so it is compared relative
     # to the sum of the terms' magnitudes: alpha log(rho), log 2 and the entropy
     rel = 1e-15
-    xs = thresholds._X_GRID
-    h = thresholds._h_array(dist, xs)
-    want = np.array([thresholds._h(dist, float(x)) for x in xs])
+    us = thresholds._U_GRID
+    h = thresholds._h_of_u_array(dist)
+    want = np.array([thresholds._h_of_u(dist, u) for u in us.tolist()])
     assert np.array_equal(np.isinf(h), np.isinf(want))
     fin = np.isfinite(want)
     assert (np.abs(h - want)[fin] <= rel * want[fin]).all()
