@@ -20,7 +20,6 @@ from .thresholds import (
     ThresholdReport,
     F_gamma,
     F_of_alpha,
-    R_of_alpha,
     alpha_bar,
     alpha_sharp,
     alpha_star,
@@ -42,7 +41,7 @@ __all__ = [
     "CoreStats", "Hypergraph", "check_E", "peel_2core",
     "ParitySpec", "expected_null_count", "gfq_dense_survival", "multinomial_parity",
     "pi_multinomial", "poissonization_check", "prob_A_general",
-    "CoreTheory", "ThresholdReport", "F_gamma", "F_of_alpha", "R_of_alpha", "alpha_bar",
+    "CoreTheory", "ThresholdReport", "F_gamma", "F_of_alpha", "alpha_bar",
     "alpha_sharp", "alpha_star", "core_theory", "discontinuities", "g_star", "h_psi",
     "psi_roots", "threshold_asymptotics", "threshold_report", "x_star_iteration",
     "ExperimentConfig", "ExperimentResult", "run_experiment",

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import sys
 
 import click
 import mpmath as mp
 
-from . import __version__, thresholds, verification
+from . import __version__, verification
 from .errors import (
     DimensionMismatch,
     Gf2RankError,
@@ -40,11 +39,11 @@ from .exact import (
     poissonization_check,
     prob_A_general,
 )
-from .experiments import EXPERIMENTS, ExperimentConfig, _fan_out, run_experiment, write_records_csv
+from .experiments import EXPERIMENTS, ExperimentConfig, fan_out, run_experiment, write_records_csv
 from .gf2 import GF2Matrix, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
 from .peeling import Hypergraph, check_E, corank, peel_2core
 from .sampling import MODELS, SampleConfig, run_Tn, sample_matrix
-from .thresholds import core_theory, h_psi, threshold_report
+from .thresholds import core_theory, g_star_curve, h_psi, threshold_report
 from .weights import WeightDist, parse_rho
 
 
@@ -224,29 +223,14 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
     if x_kind:
         lo = 1e-6 if lo is None else lo
         hi = 1.0 - 1e-9 if hi is None else hi
-        lines.append("x," + ",".join(names))
-        for i in range(grid + 1):
-            x = lo + (hi - lo) * i / grid
-            hv, pv, _, _ = h_psi(dist, x)
-            vals = {"h": hv, "psi": pv}
-            lines.append(f"{x:.12g}," + ",".join(f"{vals[n]:.12g}" for n in names))
+        xs = (lo + (hi - lo) * i / grid for i in range(grid + 1))
+        head, keys, rows = "x", ("h", "psi"), ((x, *h_psi(dist, x)[:2]) for x in xs)
     else:
-        sharp, minima, jumps = thresholds._h_landscape(dist)
-        lo = sharp if lo is None else lo
-        hi = 1.02 if hi is None else hi
-        lines.append("alpha," + ",".join(names))
-
-        def row(a, u):
-            vals = {"gstar": -math.expm1(-u), "psi_of_gstar": thresholds._psi_of_u(dist, u)}
-            return f"{a:.12g}," + ",".join(f"{vals[n]:.12g}" for n in names)
-
-        for i in range(grid + 1):
-            a = lo + (hi - lo) * i / grid
-            lines.append(row(a, thresholds._g_star_u(dist, a, minima) or 0.0))  # None: g* = 0
-        for a, u_left, u_right in jumps:
-            if lo <= a <= hi:
-                lines.append(row(a, u_left))
-                lines.append(row(a, u_right))
+        head, keys, rows = "alpha", ("gstar", "psi_of_gstar"), g_star_curve(dist, grid, lo, hi)
+    lines.append(f"{head}," + ",".join(names))
+    for t, *ys in rows:
+        vals = dict(zip(keys, ys))
+        lines.append(f"{t:.12g}," + ",".join(f"{vals[n]:.12g}" for n in names))
     _emit("\n".join(lines), out)
 
 
@@ -358,7 +342,7 @@ def cmd_tn(rho_spec, n, trials, seed, model, out):
     """First-dependency times: CSV with columns trial,seed,T_n,n,T_n/n."""
     dist = parse_rho(rho_spec)
     cfg = ExperimentConfig("tn", dist, (n,), trials, seed, model=model, threads=_threads())
-    seeds, ts = _fan_out(cfg, 0, run_Tn, functools.partial(SampleConfig, n, 0, dist, model))
+    seeds, ts = fan_out(cfg, 0, run_Tn, functools.partial(SampleConfig, n, 0, dist, model))
     lines = [f"# tool=gf2rank version={__version__} rho={rho_spec} n={n} trials={trials} seed={seed} model={model}",
              "trial,seed,T_n,n,T_n/n"]
     lines += [f"{t},{s},{tn},{n},{tn / n:.8f}" for t, (s, tn) in enumerate(zip(seeds, ts))]
@@ -394,10 +378,14 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
         raise ParseError(f"-m is required for --what {what}")
     if what in ("pa", "en") and rho_spec is None:
         raise ParseError(f"--rho is required for --what {what}")
+    if what == "pi":
+        rho_spec = rho_spec or "r=1"
     params = {"what": what, "rho": rho_spec, "n": n, "m": m, "model": model,
               "precision": precision}
+    if what != "en":
+        del params["model"]  # only the expected null count reads the row model
     if what == "pi":
-        dist = parse_rho(rho_spec or "r=1")
+        dist = parse_rho(rho_spec)
         val = pi_multinomial(n, m, dist, precision=precision)
         result = {"pi": _num(val)}
     elif what == "pa":

@@ -48,11 +48,6 @@ _TAIL_TOL = mp.mpf("1e-20")
 _POISSON_MAX_TERMS = 10_000  # pmf terms poissonization_check builds; 10^4 take about 1.3 s
 
 
-def _exact_fraction(p) -> Fraction:
-    # float -> Fraction is exact (binary rationals), so this loses nothing.
-    return p if isinstance(p, Fraction) else Fraction(p)
-
-
 def _guarded_sum(term_factory, precision: int, amplification: int = 0):
     """Sum terms at increasing precision until the rounding bound is small.
 
@@ -103,7 +98,7 @@ def _structurally_zero(m: int, weights) -> bool:
 
 def _lambdas_binomial(n: int, dist: WeightDist) -> list:
     """lambda_j = rho(1 - 2j/n) in the binomial allocation scheme."""
-    atoms = [(k, _exact_fraction(p)) for k, p in dist.atoms]
+    atoms = [(k, Fraction(p)) for k, p in dist.atoms]
     lams = []
     for j in range(n + 1):
         s = Fraction(n - 2 * j, n)
@@ -127,7 +122,7 @@ def _lambdas_binomial_rows(n: int, dist: WeightDist) -> list:
 def _lambdas_exact(n: int, law) -> list:
     """lambda_j = 2 p_j - 1 in the uniform-support scheme, where p_j is the
     hypergeometric even-overlap probability under the per-n law."""
-    frac_law = [(r, _exact_fraction(p)) for r, p in law]
+    frac_law = [(r, Fraction(p)) for r, p in law]
     return [2 * sum(p * hypergeometric_even_overlap(n, j, r) for r, p in frac_law) - 1
             for j in range(n + 1)]
 
@@ -450,7 +445,7 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
 
     if exact:
         field = _Cyclotomic(r)
-        probs = [_exact_fraction(p) for p in spec.cell_probs]
+        probs = [Fraction(p) for p in spec.cell_probs]
         total = field.zero()
         for h in product(range(r), repeat=k):
             inner = field.zero()

@@ -4,7 +4,7 @@ Every experiment is reproducible from (experiment id, seed, config): trial t
 of the ni-th n draws its stream from PCG64 seeded by ``derive_stream_seed``
 from the pair (seed, ni * trials + t), a SeedSequence hash, so fan-out order
 does not matter and parallel and serial runs aggregate identically.
-``_fan_out`` is the only place that derives those seeds and spreads trials
+``fan_out`` is the only place that derives those seeds and spreads trials
 over processes; every experiment and the ``tn`` command run through it.
 """
 
@@ -82,7 +82,7 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def _fan_out(cfg: ExperimentConfig, ni: int, worker, payload):
+def fan_out(cfg: ExperimentConfig, ni: int, worker, payload):
     """Run cfg.trials trials of worker for the ni-th n; return (seeds, results).
 
     Trial t gets the stream seed derived from (cfg.seed, ni * cfg.trials + t),
@@ -191,7 +191,7 @@ def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):
-        seeds, ts = _fan_out(cfg, ni, run_Tn, partial(SampleConfig, n, 0, dist, cfg.model))
+        seeds, ts = fan_out(cfg, ni, run_Tn, partial(SampleConfig, n, 0, dist, cfg.model))
         ratios = [t / n for t in ts]
         inside = sum(1 for x in ratios if lo <= x <= hi) / cfg.trials
         for t, (seed, tn) in enumerate(zip(seeds, ts)):
@@ -224,7 +224,7 @@ def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
         check = n <= 5000
         m = round(cfg.alpha * n)
         sample = partial(SampleConfig, n, m, dist, cfg.model)
-        _, out = _fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
+        _, out = fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
         recs, e_flags = zip(*out)
         records.extend(recs)
         mean = lambda k: sum(r[k] for r in recs) / (cfg.trials * n)
@@ -266,7 +266,7 @@ def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
         for ni, n in enumerate(cfg.n_values):
             m = round(cfg.alpha * n)
             sample = partial(SampleConfig, n, m, dist, cfg.model)
-            seeds, sigmas = _fan_out(cfg, ni, _corank_trial, sample)
+            seeds, sigmas = fan_out(cfg, ni, _corank_trial, sample)
             mean_count = sum(2**s for s in sigmas) / cfg.trials
             stat = n ** (r0 - 2) * (mean_count - 1.0)
             for t, (seed, s) in enumerate(zip(seeds, sigmas)):
@@ -323,9 +323,9 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
         tail = lambda xs: sum(1 for x in xs if x > cut) / cfg.trials
         sample = partial(SampleConfig, n, 0, dist, cfg.model)
         if r == 1:
-            seeds, ts = _fan_out(cfg, ni, run_Tn, sample)
+            seeds, ts = fan_out(cfg, ni, run_Tn, sample)
         else:
-            seeds, out = _fan_out(cfg, ni, _classical_r2_trial, sample)
+            seeds, out = fan_out(cfg, ni, _classical_r2_trial, sample)
             ts, ds = zip(*out)
         emp = tail(ts)
         for t, (seed, tn) in enumerate(zip(seeds, ts)):
@@ -356,7 +356,7 @@ def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
     for ni, n in enumerate(cfg.n_values):
         if not 1 <= n <= 62:
             raise InvalidParam(f"dense survival sampler needs 1 <= n <= 62 (a row in one word); n={n}")
-        seeds, ts = _fan_out(cfg, ni, _dense_trial, lambda s: (n, s))
+        seeds, ts = fan_out(cfg, ni, _dense_trial, lambda s: (n, s))
         for t, (seed, tn) in enumerate(zip(seeds, ts)):
             records.append({"experiment": "dense", "n": n, "trial": t,
                             "seed": seed, "T_n": tn})
@@ -382,7 +382,7 @@ def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
         total, profile = expected_null_count(n, m, dist, model=cfg.model)
         exact_profile = {l: float(v / total) for l, v in profile.items()}
         sample = partial(SampleConfig, n, m, dist, cfg.model)
-        seeds, profs = _fan_out(cfg, ni, _profile_trial, sample)
+        seeds, profs = fan_out(cfg, ni, _profile_trial, sample)
         counts: dict = {}
         grand = 0
         for t, (seed, prof) in enumerate(zip(seeds, profs)):

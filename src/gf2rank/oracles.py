@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import TooLarge
-from .exact import ParitySpec, _exact_fraction
+from .exact import ParitySpec
 from .gf2 import RankState
 from .weights import WeightDist
 
@@ -31,7 +31,7 @@ def _row_alphabet(n: int, law):
     """All (mask, probability) values of a single row under the exact scheme."""
     alphabet = []
     for r, p in law:
-        p = _exact_fraction(p)
+        p = Fraction(p)
         supports = _support_masks(n, r)
         share = p / len(supports)
         alphabet.extend((mask, share) for mask in supports)
@@ -87,7 +87,7 @@ def _ball_rows(dist: WeightDist, n: int, limit: int) -> dict:
     for k, p in dist.atoms:
         if n**k > limit:
             raise TooLarge(f"{n}^{k} throws exceed {limit}")
-        share = _exact_fraction(p) / Fraction(n) ** k
+        share = Fraction(p) / Fraction(n) ** k
         for balls in product(range(n), repeat=k):
             mask = 0
             for u in balls:
@@ -134,7 +134,7 @@ def binomial_weight_law(dist: WeightDist, n: int, limit: int = 10**6) -> list:
 
 def parity_paths(spec: ParitySpec, n: int, limit: int = 10**7) -> Fraction:
     """Joint congruence probability by walking all (2^k)^n outcome paths."""
-    cells = [(g, _exact_fraction(p)) for g, p in enumerate(spec.cell_probs)]
+    cells = [(g, Fraction(p)) for g, p in enumerate(spec.cell_probs)]
     if len(cells) ** n > limit:
         raise TooLarge(f"{len(cells)}^{n} paths exceed {limit}")
     total = Fraction(0)

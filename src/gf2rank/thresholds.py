@@ -1,12 +1,10 @@
 """Numerical evaluation of the analytic threshold machinery.
 
-Everything is driven by four functions of the weight pgf rho:
+Everything is driven by three functions of the weight pgf rho:
 
 * F(alpha) = log sup_gamma (1 + rho(1-2 gamma))^alpha / (2 gamma^gamma (1-gamma)^(1-gamma)),
   whose first zero-departure locates alpha_star (growth onset of the expected
   null-vector count);
-* R(alpha), the same supremum with rho^alpha in place of (1 + rho)^alpha,
-  giving the decay rate of the all-columns-even probability;
 * h(x) = -log(1-x) / rho'(x) and psi(x) = x + (1 + rho(x)/rho'(x) - x) log(1-x),
   which control the 2-core: g_star(alpha) = sup{x : h(x) <= alpha} is the
   peeling survival parameter, alpha_sharp = inf h is the core-onset
@@ -33,13 +31,12 @@ interval ends) followed by golden-section or bisection refinement; nothing
 assumes unimodality, since h and psi are genuinely multi-modal for mixture
 weights.  The endpoint convention 0^0 = 1 is applied throughout.
 
-The grid sweeps of h, psi and the R integrand are numpy arrays; F_gamma is
-still swept point by point.  The scalar functions (_h_of_u, _psi_of_u,
-_g_star_u, _psi_g_star, _R_gamma, F_gamma) remain: they do every
-golden-section and bisection refinement, and the tests use them as the
-oracle for the arrays.  numpy's log, exp and pow may differ from math's in
-the last bit, so an array value can differ from its scalar counterpart by a
-few ulps.
+The grid sweeps of h and psi are numpy arrays; F_gamma is still swept
+point by point.  The scalar functions (_h_of_u, _psi_of_u, _g_star_u,
+_psi_g_star, F_gamma) remain: they do every golden-section and bisection
+refinement, and the tests use them as the oracle for the arrays.  numpy's
+log, exp and pow may differ from math's in the last bit, so an array value
+can differ from its scalar counterpart by a few ulps.
 
 The fixed-weight routines x_star_iteration (the root x*_r of psi) and
 _alpha_star_lambda_system (alpha_star_r) each have one body that runs in
@@ -66,6 +63,7 @@ GAMMA_TOL = 1e-12      # golden-section resolution in gamma
 GSTAR_TOL = 1e-12
 ALPHA_BAR_TOL = 1e-9   # alpha_bar resolution the report's checks assume
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
+ROUTES_R_MAX = 159     # heaviest fixed weight whose alpha_star routes hold their roots
 PROMINENCE = 1e-10     # minimum depth for a local minimum to count as a jump
 X_HI = 1.0 - 1e-15     # guard for log(1-x)
 
@@ -101,21 +99,6 @@ def _bisect(pred, lo, hi, tol):
     return lo, hi
 
 
-def _grid_sup(f, grid, vals, ends):
-    """Candidates for sup f over the grid's span as (value, location) pairs:
-    f at the grid indices in ends, and every interior grid local maximum of
-    the array vals (f on grid), golden-refined.  A point whose neighbours
-    both hold its own value is a flat run, not a peak, and is not refined."""
-    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
-    peaks = (mid >= left) & (mid >= right) & ~((mid == left) & (mid == right))
-    cands = [(f(float(grid[i])), float(grid[i])) for i in ends]
-    for i in np.flatnonzero(peaks) + 1:
-        g0, v0 = _golden_min(lambda g: -f(g), float(grid[i - 1]), float(grid[i + 1]),
-                             GAMMA_TOL)
-        cands.append((-v0, g0))
-    return cands
-
-
 def _unit_grid(n: int, lo_exp: int = 44) -> tuple:
     pts = [i / n for i in range(1, n)]
     pts += [2.0**-e for e in range(int(math.log2(n)), lo_exp)]
@@ -132,14 +115,10 @@ def _frozen(points) -> np.ndarray:
 _GAMMA_GRID = _frozen(sorted({0.5 * x for x in _unit_grid(2048, lo_exp=56)} | {0.0, 0.5}))
 
 
-# --- rate functions F and R ------------------------------------------------
+# --- the rate function F ---------------------------------------------------
 
 def _xlogx(x: float) -> float:
     return x * math.log(x) if x > 0.0 else 0.0  # 0^0 = 1 convention
-
-
-def _xlogx_array(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
 def F_gamma(dist: WeightDist, alpha: float, gamma: float) -> float:
@@ -160,9 +139,19 @@ def F_of_alpha(dist: WeightDist, alpha: float):
         raise InvalidParam(f"alpha {alpha} is not a finite number >= 0")
     # swept point by point with the scalar F_gamma: ROADMAP direction 1 says
     # why the array sweep waits (at its speed the benchmark's mixture draw hangs)
+    f = lambda g: F_gamma(dist, alpha, g)
     grid = _GAMMA_GRID
     vals = np.array([F_gamma(dist, alpha, g) for g in grid.tolist()])
-    cands = _grid_sup(lambda g: F_gamma(dist, alpha, g), grid, vals, ends=(0, -1))
+    # candidates (value, gamma): both ends of the grid, and every interior
+    # grid local maximum, golden-refined.  A point whose neighbours both hold
+    # its own value is a flat run, not a peak, and is not refined.
+    mid, left, right = vals[1:-1], vals[:-2], vals[2:]
+    peaks = (mid >= left) & (mid >= right) & ~((mid == left) & (mid == right))
+    cands = [(f(float(grid[i])), float(grid[i])) for i in (0, -1)]
+    for i in np.flatnonzero(peaks) + 1:
+        g0, v0 = _golden_min(lambda g: -f(g), float(grid[i - 1]), float(grid[i + 1]),
+                             GAMMA_TOL)
+        cands.append((-v0, g0))
     best = max(v for v, _ in cands)
     gamma0 = min(g for v, g in cands if v >= best - 1e-14)
     r = dist.pgf(1.0 - 2.0 * gamma0)
@@ -172,16 +161,20 @@ def F_of_alpha(dist: WeightDist, alpha: float):
 def alpha_star(dist: WeightDist) -> float:
     """inf{alpha >= 0 : F(alpha) > 0} by bisection against F > TOL_F.
 
-    For a fixed weight r >= 3 the result is cross-checked against two
-    independent routes (the stationary-point equation in gamma, and the
-    hyperbolic-substitution system); disagreement beyond ROUTE_TOL raises
-    Inconsistent.  F(0) = sup_gamma (H(gamma) - log 2) = 0, so the
-    bisection starts at alpha = 0.
+    For a fixed weight 3 <= r <= ROUTES_R_MAX the result is cross-checked
+    against two independent routes (the stationary-point equation in gamma,
+    and the hyperbolic-substitution system); disagreement beyond ROUTE_TOL
+    raises Inconsistent.  Past ROUTES_R_MAX the lambda-system root, near
+    lambda = r/2, leaves its bracket [0.05, 80] (and tanh(0.05)^-r overflows
+    from r = 237), while 1 - alpha_star_r ~ e^-r / log 2 is far below
+    ALPHA_TOL: there the bisection alone runs and gives 1.0.
+    F(0) = sup_gamma (H(gamma) - log 2) = 0, so the bisection starts at
+    alpha = 0.
     """
     hi = 1.0 if F_of_alpha(dist, 1.0)[0] > TOL_F else 2.0  # alpha_star <= 1; guard anyway
     lo, hi = _bisect(lambda a: F_of_alpha(dist, a)[0] <= TOL_F, 0.0, hi, ALPHA_TOL)
     a_sup = 0.5 * (lo + hi)
-    if len(dist.atoms) == 1 and dist.min_weight >= 3:
+    if len(dist.atoms) == 1 and 3 <= dist.min_weight <= ROUTES_R_MAX:
         r = dist.min_weight
         a_stat = _alpha_star_stationary(r)
         a_lam = float(_alpha_star_lambda_system(r))
@@ -238,39 +231,6 @@ def _alpha_star_lambda_system(r: int, precision: int = 0):
         with mp.workprec(precision):
             return solve(mp.mpf("0.05"), mp.mpf(80), mp.mpf(2) ** (20 - precision))
     return solve(0.05, 80.0, 1e-14)
-
-
-def _R_gamma(dist: WeightDist, alpha: float, g: float) -> float:
-    # log of the R integrand rho(1-2 g)^alpha / (2 g^g (1-g)^(1-g))
-    if g >= 0.5:
-        return -math.inf  # rho(0) = 0 for min_weight >= 1
-    v = dist.pgf(1.0 - 2.0 * g)
-    if v <= 0.0:  # double underflow for tiny arguments with heavy weights
-        return -math.inf
-    ent = _xlogx(g) + _xlogx(1.0 - g)
-    return alpha * math.log(v) - math.log(2.0) - ent
-
-
-def _R_gamma_array(dist: WeightDist, alpha: float, grid: np.ndarray) -> np.ndarray:
-    # _R_gamma over an array of g in [0, 1/2)
-    v = dist.pgf(1.0 - 2.0 * grid)
-    ent = _xlogx_array(grid) + _xlogx_array(1.0 - grid)
-    with np.errstate(divide="ignore"):
-        return np.where(v > 0.0, alpha * np.log(v) - math.log(2.0) - ent, -math.inf)
-
-
-def R_of_alpha(dist: WeightDist, alpha: float):
-    """Decay rate of the all-columns-even probability:
-    -log sup_gamma rho(1-2 gamma)^alpha / (2 gamma^gamma (1-gamma)^(1-gamma)).
-
-    Returns (rate, gamma1) with gamma1 the maximizer.
-    """
-    if alpha <= 0:
-        raise InvalidParam(f"alpha {alpha} <= 0")
-    grid = _GAMMA_GRID[:-1]
-    vals = _R_gamma_array(dist, alpha, grid)
-    best, g1 = max(_grid_sup(lambda g: _R_gamma(dist, alpha, g), grid, vals, ends=(0,)))
-    return -best, g1
 
 
 # --- the 2-core functions h, psi, g_star ----------------------------------
@@ -456,17 +416,38 @@ def _psi_g_star(dist: WeightDist, alpha: float, minima: list) -> float:
     return 0.0 if u is None else _psi_of_u(dist, u)
 
 
-def g_star(dist: WeightDist, alpha: float, _minima: list | None = None) -> float:
+def g_star(dist: WeightDist, alpha: float) -> float:
     """sup{x in (0,1) : h(x) <= alpha}, with sup of the empty set = 0.
 
     Right-continuous in alpha; jumps exactly at the levels of the local
-    minima of h that are visible from the right.  _minima, when given, are
-    the (x, h) minima that alpha_sharp returns.
+    minima of h that are visible from the right.
     """
-    mins = (_h_landscape(dist)[1] if _minima is None
-            else [(-math.log1p(-x), v) for x, v in _minima])
-    u = _g_star_u(dist, alpha, mins)
+    u = _g_star_u(dist, alpha, _h_landscape(dist)[1])
     return 0.0 if u is None else -math.expm1(-u)
+
+
+def g_star_curve(dist: WeightDist, points: int, lo: float | None = None,
+                 hi: float | None = None) -> list:
+    """(alpha, g_star(alpha), psi(g_star(alpha))) rows for figures.
+
+    points + 1 >= 2 evenly spaced alpha from lo (default alpha_sharp) to hi
+    (default 1.02), then, for each jump of g_star with lo <= alpha <= hi,
+    one row on each side of it: g_left, then g_right.  h is swept once, and
+    each row's g_star and psi(g_star) come from one bisection in u, as in
+    core_theory.
+    """
+    a_sharp, mins, jumps = _h_landscape(dist)
+    lo = a_sharp if lo is None else lo
+    hi = 1.02 if hi is None else hi
+
+    def row(a, u):  # u = 0 stands for g_star = 0, where psi(0) = 0
+        return a, -math.expm1(-u), _psi_of_u(dist, u)
+
+    alphas = (lo + (hi - lo) * i / points for i in range(points + 1))
+    rows = [row(a, _g_star_u(dist, a, mins) or 0.0) for a in alphas]
+    rows += [row(a, u) for a, u_left, u_right in jumps if lo <= a <= hi
+             for u in (u_left, u_right)]
+    return rows
 
 
 def discontinuities(dist: WeightDist) -> list:

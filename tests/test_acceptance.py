@@ -226,9 +226,9 @@ def test_criterion_12_property_suites():
     # h(g_star(alpha)) = alpha on [alpha_sharp, infinity) samples
     ident_ok = True
     for dist in (W3, parse_rho("0.9:3,0.1:24")):
-        sharp, mins = alpha_sharp(dist)
+        sharp, _ = alpha_sharp(dist)
         for a in np.linspace(sharp, 3.0, 40):
-            x = g_star(dist, float(a), mins)
+            x = g_star(dist, float(a))
             if abs(h_psi(dist, min(x, 1 - 1e-15))[0] - a) > 1e-9:
                 ident_ok = False
 

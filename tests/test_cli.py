@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 
@@ -420,3 +421,81 @@ def test_package_exports_are_an_explicit_list():
     assert len(set(gf2rank.__all__)) == len(gf2rank.__all__)
     for name in gf2rank.__all__:
         assert not isinstance(getattr(gf2rank, name), types.ModuleType), name
+
+
+def test_thresholds_heavy_fixed_weights_exit_cleanly():
+    # alpha_star is 1.0 in double for heavy fixed weights
+    payload = json.loads(run_ok("thresholds", "--rho", "r=400"))
+    assert payload["result"]["alpha_star"]["double"] == 1.0
+    # at r = 2000 the root of psi lies past the u range alpha_bar searches
+    result = CliRunner().invoke(main, ["thresholds", "--rho", "r=2000"])
+    assert result.exit_code in (0, 4), result.exception
+    if result.exit_code == 4:
+        assert result.stderr.splitlines() == [
+            "numerical error: psi(g_star(alpha)) never negative for u up to 700.0"]
+
+
+def test_exact_config_echoes_only_what_the_quantity_reads():
+    # pi falls back to the weight r=1 and echoes it; only en reads the row model
+    def config(*args):
+        return json.loads(run_ok("exact", *args, "-n", "4", "-m", "2"))["config"]
+    pi = config("--what", "pi")
+    assert pi["rho"] == "r=1" and "model" not in pi
+    assert "model" not in config("--what", "pa", "--rho", "r=3")
+    assert config("--what", "en", "--rho", "r=3", "--model", "binomial")["model"] == "binomial"
+
+
+# --- package structure -------------------------------------------------------
+
+PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "gf2rank")
+
+
+def _package_trees() -> dict:
+    trees = {}
+    for fname in sorted(os.listdir(PACKAGE_DIR)):
+        if fname.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, fname), encoding="utf-8") as fh:
+                trees[fname[:-3]] = ast.parse(fh.read())
+    return trees
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    trees = _package_trees()
+    reach_ins = []
+    for mod, tree in trees.items():
+        aliases = set()  # names bound to sibling modules by `from . import x`
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").split(".")[0] == "gf2rank")]
+        for node in imports:
+            for a in node.names:
+                if node.module in (None, "gf2rank") and a.name in trees:
+                    aliases.add(a.asname or a.name)
+                elif _private(a.name):
+                    reach_ins.append(f"{mod} imports {node.module}.{a.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and _private(node.attr)):
+                reach_ins.append(f"{mod} reads {node.value.id}.{node.attr}")
+    assert reach_ins == []
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # a name in __all__ is used by some module other than __init__, outside
+    # its own definition; names that only tests call do not belong there
+    import gf2rank
+    used = set()
+    for mod, tree in _package_trees().items():
+        if mod == "__init__":
+            continue
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    used.add(name)
+    assert [n for n in gf2rank.__all__ if n not in used] == []
