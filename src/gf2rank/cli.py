@@ -39,23 +39,13 @@ from .exact import (
     poissonization_check,
     prob_A_general,
 )
-from .experiments import EXPERIMENTS, ExperimentConfig, fan_out, run_experiment, write_records_csv
+from .experiments import (EXPERIMENTS, FIELDS_READ, ExperimentConfig, fan_out, run_experiment,
+                          write_records_csv)
 from .gf2 import GF2Matrix, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
 from .peeling import Hypergraph, check_E, corank, peel_2core
 from .sampling import MODELS, SampleConfig, run_Tn, sample_matrix
 from .thresholds import core_theory, g_star_curve, h_psi, threshold_report
 from .weights import WeightDist, parse_rho
-
-
-def _envelope(command: str, params: dict, result) -> dict:
-    """The JSON output: the resolved invocation, then the result."""
-    return {
-        "tool": "gf2rank",
-        "version": __version__,
-        "command": command,
-        "config": params,
-        "result": result,
-    }
 
 
 def _mpf_str(x) -> str:
@@ -75,9 +65,29 @@ def _json_default(o):
         return _mpf_str(o)
     if hasattr(o, "numerator") and hasattr(o, "denominator"):
         return f"{o.numerator}/{o.denominator}"
-    if isinstance(o, WeightDist):
-        return json.loads(o.to_json())
     raise TypeError(f"cannot serialize {type(o)}")
+
+
+def _config(*names: str) -> dict:
+    """The named options of the running command as this invocation read
+    them, keyed by option name: "--cell-probs" is cell_probs."""
+    ctx = click.get_current_context()
+    given = {max(p.opts, key=len).lstrip("-").replace("-", "_"): ctx.params[p.name]
+             for p in ctx.command.params}
+    return {k: given[k] for k in names}
+
+
+def _provenance(command: str, config: dict, result=None) -> str:
+    """The record {tool, version, command, config} that leads every output.
+
+    Given a result, the JSON output: the record with "result" added.  Without
+    one, the first line of a CSV output: "# " and the record as compact JSON,
+    which survives values with spaces or commas.
+    """
+    record = {"tool": "gf2rank", "version": __version__, "command": command, "config": config}
+    if result is None:
+        return "# " + json.dumps(record, separators=(",", ":"))
+    return json.dumps({**record, "result": result}, indent=2, default=_json_default)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,10 +96,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         click.echo(text)
-
-
-def _emit_json(command: str, params: dict, result, out: str | None) -> None:
-    _emit(json.dumps(_envelope(command, params, result), indent=2, default=_json_default), out)
 
 
 # (error classes, exit code, stderr prefix) for every Gf2RankError subclass
@@ -163,7 +169,7 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
                              .replace("nan", "     —"))
             _emit("\n".join(lines), out)
         else:
-            _emit_json("thresholds", {"table1": True, "format": fmt}, {"table": rows}, out)
+            _emit(_provenance("thresholds", _config("table1", "format"), {"table": rows}), out)
         return
     if rho_spec is None:
         raise ParseError("--rho is required unless --table1 is given")
@@ -197,7 +203,7 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
             lines.append(f"g_star jump at alpha={a:.9f}: {l:.6f} -> {r:.6f}")
         _emit("\n".join(lines), out)
     else:
-        _emit_json("thresholds", {"rho": rho_spec, "alpha": alpha, "format": fmt}, payload, out)
+        _emit(_provenance("thresholds", _config("rho", "alpha", "format"), payload), out)
 
 
 @main.command("curves")
@@ -219,7 +225,7 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
     a_kind = set(names) <= {"gstar", "psi_of_gstar"}
     if not (x_kind or a_kind):
         raise ParseError(f"--what must be a subset of h,psi or of gstar,psi_of_gstar; got {names}")
-    lines = [f"# tool=gf2rank version={__version__} rho={rho_spec} what={what}"]
+    lines = [_provenance("curves", _config("rho", "what", "grid", "lo", "hi"))]
     if x_kind:
         lo = 1e-6 if lo is None else lo
         hi = 1.0 - 1e-9 if hi is None else hi
@@ -248,8 +254,8 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
 def cmd_sample(rho_spec, n, m, seed, model, fmt, out):
     """Sample M(n, m) and print it in the sparse or dense text format."""
     cfg = SampleConfig(n=n, m=m, dist=parse_rho(rho_spec), model=model, seed=seed)
-    text = f"# tool=gf2rank version={__version__} rho={rho_spec} n={n} m={m} seed={seed} model={model}\n"
-    _emit(text + matrix_to_text(sample_matrix(cfg), fmt), out)
+    header = _provenance("sample", _config("rho", "n", "m", "seed", "model", "format"))
+    _emit(header + "\n" + matrix_to_text(sample_matrix(cfg), fmt), out)
 
 
 def _read_matrix(path: str | None, n: int | None) -> GF2Matrix:
@@ -280,7 +286,7 @@ def cmd_rank(path, n, enum, out):
         vectors, profile = enumerate_null_vectors(mat)
         result["null_vectors"] = [f"{v:0{mat.m}b}"[::-1] for v in vectors]
         result["weight_profile"] = profile
-    _emit_json("rank", {"in": path, "n": n}, result, out)
+    _emit(_provenance("rank", _config("in", "n", "enumerate"), result), out)
 
 
 @main.command("core")
@@ -295,8 +301,6 @@ def cmd_rank(path, n, enum, out):
 @_guard
 def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
     """Peel to the 2-core; report stats next to the limit-law predictions."""
-    if not eps > 0:
-        raise InvalidParam(f"eps {eps} is not > 0")
     if rho_spec is not None:
         if n is None or m is None:
             raise ParseError("--rho sampling needs -n and -m")
@@ -326,8 +330,8 @@ def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
             "incidence_frac": th.incidence_frac,
             "aspect_sign": th.aspect_sign,
         }
-    _emit_json("core", {"in": path, "rho": rho_spec, "n": n, "m": m,
-                        "seed": seed, "model": model, "eps": eps}, result, out)
+    echoed = ("rho", "n", "m", "seed", "model", "eps") if dist is not None else ("in", "n", "eps")
+    _emit(_provenance("core", _config(*echoed), result), out)
 
 
 @main.command("tn")
@@ -343,13 +347,24 @@ def cmd_tn(rho_spec, n, trials, seed, model, out):
     dist = parse_rho(rho_spec)
     cfg = ExperimentConfig("tn", dist, (n,), trials, seed, model=model, threads=_threads())
     seeds, ts = fan_out(cfg, 0, run_Tn, functools.partial(SampleConfig, n, 0, dist, model))
-    lines = [f"# tool=gf2rank version={__version__} rho={rho_spec} n={n} trials={trials} seed={seed} model={model}",
+    lines = [_provenance("tn", _config("rho", "n", "trials", "seed", "model")),
              "trial,seed,T_n,n,T_n/n"]
     lines += [f"{t},{s},{tn},{n},{tn / n:.8f}" for t, (s, tn) in enumerate(zip(seeds, ts))]
     _emit("\n".join(lines), out)
 
 
 # --- exact formulas -----------------------------------------------------------
+
+# the options that each --what reads
+_EXACT_READS = {
+    "pi": ("rho", "n", "m", "precision"),
+    "pa": ("rho", "n", "m", "precision"),
+    "en": ("rho", "n", "m", "model", "precision"),
+    "poisson": ("n", "m", "mu", "truncation", "precision"),
+    "parity": ("n", "k", "modulus", "targets", "cell_probs"),
+    "gfq": ("q", "r", "n"),
+}
+
 
 @main.command("exact")
 @click.option("--what", type=click.Choice(["pi", "pa", "en", "poisson", "parity", "gfq"]),
@@ -378,27 +393,20 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
         raise ParseError(f"-m is required for --what {what}")
     if what in ("pa", "en") and rho_spec is None:
         raise ParseError(f"--rho is required for --what {what}")
+    config = _config("what", *_EXACT_READS[what])
     if what == "pi":
-        rho_spec = rho_spec or "r=1"
-    params = {"what": what, "rho": rho_spec, "n": n, "m": m, "model": model,
-              "precision": precision}
-    if what != "en":
-        del params["model"]  # only the expected null count reads the row model
+        rho_spec = config["rho"] = rho_spec or "r=1"
+    dist = parse_rho(rho_spec) if "rho" in config else None
     if what == "pi":
-        dist = parse_rho(rho_spec)
-        val = pi_multinomial(n, m, dist, precision=precision)
-        result = {"pi": _num(val)}
+        result = {"pi": _num(pi_multinomial(n, m, dist, precision=precision))}
     elif what == "pa":
-        dist = parse_rho(rho_spec)
         val = prob_A_general(n, m, dist.per_n_law_exact(n), precision=precision)
         result = {"prob_A": _num(val)}
     elif what == "en":
-        dist = parse_rho(rho_spec)
         total, profile = expected_null_count(n, m, dist, model=model, precision=precision)
         result = {"expected_null_count": _num(total),
                   "profile": {str(l): _num(v) for l, v in profile.items()}}
     elif what == "poisson":
-        params.update({"mu": mu, "truncation": truncation})
         lhs, rhs = poissonization_check(n, m, mu, truncation=truncation, precision=precision)
         result = {"lhs": _num(lhs), "rhs": _num(rhs), "abs_diff": _num(abs(lhs - rhs))}
     elif what == "parity":
@@ -407,15 +415,12 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
             raise ParseError("--cell-probs is required for --what parity")
         probs = _parse_list("--cell-probs", cell_probs, float)
         spec = ParitySpec(k=k, r=modulus, targets=t, cell_probs=probs)
-        params.update({"k": k, "modulus": modulus, "targets": targets,
-                       "cell_probs": cell_probs})
         result = {"probability": _num(multinomial_parity(spec, n))}
     else:  # gfq
-        params.update({"q": q, "r": r})
         if r is None:
             raise ParseError("--r is required for --what gfq")
         result = {"survival": _num(gfq_dense_survival(q, r, n))}
-    _emit_json("exact", params, result, out)
+    _emit(_provenance("exact", config, result), out)
 
 
 # --- experiments ---------------------------------------------------------------
@@ -440,28 +445,21 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
 def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
                  window_eps, z, r_values, threads, csv_path, out):
     """Run one Monte Carlo experiment; JSON summary plus optional CSV records."""
+    reads = FIELDS_READ[exp_id]
     dist = parse_rho(rho_spec) if rho_spec else None
-    if exp_id != "dense" and dist is None:
+    if "dist" in reads and dist is None:
         raise ParseError(f"--rho is required for --exp {exp_id}")
     cfg = ExperimentConfig(
-        experiment=exp_id,
-        dist=dist,
-        n_values=tuple(n_values),
-        trials=trials,
-        seed=seed,
-        alpha=alpha,
-        model=model,
-        eps=eps,
-        window_eps=window_eps,
-        z=z,
-        r_values=_parse_list("--r-values", r_values),
-        threads=_threads(threads),
-    )
+        experiment=exp_id, dist=dist, n_values=tuple(n_values), trials=trials, seed=seed,
+        alpha=alpha, model=model, eps=eps, window_eps=window_eps, z=z,
+        r_values=_parse_list("--r-values", r_values), threads=_threads(threads))
     res = run_experiment(cfg)
+    # the options behind the fields the experiment reads: --rho gives dist
+    echoed = ("rho" if f == "dist" else f for f in reads)
+    config = {**_config("exp", "n", "trials", "seed", *echoed), "threads": cfg.threads}
     if csv_path:
-        write_records_csv(csv_path, res.records,
-                          meta={"tool": "gf2rank", "version": __version__, **res.config})
-    _emit_json("simulate", res.config, res.summary, out)
+        write_records_csv(csv_path, res.records, _provenance("simulate", config))
+    _emit(_provenance("simulate", config, res.summary), out)
 
 
 @main.command("verify")

@@ -16,7 +16,7 @@ import os
 
 import mpmath as mp
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import InvalidParam
@@ -67,19 +67,12 @@ class ExperimentConfig:
 @dataclass
 class ExperimentResult:
     experiment: str
-    config: dict
     records: list
     summary: dict
 
 
 def _ci95(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["dist"] = cfg.dist.to_json() if cfg.dist is not None else None
-    return d
 
 
 def fan_out(cfg: ExperimentConfig, ni: int, worker, payload):
@@ -206,7 +199,7 @@ def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
         }
     summary = {"alpha_star": a_star, "alpha_bar": a_bar,
                "window": [lo, hi], "per_n": per_n}
-    return ExperimentResult("tn", _config_dict(cfg), records, summary)
+    return ExperimentResult("tn", records, summary)
 
 
 def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
@@ -247,7 +240,7 @@ def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
             entry["hypercycle_violations"] = viol
         per_n[n] = entry
     summary = {"alpha": cfg.alpha, "per_n": per_n}
-    return ExperimentResult("core", _config_dict(cfg), records, summary)
+    return ExperimentResult("core", records, summary)
 
 
 def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
@@ -284,7 +277,7 @@ def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
             per_n[n] = {"m": m, "log_EN_over_n": rate, "F_alpha": f_alpha}
         summary = {"alpha": cfg.alpha, "alpha_star": a_star, "branch": "above",
                    "per_n": per_n}
-    return ExperimentResult("null-growth", _config_dict(cfg), records, summary)
+    return ExperimentResult("null-growth", records, summary)
 
 
 def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
@@ -345,7 +338,7 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
             entry["abs_error_distinct"] = abs(emp_distinct - limit)
         per_n[n] = entry
     summary = {"r": r, "per_n": per_n}
-    return ExperimentResult("classical", _config_dict(cfg), records, summary)
+    return ExperimentResult("classical", records, summary)
 
 
 def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
@@ -368,7 +361,7 @@ def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
                         "ci95": _ci95(emp, cfg.trials), "abs_error": abs(emp - exact_val)}
         per_n[n] = tails
     summary = {"q": 2, "per_n": per_n}
-    return ExperimentResult("dense", _config_dict(cfg), records, summary)
+    return ExperimentResult("dense", records, summary)
 
 
 def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
@@ -398,32 +391,34 @@ def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
         per_n[n] = {"m": m, "tv_distance": tv,
                     "exact_profile": exact_profile, "empirical_profile": empirical}
     summary = {"alpha": cfg.alpha, "per_n": per_n}
-    return ExperimentResult("profile", _config_dict(cfg), records, summary)
+    return ExperimentResult("profile", records, summary)
 
 
+# experiment id -> (runner, the ExperimentConfig fields it reads besides
+# n_values, trials, seed and threads, which every experiment reads)
 _RUNNERS = {
-    "tn": exp_tn_window,
-    "core": exp_core_vs_theory,
-    "null-growth": exp_null_growth,
-    "classical": exp_classical_limits,
-    "profile": exp_weight_profile,
-    "dense": exp_dense_survival,
+    "tn": (exp_tn_window, ("dist", "model", "window_eps")),
+    "core": (exp_core_vs_theory, ("dist", "model", "alpha", "eps")),
+    "null-growth": (exp_null_growth, ("dist", "model", "alpha")),
+    "classical": (exp_classical_limits, ("dist", "model", "z")),
+    "profile": (exp_weight_profile, ("dist", "model", "alpha")),
+    "dense": (exp_dense_survival, ("r_values",)),
 }
 
 
 EXPERIMENTS = tuple(_RUNNERS)
+FIELDS_READ = {name: fields for name, (_, fields) in _RUNNERS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    return _RUNNERS[cfg.experiment](cfg)
+    return _RUNNERS[cfg.experiment][0](cfg)
 
 
-def write_records_csv(path: str, records: list, meta: dict | None = None) -> None:
-    """Per-trial records as CSV; resolved config rides along in '#' comment lines."""
+def write_records_csv(path: str, records: list, header: str) -> None:
+    """Per-trial records as CSV after one header line, such as the
+    '#' provenance line of the CLI."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if meta:
-            for k in sorted(meta):
-                fh.write(f"# {k}={meta[k]}\n")
+        fh.write(header + "\n")
         if not records:
             return
         writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))

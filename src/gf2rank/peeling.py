@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+from .errors import DimensionMismatch, InvalidParam
 from .gf2 import GF2Matrix, RankState
 
 
@@ -43,7 +44,7 @@ class Hypergraph:
         for e in edges:
             te = tuple(sorted(set(e)))
             if te and (te[0] < 0 or te[-1] >= n_vertices):
-                raise ValueError(f"edge {te} out of range for {n_vertices} vertices")
+                raise DimensionMismatch(f"edge {te} out of range for {n_vertices} vertices")
             checked.append(te)
         self._index(n_vertices, checked)
 
@@ -170,7 +171,7 @@ def corank(matrix: GF2Matrix) -> int:
 def check_E(stats: CoreStats, n: int, eps: float) -> bool:
     """Event E(n, m; eps): the core keeps at least eps*n rows and has strictly
     more rows than occupied columns."""
-    if eps <= 0:
-        raise ValueError(f"eps {eps} <= 0")
+    if not eps > 0:
+        raise InvalidParam(f"eps {eps} is not > 0")
     return stats.core_rows >= eps * n and stats.core_rows > stats.occupied_cols
 

@@ -64,6 +64,7 @@ GSTAR_TOL = 1e-12
 ALPHA_BAR_TOL = 1e-9   # alpha_bar resolution the report's checks assume
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
 ROUTES_R_MAX = 159     # heaviest fixed weight whose alpha_star routes hold their roots
+STAR_ONE_R = 34        # from this fixed weight on, 1 - alpha_star_r is below the routes' error
 PROMINENCE = 1e-10     # minimum depth for a local minimum to count as a jump
 X_HI = 1.0 - 1e-15     # guard for log(1-x)
 
@@ -164,28 +165,29 @@ def alpha_star(dist: WeightDist) -> float:
     For a fixed weight 3 <= r <= ROUTES_R_MAX the result is cross-checked
     against two independent routes (the stationary-point equation in gamma,
     and the hyperbolic-substitution system); disagreement beyond ROUTE_TOL
-    raises Inconsistent.  Past ROUTES_R_MAX the lambda-system root, near
-    lambda = r/2, leaves its bracket [0.05, 80] (and tanh(0.05)^-r overflows
-    from r = 237), while 1 - alpha_star_r ~ e^-r / log 2 is far below
-    ALPHA_TOL: there the bisection alone runs and gives 1.0.
+    raises Inconsistent.  1 - alpha_star_r ~ e^-r / log 2 falls below the
+    few-ulp error of the lambda-system route from r = STAR_ONE_R on, so the
+    result is 1.0 there, which keeps it non-decreasing in r.  Past
+    ROUTES_R_MAX the lambda-system root, near lambda = r/2, leaves its
+    bracket [0.05, 80] (and tanh(0.05)^-r overflows from r = 237): there
+    the bisection alone runs.
     F(0) = sup_gamma (H(gamma) - log 2) = 0, so the bisection starts at
     alpha = 0.
     """
     hi = 1.0 if F_of_alpha(dist, 1.0)[0] > TOL_F else 2.0  # alpha_star <= 1; guard anyway
     lo, hi = _bisect(lambda a: F_of_alpha(dist, a)[0] <= TOL_F, 0.0, hi, ALPHA_TOL)
     a_sup = 0.5 * (lo + hi)
-    if len(dist.atoms) == 1 and 3 <= dist.min_weight <= ROUTES_R_MAX:
-        r = dist.min_weight
+    r = dist.min_weight if len(dist.atoms) == 1 else 0  # 0 for a mixture
+    if 3 <= r <= ROUTES_R_MAX:
         a_stat = _alpha_star_stationary(r)
         a_lam = float(_alpha_star_lambda_system(r))
         if abs(a_sup - a_stat) > ROUTE_TOL or abs(a_sup - a_lam) > ROUTE_TOL:
             raise Inconsistent(
                 f"alpha_star routes disagree at r={r}: sup={a_sup!r}, "
                 f"stationary={a_stat!r}, lambda-system={a_lam!r}")
-        # best-conditioned route once agreement is established; it lands a
-        # few ulps above 1 for heavy weights (r = 34, 36, ...)
-        return min(a_lam, 1.0)
-    return min(a_sup, 1.0)  # alpha_star <= 1 always; the bisection can overshoot by ~1e-12
+        a_sup = a_lam  # best-conditioned route once agreement is established
+    # alpha_star <= 1 always; the bisection can overshoot by ~1e-12
+    return 1.0 if r >= STAR_ONE_R else min(a_sup, 1.0)
 
 
 def _alpha_star_stationary(r: int) -> float:
@@ -500,6 +502,11 @@ def _alpha_bar(dist: WeightDist, landscape) -> float:
     for alpha, sign in _psi_events(dist, landscape):
         if sign < 0:
             return alpha
+    # Once x = 1 - e^-u rounds to 1 (u > 37), psi(u) = 1 - u / E[W] to within
+    # u e^-u.  So psi stays positive up to _U_HI only when E[W] > _U_HI, and
+    # its root is then at u = E[W], where h = E[W] / rho'(1) = 1.
+    if dist.mean() > _U_HI:
+        return 1.0
     raise NoConvergence(f"psi(g_star(alpha)) never negative for u up to {_U_HI}")
 
 

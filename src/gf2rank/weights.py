@@ -17,7 +17,6 @@ tests use to get exact generating-function values.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -122,9 +121,6 @@ class WeightDist:
             kk = min(k, n)
             masses[kk] = masses.get(kk, 0) + p
         return sorted(masses.items())
-
-    def to_json(self) -> str:
-        return json.dumps({"atoms": [{"k": k, "p": float(p)} for k, p in self.atoms]})
 
     @classmethod
     def fixed(cls, r: int) -> "WeightDist":

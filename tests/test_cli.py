@@ -2,6 +2,7 @@ import ast
 import json
 import os
 
+import click
 import jsonschema
 import pytest
 from click.testing import CliRunner
@@ -27,11 +28,15 @@ def run_ok(*args, **kwargs):
     return result.output
 
 
+def validate_def(obj, schema, name):
+    resolved = dict(schema["definitions"][name])
+    resolved["definitions"] = schema["definitions"]
+    jsonschema.validate(obj, resolved)
+
+
 def validate(payload, schema, result_def):
     jsonschema.validate(payload, schema)
-    resolved = dict(schema["definitions"][result_def])
-    resolved["definitions"] = schema["definitions"]
-    jsonschema.validate(payload["result"], resolved)
+    validate_def(payload["result"], schema, result_def)
 
 
 def test_thresholds_fixed3(schema):
@@ -424,15 +429,11 @@ def test_package_exports_are_an_explicit_list():
 
 
 def test_thresholds_heavy_fixed_weights_exit_cleanly():
-    # alpha_star is 1.0 in double for heavy fixed weights
-    payload = json.loads(run_ok("thresholds", "--rho", "r=400"))
-    assert payload["result"]["alpha_star"]["double"] == 1.0
-    # at r = 2000 the root of psi lies past the u range alpha_bar searches
-    result = CliRunner().invoke(main, ["thresholds", "--rho", "r=2000"])
-    assert result.exit_code in (0, 4), result.exception
-    if result.exit_code == 4:
-        assert result.stderr.splitlines() == [
-            "numerical error: psi(g_star(alpha)) never negative for u up to 700.0"]
+    # alpha_star and alpha_bar are 1.0 in double for heavy fixed weights; at
+    # r = 2000 the root of psi lies past the u grid that alpha_bar sweeps
+    for r in (400, 2000):
+        res = json.loads(run_ok("thresholds", "--rho", f"r={r}"))["result"]
+        assert res["alpha_star"]["double"] == res["alpha_bar"]["double"] == 1.0
 
 
 def test_exact_config_echoes_only_what_the_quantity_reads():
@@ -445,7 +446,115 @@ def test_exact_config_echoes_only_what_the_quantity_reads():
     assert config("--what", "en", "--rho", "r=3", "--model", "binomial")["model"] == "binomial"
 
 
+# --- provenance ----------------------------------------------------------------
+
+MATRIX = "<matrix file>"  # replaced by a path to a small sparse matrix
+
+# command and mode -> (arguments, the options its config echoes, result schema)
+ECHOED = {
+    "thresholds": (["thresholds", "--rho", "r=3"], ("rho", "alpha", "format"),
+                   "thresholds_result"),
+    "thresholds-table1": (["thresholds", "--table1"], ("table1", "format"), None),
+    "curves-x": (["curves", "--rho", "r=3", "--grid", "4"],
+                 ("rho", "what", "grid", "lo", "hi"), None),
+    "curves-alpha": (["curves", "--rho", "r=3", "--what", "gstar", "--grid", "4", "--lo", "0.9"],
+                     ("rho", "what", "grid", "lo", "hi"), None),
+    "sample": (["sample", "--rho", "r=3", "-n", "6", "-m", "4"],
+               ("rho", "n", "m", "seed", "model", "format"), None),
+    "rank": (["rank", "--in", MATRIX], ("in", "n", "enumerate"), "rank_result"),
+    "core": (["core", "--rho", "r=3", "-n", "30", "-m", "28"],
+             ("rho", "n", "m", "seed", "model", "eps"), "core_result"),
+    "core-in": (["core", "--in", MATRIX], ("in", "n", "eps"), "core_result"),
+    "tn": (["tn", "--rho", "r=3", "-n", "20", "--trials", "1"],
+           ("rho", "n", "trials", "seed", "model"), None),
+    "exact-pi": (["exact", "--what", "pi", "-n", "4", "-m", "2"],
+                 ("what", "rho", "n", "m", "precision"), "exact_result"),
+    "exact-pa": (["exact", "--what", "pa", "--rho", "r=3", "-n", "4", "-m", "2"],
+                 ("what", "rho", "n", "m", "precision"), "exact_result"),
+    "exact-en": (["exact", "--what", "en", "--rho", "r=3", "-n", "4", "-m", "2"],
+                 ("what", "rho", "n", "m", "model", "precision"), "exact_result"),
+    "exact-poisson": (["exact", "--what", "poisson", "-n", "4", "-m", "2"],
+                      ("what", "n", "m", "mu", "truncation", "precision"), "exact_result"),
+    "exact-parity": (["exact", "--what", "parity", "-n", "5", "--cell-probs", "0.3,0.7"],
+                     ("what", "n", "k", "modulus", "targets", "cell_probs"), "exact_result"),
+    "exact-gfq": (["exact", "--what", "gfq", "--r", "3"], ("what", "q", "r", "n"), "exact_result"),
+    "simulate-tn": (["simulate", "--exp", "tn", "--rho", "r=3", "-n", "30"],
+                    ("rho", "model", "window_eps"), "simulate_result"),
+    "simulate-core": (["simulate", "--exp", "core", "--rho", "r=3", "-n", "30"],
+                      ("rho", "model", "alpha", "eps"), "simulate_result"),
+    "simulate-null-growth": (["simulate", "--exp", "null-growth", "--rho", "r=3", "-n", "20",
+                              "--alpha", "0.5"], ("rho", "model", "alpha"), "simulate_result"),
+    "simulate-classical": (["simulate", "--exp", "classical", "--rho", "r=2", "-n", "20"],
+                           ("rho", "model", "z"), "simulate_result"),
+    "simulate-profile": (["simulate", "--exp", "profile", "--rho", "r=3", "-n", "10",
+                          "--alpha", "0.8"], ("rho", "model", "alpha"), "simulate_result"),
+    "simulate-dense": (["simulate", "--exp", "dense", "-n", "8"], ("r_values",),
+                       "simulate_result"),
+}
+SIMULATE_ECHOES = ("exp", "n", "trials", "seed", "threads")  # besides the experiment's own
+
+
+def _record(out: str, schema) -> dict:
+    """The provenance record of one output, checked against the schema."""
+    if out.startswith("# "):  # CSV: the record is the one '#' line, first
+        first, *rest = out.splitlines()
+        assert not any(ln.startswith("#") for ln in rest)
+        record = json.loads(first[2:])
+        validate_def(record, schema, "csv_header")
+        return record
+    record = json.loads(out)
+    jsonschema.validate(record, schema)
+    del record["result"]
+    return record
+
+
+@pytest.mark.parametrize("mode", list(ECHOED))
+def test_config_echoes_exactly_the_options_read(mode, schema, tmp_path):
+    args, keys, result_def = ECHOED[mode]
+    mat = tmp_path / "mat.txt"
+    mat.write_text("0 1\n1 2\n0 2\n")
+    args = [str(mat) if a == MATRIX else a for a in args]
+    if args[0] == "simulate":
+        keys += SIMULATE_ECHOES
+        args += ["--trials", "2", "--threads", "1", "--csv", str(tmp_path / "records.csv")]
+    out = run_ok(*args)
+    record = _record(out, schema)
+    assert record["command"] == args[0]
+    assert sorted(record["config"]) == sorted(keys)
+    if result_def:
+        validate(json.loads(out), schema, result_def)
+    if args[0] == "simulate":
+        assert record["config"]["threads"] == 1
+        assert _record((tmp_path / "records.csv").read_text(), schema) == record
+
+
+def test_csv_header_remakes_the_curve():
+    # values with spaces and commas survive, and the config names every
+    # option, so the header alone gives the command that made the file
+    out = run_ok("curves", "--rho", "0.9:3, 0.1:24", "--what", "gstar", "--grid", "5",
+                 "--hi", "1.0")
+    config = json.loads(out.splitlines()[0][2:])["config"]
+    assert config["rho"] == "0.9:3, 0.1:24" and config["lo"] is None
+    args = [a for k, v in config.items() if v is not None for a in (f"--{k}", str(v))]
+    assert run_ok("curves", *args) == out
+
+
 # --- package structure -------------------------------------------------------
+
+def test_every_option_is_echoed_by_some_mode():
+    # each option of a command is in the config of one of its modes in
+    # ECHOED, which the test above checks against the output; only the
+    # output paths are not echoed
+    echoed = {"simulate": set(SIMULATE_ECHOES)}
+    for args, keys, _ in ECHOED.values():
+        echoed.setdefault(args[0], set()).update(keys)
+    missing = [f"{name} {max(p.opts, key=len)}"
+               for name, cmd in main.commands.items() for p in cmd.params
+               if isinstance(p, click.Option)
+               and max(p.opts, key=len).lstrip("-").replace("-", "_")
+               not in echoed.get(name, set()) | {"out", "csv"}]
+    assert missing == []
+
 
 PACKAGE_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "gf2rank")
 

@@ -286,9 +286,9 @@ def test_write_records_csv(tmp_path):
     cfg = ExperimentConfig(experiment="dense", dist=None, n_values=(10,), trials=4, seed=1)
     res = run_experiment(cfg)
     out = tmp_path / "records.csv"
-    write_records_csv(str(out), res.records, meta={"seed": 1, "experiment": "dense"})
+    write_records_csv(str(out), res.records, "# dense, seed 1")
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("#")
+    assert lines[0] == "# dense, seed 1"
     header = next(ln for ln in lines if not ln.startswith("#"))
     assert header.split(",") == list(res.records[0].keys())
     assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + len(res.records)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from conftest import naive_core
+from gf2rank.errors import DimensionMismatch, InvalidParam
 from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors, row_from_cols
 from gf2rank.peeling import (
     CoreStats,
@@ -68,8 +71,15 @@ def test_check_E():
     more = CoreStats(4, 3, 8, {2: 4}, {2: 2, 3: 2}, (0, 1, 2, 3))
     assert check_E(more, 10, 0.1)
     assert not check_E(more, 100, 0.1)  # 4 < eps * n
-    with pytest.raises(ValueError):
-        check_E(more, 10, 0.0)
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParam):
+            check_E(more, 10, eps)
+
+
+def test_hypergraph_edge_out_of_range():
+    for edge in ((0, 3), (-1, 2)):
+        with pytest.raises(DimensionMismatch):
+            Hypergraph(3, [(0, 1), edge])
 
 
 def test_peel_matches_naive_and_order_invariant(rng):

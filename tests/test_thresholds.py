@@ -405,9 +405,26 @@ def test_threshold_report_fixed_weights_up_to_40():
 
 @pytest.mark.parametrize("r", [34, 40, 64, 161, 200, 237, 400, 695, 1000, 2000])
 def test_alpha_star_heavy_fixed_weights(r):
-    # 1 - alpha_star_r ~ e^-r / log 2; past ROUTES_R_MAX the lambda-system
-    # root leaves its bracket, and from r = 237 tanh(0.05)^-r overflows
-    assert 1.0 - 1e-14 <= alpha_star(WeightDist.fixed(r)) <= 1.0
+    # 1 - alpha_star_r ~ e^-r / log 2 is below the routes' error from r = 34;
+    # past ROUTES_R_MAX the lambda-system root leaves its bracket, and from
+    # r = 237 tanh(0.05)^-r overflows
+    assert alpha_star(WeightDist.fixed(r)) == 1.0
+
+
+def test_alpha_star_non_decreasing_across_star_one_r():
+    # the lambda-system route is off by a few ulps, more than 1 - alpha_star_r
+    # from r = 34 on: r = 38 gave 0.9999999999999981 between 1.0 at 37 and 39
+    values = [alpha_star(WeightDist.fixed(r)) for r in range(30, 43)]
+    assert values == sorted(values)
+    assert thresholds.STAR_ONE_R == 34
+    assert all(v < 1.0 for v in values[:4]) and values[4:] == [1.0] * 9
+
+
+@pytest.mark.parametrize("r", [700, 704, 1000, 2000])
+def test_alpha_bar_heavy_fixed_weights(r):
+    # from r = 701 psi stays positive over the whole u grid: its root is at
+    # u = E[W] = r, where h = 1
+    assert alpha_bar(WeightDist.fixed(r)) == 1.0
 
 
 @pytest.mark.parametrize("dist", [W3, FIG1, FIG2, parse_rho("0.5:4,0.3:9,0.2:17")],

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -100,12 +99,6 @@ def test_dist_validation():
         WeightDist(((3, 1.5),))
     with pytest.raises(InvalidDistribution):
         WeightDist(())
-
-
-def test_json_roundtrip():
-    obj = json.loads(FIG1.to_json())
-    assert WeightDist(tuple((a["k"], a["p"]) for a in obj["atoms"])).atoms == FIG1.atoms
-    assert obj == {"atoms": [{"k": 3, "p": 0.9}, {"k": 24, "p": 0.1}]}
 
 
 @pytest.mark.parametrize("dist", [
