@@ -16,9 +16,20 @@ row; ``pi_multinomial`` is the urn quantity, empty rows included.  The
 already for a few hundred columns.  The lambda_j are exact rationals, so
 P[A(n,m)], the expected null count and its weight profile are exact integer
 sums over a common denominator of the lambda_j, each rounded once at the
-requested precision, with no retry; a true zero comes out as 0.  The float
-``pi_multinomial`` is a guarded mpf sum that retries at doubled precision
-whenever its rounding-error bound is too large relative to the result.
+requested precision, with no retry; a true zero comes out as 0.
+
+Complementing the column set J maps |row ∩ J| to W - |row ∩ J|, so when
+every weight of the per-n law (weights min(W, n) in the exact scheme) has
+one parity, lambda_{n-j} = lambda_j (all even) or -lambda_j (all odd, where
+every odd power is a structural zero; the exact scheme needs the masses to
+sum to exactly 1 here).  These sums then build lambda_j only for j <= n/2
+and count each j < n/2 twice: half the work, the same integers.  A law that
+mixes parities sums j = 0..n.
+
+The float ``pi_multinomial`` is a guarded mpf sum that retries at doubled
+precision whenever its rounding-error bound is too large relative to the
+result.  It sums j = 0..n for every law: folding it would move the last bits
+of the rounded sum, which the tests pin.
 """
 
 from __future__ import annotations
@@ -94,37 +105,65 @@ def _structurally_zero(m: int, weights) -> bool:
 
 # lambda_j is the mean of (-1)^|row ∩ J| for a fixed j-subset J of the columns,
 # so P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m in both row models.  Each model
-# defines it in one place, exactly, for j = 0..n.
+# defines it in one place, exactly, and _lambda_table builds it for the j
+# that the sums need.
 
-def _lambdas_binomial(n: int, dist: WeightDist) -> list:
-    """lambda_j = rho(1 - 2j/n) in the binomial allocation scheme."""
+def _lambda_table(n: int, folds: bool, lam) -> tuple:
+    """(c, lams) with sum_{j=0}^{n} C(n,j) lambda_j^l = sum_j c_j lams_j^l
+    for every l that _structurally_zero leaves; lams_j = lam(j).
+
+    ``folds`` says that lambda_{n-j} = lambda_j, or -lambda_j with every
+    weight odd (l is then even): the terms of j and n - j are equal, so only
+    j <= n/2 is built, with c_j = 2 C(n,j) for j < n/2 and c_{n/2} = C(n,n/2).
+    Otherwise j runs over 0..n with c_j = C(n,j).
+    """
+    cs = []
+    c = 1  # C(n, j), by its recurrence in j
+    for j in range(n // 2 + 1 if folds else n + 1):
+        cs.append(2 * c if folds and 2 * j < n else c)
+        c = c * (n - j) // (j + 1)
+    return cs, [lam(j) for j in range(len(cs))]
+
+
+def _lambdas_binomial(n: int, dist: WeightDist) -> tuple:
+    """lambda_j = rho(1 - 2j/n) in the binomial allocation scheme.  Since
+    1 - 2(n-j)/n = -(1 - 2j/n), a law whose weights share one parity folds."""
     atoms = [(k, Fraction(p)) for k, p in dist.atoms]
-    lams = []
-    for j in range(n + 1):
+
+    def lam(j):
         s = Fraction(n - 2 * j, n)
-        lams.append(sum(p * s**k for k, p in atoms))
-    return lams
+        return sum(p * s**k for k, p in atoms)
+
+    return _lambda_table(n, len({k % 2 for k, _ in atoms}) == 1, lam)
 
 
-def _lambdas_binomial_rows(n: int, dist: WeightDist) -> list:
+def _lambdas_binomial_rows(n: int, dist: WeightDist) -> tuple:
     """lambda_j of the binomial sampler's rows, which are never empty:
     (lambda_j - P0) / (1 - P0), with P0 = 2^-n sum_j C(n,j) lambda_j the
     chance of an empty throw (0 when every weight is odd)."""
-    lams = _lambdas_binomial(n, dist)
+    cs, lams = table = _lambdas_binomial(n, dist)
     if all(k % 2 for k, _ in dist.atoms):
-        return lams
-    p0 = Fraction(*_parity_sum(n, 1, lams))
+        return table
+    p0 = Fraction(*_parity_sum(n, 1, table))
     if p0 == 1:
         raise InvalidParam(f"binomial rows at n={n} need an odd weight; every weight is even")
-    return [(q - p0) / (1 - p0) for q in lams]
+    return cs, [(q - p0) / (1 - p0) for q in lams]
 
 
-def _lambdas_exact(n: int, law) -> list:
+def _lambdas_exact(n: int, law) -> tuple:
     """lambda_j = 2 p_j - 1 in the uniform-support scheme, where p_j is the
-    hypergeometric even-overlap probability under the per-n law."""
+    hypergeometric even-overlap probability under the per-n law.
+
+    Complementing J keeps the parity of |row ∩ J| for an even weight and
+    flips it for an odd one.  So an all-even law folds, and an all-odd law
+    has lambda_{n-j} = 2 S - 2 - lambda_j for its total mass S: it folds
+    only when S is exactly 1, which float masses such as 0.9 + 0.1 miss.
+    """
     frac_law = [(r, Fraction(p)) for r, p in law]
-    return [2 * sum(p * hypergeometric_even_overlap(n, j, r) for r, p in frac_law) - 1
-            for j in range(n + 1)]
+    parities = {r % 2 for r, _ in frac_law}
+    folds = parities == {0} or (parities == {1} and sum(p for _, p in frac_law) == 1)
+    return _lambda_table(n, folds, lambda j: 2 * sum(p * hypergeometric_even_overlap(n, j, r)
+                                                     for r, p in frac_law) - 1)
 
 
 def _over_common_denominator(lams) -> tuple:
@@ -135,19 +174,18 @@ def _over_common_denominator(lams) -> tuple:
 
 def _rounded(num: int, den: int, precision: int):
     """num / den as an mpf, rounded once to ``precision`` bits."""
+    if num == 0:  # no need to normalise a huge den
+        return mp.mpf(0)
     return mp.make_mpf(mp.libmp.from_rational(num, den, precision, mp.libmp.round_nearest))
 
 
-def _parity_sum(n: int, m: int, lams) -> tuple:
-    """(num, den) with 2^-n sum_j C(n,j) lambda_j^m = num / den exactly: with
-    lambda_j = a_j / d, num = sum_j C(n,j) a_j^m and den = 2^n d^m."""
+def _parity_sum(n: int, m: int, table) -> tuple:
+    """(num, den) with 2^-n sum_j C(n,j) lambda_j^m = num / den exactly, from
+    the (c, lams) of _lambda_table: with lambda_j = a_j / d,
+    num = sum_j c_j a_j^m and den = 2^n d^m."""
+    cs, lams = table
     d, a = _over_common_denominator(lams)
-    num = 0
-    c = 1  # C(n, j), by its recurrence in j
-    for j, x in enumerate(a):
-        num += c * x**m
-        c = c * (n - j) // (j + 1)
-    return num, d**m << n
+    return sum(c * x**m for c, x in zip(cs, a)), d**m << n
 
 
 def _parity_sum_guarded(n: int, m: int, lam, precision: int):
@@ -226,8 +264,9 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
 
     With lambda_j = a_j / d over the least common denominator d,
     E[N(n,m;l)] = C(m,l) S_l / (2^n d^l) where S_l = sum_j C(n,j) a_j^l is an
-    integer sum, so every entry and the total are exact rationals.  The
-    floating result rounds each of them once, at ``precision`` bits.
+    integer sum (over j <= n/2 when the law folds), so every entry and the
+    total are exact rationals.  The floating result rounds each of them once,
+    at ``precision`` bits.
     """
     if n < 1 or m < 0:
         raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
@@ -235,19 +274,22 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
         raise InvalidParam(f"precision {precision} < 1 bit")
     if model == "exact":
         law = dist.per_n_law_exact(n)
-        lams, weights = _lambdas_exact(n, law), [r for r, _ in law]
+        (powers, lams), weights = _lambdas_exact(n, law), [r for r, _ in law]
     elif model == "binomial":
-        lams, weights = _lambdas_binomial_rows(n, dist), [k for k, _ in dist.atoms]
+        (powers, lams), weights = _lambdas_binomial_rows(n, dist), [k for k, _ in dist.atoms]
     else:
         raise InvalidParam(f"model {model!r} not in ('exact', 'binomial')")
     d, a = _over_common_denominator(lams)
 
-    powers = [comb(n, j) for j in range(n + 1)]  # C(n,j) a_j^l for the current l
-    nums = []  # C(m,l) S_l, the numerator of E[N(n,m;l)] over 2^n d^l
-    for l in range(m + 1):
-        nums.append(0 if _structurally_zero(l, weights) else comb(m, l) * sum(powers))
-        if l < m:
-            powers = [t * x for t, x in zip(powers, a)]
+    # powers holds c_j a_j^l for the current l; when every weight is odd,
+    # every odd l is a structural zero, so l steps by 2
+    step = 2 if _structurally_zero(1, weights) else 1
+    factors = [x**step for x in a]
+    nums = [0] * (m + 1)  # C(m,l) S_l, the numerator of E[N(n,m;l)] over 2^n d^l
+    for l in range(0, m + 1, step):
+        nums[l] = comb(m, l) * sum(powers)
+        if l + step <= m:
+            powers = [t * x for t, x in zip(powers, factors)]
     total = 0  # numerator of the sum over 2^n d^m, by Horner's rule in d
     for v in nums:
         total = total * d + v

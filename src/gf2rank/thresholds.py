@@ -407,7 +407,9 @@ def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
     # exactly one crossing of h = alpha to the right of lo: any dip below
     # alpha out there would be a local minimum <= alpha right of lo
     if _h_of_u(dist, _U_HI) <= alpha:
-        return _U_HI
+        # past _U_HI x rounds to 1, where h = u / E[W]: for E[W] >= _U_HI
+        # (fixed r >= 700) h crosses alpha there, at u = alpha E[W]
+        return alpha * dist.mean() if dist.mean() >= _U_HI else _U_HI
     lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= alpha, lo, _U_HI, _U_TOL)
     return 0.5 * (lo + hi)
 

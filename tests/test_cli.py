@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 
 import click
 import jsonschema
@@ -48,6 +50,17 @@ def test_thresholds_fixed3(schema):
     assert abs(res["alpha_bar"]["double"] - 0.917935) <= 5e-6
     assert abs(res["alpha_sharp"]["double"] - 0.818469) <= 5e-6
     assert payload["config"]["rho"] == "r=3"
+
+
+def test_python_m_gf2rank_runs_from_the_checkout(schema):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "gf2rank", "thresholds", "--rho", "r=3"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    validate(payload, schema, "thresholds_result")
+    assert payload["tool"] == "gf2rank" and payload["command"] == "thresholds"
 
 
 def test_thresholds_weight2_has_no_bar(schema):

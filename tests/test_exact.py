@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 import pytest
@@ -19,7 +20,7 @@ from gf2rank.exact import (
     prob_A_general,
 )
 from gf2rank.sampling import derive_stream_seed
-from gf2rank.weights import WeightDist
+from gf2rank.weights import WeightDist, parse_rho
 
 W1 = WeightDist.fixed(1)
 W2 = WeightDist.fixed(2)
@@ -163,10 +164,11 @@ GATE_DISTS = (
 GATE_NS = tuple(range(1, 21)) + (22, 25, 28, 30)
 
 
+@cache
 def _empty_row(n, dist):
     """P0, the chance that a throw of the binomial scheme leaves every urn
-    even: the urn all-even probability of a single row."""
-    return pi_multinomial(n, 1, dist, exact=True)
+    even: the urn all-even probability of a single row, summed over every j."""
+    return _full_range_sums(n, 1, [_lambda(n, j, dist, "urn") for j in range(n + 1)])[1]
 
 
 def _per_l_route(n, m, dist, model):
@@ -205,11 +207,17 @@ def test_expected_null_count_matches_per_l_route(model):
 
 
 def _lambda(n, j, dist, model):
-    if model == "binomial":  # a sampler row: a throw conditioned on being nonempty
-        p0 = _empty_row(n, dist)
-        return (dist.pgf(Fraction(n - 2 * j, n)) - p0) / (1 - p0)
-    return 2 * sum(Fraction(p) * hypergeometric_even_overlap(n, j, r)
-                   for r, p in dist.per_n_law_exact(n)) - 1
+    """lambda_j of a row of the exact model, of a binomial sampler row, or of
+    a throw of the urn scheme ("urn"), for one j and with no folding."""
+    if model == "exact":
+        return 2 * sum(Fraction(p) * hypergeometric_even_overlap(n, j, r)
+                       for r, p in dist.per_n_law_exact(n)) - 1
+    s = Fraction(n - 2 * j, n)
+    urn = sum(Fraction(p) * s**k for k, p in dist.atoms)
+    if model == "urn":
+        return urn
+    p0 = _empty_row(n, dist)  # a sampler row: a throw conditioned on being nonempty
+    return (urn - p0) / (1 - p0)
 
 
 @pytest.mark.parametrize("model", ["exact", "binomial"])
@@ -236,6 +244,64 @@ def test_expected_null_count_rounds_at_requested_precision(model, dist):
         for got, want in pairs:
             exact_value = mp.mpf(want.numerator) / want.denominator
             assert abs(got - exact_value) <= mp.mpf(2) ** -500 * abs(exact_value)
+
+
+# --- the folded sums against the full range j = 0..n ----------------------
+
+def _full_range_sums(n, top, lams):
+    """2^-n sum_{j=0}^{n} C(n,j) lambda_j^l for l = 0..top, every j summed:
+    with lambda_j = a_j / d, the integer sum_j C(n,j) a_j^l over 2^n d^l."""
+    d = math.lcm(*(q.denominator for q in lams))
+    terms = [math.comb(n, j) for j in range(n + 1)]  # C(n,j) a_j^l
+    a = [q.numerator * (d // q.denominator) for q in lams]
+    sums = []
+    for l in range(top + 1):
+        sums.append(Fraction(sum(terms), d**l << n))
+        terms = [t * x for t, x in zip(terms, a)]
+    return sums
+
+
+FOLD_DISTS = {
+    "w1": W1, "w2": W2, "w3": W3, "3-5": GATE_DISTS[3], "2-3": GATE_DISTS[4],
+    "3-45": GATE_DISTS[5],  # one parity at odd n < 45 and at n >= 45
+    "w4": WeightDist.fixed(4),
+    "2-4": WeightDist(((2, Fraction(1, 2)), (4, Fraction(1, 2)))),
+    # odd at odd n < 24, but the float masses do not sum to exactly 1 as
+    # rationals, so lambda_{n-j} != -lambda_j in the exact model
+    "fig1": parse_rho("0.9:3,0.1:24"),
+}
+
+
+@pytest.mark.parametrize("model", ["exact", "binomial"])
+@pytest.mark.parametrize("name", list(FOLD_DISTS))
+def test_exact_sums_equal_the_full_range_oracle(name, model):
+    # E[N] (total and profile), P[A] and pi sum lambda_j only for j <= n/2
+    # when the law folds; the oracle sums every j of the unfolded lambda_j.
+    # l is a structural zero (odd, every weight odd) exactly where they give 0.
+    dist = FOLD_DISTS[name]
+    for n in range(43, 48) if name == "3-45" else range(1, 31):
+        weights = [r for r, _ in dist.per_n_law_exact(n)] if model == "exact" else \
+            [k for k, _ in dist.atoms]
+        odd = all(w % 2 for w in weights)
+        if model == "binomial" and n == 1 and not any(w % 2 for w in weights):
+            with pytest.raises(InvalidParam):  # no nonempty row
+                expected_null_count(n, 2, dist, model=model, exact=True)
+        else:
+            full = _full_range_sums(n, n + 2, [_lambda(n, j, dist, model) for j in range(n + 1)])
+            for m in (n - 1, n + 2):
+                want = {l: 0 if odd and l % 2 else math.comb(m, l) * full[l] for l in range(m + 1)}
+                total, profile = expected_null_count(n, m, dist, model=model, exact=True)
+                assert profile == want and total == sum(want.values()), (name, n, m)
+        if model == "exact":
+            law = dist.per_n_law_exact(n)
+            for m in range(n - 1, n + 3):
+                want = 0 if odd and m % 2 else full[m]
+                assert prob_A_general(n, m, law, exact=True) == want, (name, n, m)
+        else:
+            urn = _full_range_sums(n, n + 2, [_lambda(n, j, dist, "urn") for j in range(n + 1)])
+            for m in range(n - 1, n + 3):
+                want = 0 if odd and m % 2 else urn[m]
+                assert pi_multinomial(n, m, dist, exact=True) == want, (name, n, m)
 
 
 def _pi_reference(n, m, dist, precision=256):

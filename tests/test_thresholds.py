@@ -427,6 +427,18 @@ def test_alpha_bar_heavy_fixed_weights(r):
     assert alpha_bar(WeightDist.fixed(r)) == 1.0
 
 
+@pytest.mark.parametrize("r", [700, 701, 1000, 2000])
+def test_threshold_report_heavy_fixed_weights_read_the_root(r):
+    # past the u grid x rounds to 1 and h = u / E[W], so g_star(alpha) sits
+    # at u = alpha r: psi(g_star) is 0 at alpha_bar = 1 and changes sign there
+    dist = WeightDist.fixed(r)
+    rep = threshold_report(dist)
+    assert rep.alpha_bar == 1.0 and rep.x_star == 1.0
+    assert rep.x_star_is_psi_root is True
+    assert rep.bar_crossing_transversal is True
+    assert g_star(dist, rep.alpha_bar) == rep.x_star
+
+
 @pytest.mark.parametrize("dist", [W3, FIG1, FIG2, parse_rho("0.5:4,0.3:9,0.2:17")],
                          ids=["W3", "FIG1", "FIG2", "mix3"])
 def test_components_match_report(dist):
