@@ -475,7 +475,3 @@ def cmd_verify(suite):
     click.echo(f"{len(checks) - failed}/{len(checks)} checks passed")
     if failed:
         raise VerificationFailed(f"{failed} of {len(checks)} checks failed")
-
-
-if __name__ == "__main__":
-    main()
