@@ -2,9 +2,14 @@
 
 Everything here has two faces:
 
-* an arbitrary-precision evaluation (mpmath, default 256 bits), and
+* a floating evaluation (mpmath, default 256 bits; complex doubles for
+  ``multinomial_parity``), and
 * an exact-rational evaluation (``exact=True``) used by the oracle tests,
-  built on ``fractions.Fraction`` and exact big-integer binomials.
+  built on ``fractions.Fraction`` and exact big-integer binomials.  Every
+  exact result is an integer sum over a common denominator, with no number
+  field: the parity sums and E[N] below, and the joint parities of
+  ``multinomial_parity``, whose law of the counts mod r carries integer
+  weights over a power of the cells' common denominator.
 
 The all-even probability P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m is
 computed for both row models: the binomial allocation scheme (balls into
@@ -70,8 +75,6 @@ def _guarded_sum(term_factory, precision: int, amplification: int = 0):
     are dyadic rationals, so exact cancellation is real and doubling cannot
     certify it any further).
     """
-    if precision < 1:
-        raise InvalidParam(f"precision {precision} < 1 bit")
     prec = precision
     zero_seen = False
     while True:
@@ -95,6 +98,13 @@ def _guarded_sum(term_factory, precision: int, amplification: int = 0):
                 f"rounding bound {mp.nstr(bound, 5)} vs result {mp.nstr(total, 5)} "
                 f"still above {_REL_TOL} relative at {prec} bits")
         prec *= 2
+
+
+def _check_args(n: int, m: int, precision: int, exact: bool) -> None:
+    if n < 1 or m < 0:
+        raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
+    if not exact and precision < 1:
+        raise InvalidParam(f"precision {precision} < 1 bit")
 
 
 def _structurally_zero(m: int, weights) -> bool:
@@ -212,8 +222,7 @@ def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PR
     probability that all n cells of a multinomial(m; 1/n, ..., 1/n) vector
     are even.
     """
-    if n < 1 or m < 0:
-        raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
+    _check_args(n, m, precision, exact)
     if _structurally_zero(m, (k for k, _ in dist.atoms)):
         return Fraction(0) if exact else mp.mpf(0)
     if exact:
@@ -239,14 +248,11 @@ def prob_A_general(n: int, m: int, law, precision: int = DEFAULT_PRECISION,
     denominator of the lambda_j, rounded once at ``precision`` bits.
     """
     law = sorted((int(r), p) for r, p in law)
-    if n < 1 or m < 0:
-        raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
+    _check_args(n, m, precision, exact)
     if not law or law[0][0] < 0 or law[-1][0] > n:
         raise InvalidParam(f"law support must lie in [0, {n}]: {law}")
     if _structurally_zero(m, (r for r, _ in law)):
         return Fraction(0) if exact else mp.mpf(0)
-    if not exact and precision < 1:
-        raise InvalidParam(f"precision {precision} < 1 bit")
     num, den = _parity_sum(n, m, _lambdas_exact(n, law))
     return Fraction(num, den) if exact else _rounded(num, den, precision)
 
@@ -268,10 +274,7 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     total are exact rationals.  The floating result rounds each of them once,
     at ``precision`` bits.
     """
-    if n < 1 or m < 0:
-        raise InvalidParam(f"need n >= 1, m >= 0; got n={n}, m={m}")
-    if not exact and precision < 1:
-        raise InvalidParam(f"precision {precision} < 1 bit")
+    _check_args(n, m, precision, exact)
     if model == "exact":
         law = dist.per_n_law_exact(n)
         (powers, lams), weights = _lambdas_exact(n, law), [r for r, _ in law]
@@ -356,16 +359,6 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
 
 # --- joint parities of multinomial counts --------------------------------
 
-_CYCLOTOMIC = {
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    5: (1, 1, 1, 1, 1),
-    6: (1, -1, 1),
-    7: (1, 1, 1, 1, 1, 1, 1),
-    8: (1, 0, 0, 0, 1),
-}  # ascending coefficients, monic; degree = len - 1
-
 PARITY_MAX_K = 10
 PARITY_MAX_R = 8
 
@@ -413,97 +406,37 @@ def _tuple_dot(t, h) -> int:
     return sum(a * b for a, b in zip(t, h))
 
 
-class _Cyclotomic:
-    """Exact arithmetic in Q(omega), omega a primitive r-th root of unity,
-    on the power basis reduced by the r-th cyclotomic polynomial."""
-
-    def __init__(self, r: int):
-        phi = _CYCLOTOMIC[r]
-        self.r = r
-        self.d = len(phi) - 1
-        # omega^d expressed on the basis
-        top = [Fraction(-c) for c in phi[:-1]]
-        self.top = top
-        # omega^e for e = 0..r-1
-        pows = [self.one()]
-        for _ in range(r - 1):
-            pows.append(self._shift(pows[-1]))
-        self.omega_pow = pows
-
-    def zero(self):
-        return [Fraction(0)] * self.d
-
-    def one(self):
-        v = self.zero()
-        v[0] = Fraction(1)
-        return v
-
-    def _shift(self, v):
-        # multiply by omega
-        out = [Fraction(0)] + v[:-1]
-        carry = v[-1]
-        if carry:
-            out = [c + carry * t for c, t in zip(out, self.top)]
-        return out
-
-    def mul(self, a, b):
-        full = [Fraction(0)] * (2 * self.d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        full[i + j] += ai * bj
-        for e in range(2 * self.d - 2, self.d - 1, -1):
-            c = full[e]
-            if c:
-                full[e] = Fraction(0)
-                for i, t in enumerate(self.top):
-                    full[e - self.d + i] += c * t
-        return full[: self.d]
-
-    def power(self, v, e: int):
-        out = self.one()
-        base = v
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-
 def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
-    """P[count of event i = targets[i] (mod r) for every i] over n i.i.d. trials:
-    r^-k sum_h omega^{-t.h} (sum_g omega^{g.h} p_g)^n.
+    """P[count of event i = targets[i] (mod r) for every i] over n i.i.d. trials.
 
-    The float path works over complex doubles and discards an imaginary
-    residue of at most 1e-12 (larger residues raise NumericalResidue).  The
-    exact path runs the same formula in the cyclotomic field Q(omega) over
-    rationals and returns a Fraction.
+    The exact path returns a Fraction, integers over a common denominator like
+    every exact result here: with p_g = a_g / d over the least common
+    denominator d, it runs the law of the count vector mod r through n trials
+    as integer weights d^s P[counts = c (mod r)] on the residue tuples c, and
+    reads off the targets' weight over d^n.
+
+    The float path sums r^-k sum_h omega^{-t.h} (sum_g omega^{g.h} p_g)^n over
+    complex doubles and discards an imaginary residue of at most 1e-12
+    (larger residues raise NumericalResidue).  Its error is absolute, about
+    1e-15 at small n, not relative: for k=1, r=4, p=(1 - 1e-6, 1e-6), t=3,
+    n=3 it gives 8.3e-18 where the exact value is 1.0e-18.
     """
     if n < 0:
         raise InvalidParam(f"n {n} < 0")
     k, r, t = spec.k, spec.r, spec.targets
 
     if exact:
-        field = _Cyclotomic(r)
-        probs = [Fraction(p) for p in spec.cell_probs]
-        total = field.zero()
-        for h in product(range(r), repeat=k):
-            inner = field.zero()
-            for g, p in enumerate(probs):
-                if p:
-                    w = field.omega_pow[_bit_dot(g, h) % r]
-                    inner = [c + p * wc for c, wc in zip(inner, w)]
-            term = field.power(inner, n)
-            shift = field.omega_pow[(-_tuple_dot(t, h)) % r]
-            term = field.mul(term, shift)
-            total = [a + b for a, b in zip(total, term)]
-        scale = Fraction(1, r**k)
-        total = [scale * c for c in total]
-        if any(total[1:]):
-            raise NumericalResidue(f"non-rational cyclotomic residue {total[1:]}")
-        return total[0]
+        d, a = _over_common_denominator([Fraction(p) for p in spec.cell_probs])
+        steps = [(tuple((g >> i) & 1 for i in range(k)), w) for g, w in enumerate(a) if w]
+        law = {(0,) * k: 1}
+        for _ in range(n):
+            nxt = {}
+            for c, v in law.items():
+                for step, w in steps:
+                    key = tuple((x + y) % r for x, y in zip(c, step))
+                    nxt[key] = nxt.get(key, 0) + v * w
+            law = nxt
+        return Fraction(law.get(tuple(t), 0), d**n)
 
     om = [cmath.exp(2j * cmath.pi * j / r) for j in range(r)]
     total = 0j

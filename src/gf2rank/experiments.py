@@ -118,7 +118,8 @@ def _classical_r2_trial(cfg: SampleConfig):
 
 
 def _core_trial(payload):
-    """(record, E) for one matrix: core stats, and whether E(n, m; eps) holds."""
+    """(stats, E) for one matrix: the core stats as record fields, and
+    whether E(n, m; eps) holds."""
     cfg, check_corank, eps = payload
     h = Hypergraph.from_matrix(sample_matrix(cfg))
     if check_corank:
@@ -126,9 +127,6 @@ def _core_trial(payload):
     else:
         stats = peel_2core(h)
     rec = {
-        "n": cfg.n,
-        "m": cfg.m,
-        "seed": cfg.seed,
         "core_rows": stats.core_rows,
         "occupied_cols": stats.occupied_cols,
         "incidences": stats.incidences,
@@ -217,9 +215,11 @@ def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
         check = n <= 5000
         m = round(cfg.alpha * n)
         sample = partial(SampleConfig, n, m, dist, cfg.model)
-        _, out = fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
+        seeds, out = fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
         recs, e_flags = zip(*out)
-        records.extend(recs)
+        for t, (seed, rec) in enumerate(zip(seeds, recs)):
+            records.append({"experiment": "core", "n": n, "trial": t,
+                            "seed": seed, "m": m, **rec})
         mean = lambda k: sum(r[k] for r in recs) / (cfg.trials * n)
         rows_frac, cols_frac, inc_frac = mean("core_rows"), mean("occupied_cols"), mean("incidences")
         e_freq = sum(e_flags) / cfg.trials
@@ -416,11 +416,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def write_records_csv(path: str, records: list, header: str) -> None:
     """Per-trial records as CSV after one header line, such as the
-    '#' provenance line of the CLI."""
+    '#' provenance line of the CLI.  The columns are every record's keys in
+    first-seen order; a record without a column leaves its cell empty."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         if not records:
             return
-        writer = csv.DictWriter(fh, fieldnames=list(records[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(k for r in records for k in r)))
         writer.writeheader()
         writer.writerows(records)

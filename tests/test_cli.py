@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from gf2rank import errors
-from gf2rank.cli import main
+from gf2rank.cli import EXIT_CODES, main
 from gf2rank.sampling import SampleConfig, derive_stream_seed, run_Tn
 from gf2rank.thresholds import core_theory
 from gf2rank.weights import WeightDist
@@ -147,9 +148,12 @@ def test_exact_missing_m_exits_2(what):
 
 @pytest.mark.parametrize("what", ["pi", "pa", "en"])
 def test_exact_precision_below_one_bit_exits_2(what):
-    line = run_fail(["exact", "--what", what, "--rho", "r=3", "-n", "5", "-m", "4",
-                     "--precision", "0"], 2)
-    assert line == "error: precision 0 < 1 bit"
+    # m = 3 with weight 3 is a structural zero: precision is checked first
+    for m in ("4", "3"):
+        for precision in ("0", "-5"):
+            line = run_fail(["exact", "--what", what, "--rho", "r=3", "-n", "5", "-m", m,
+                             "--precision", precision], 2)
+            assert line == f"error: precision {precision} < 1 bit"
 
 
 def test_exact_pa_true_zero_prints_0():
@@ -409,7 +413,25 @@ def test_simulate_dense_with_csv(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert any(ln.startswith("#") for ln in lines)
     header = next(ln for ln in lines if not ln.startswith("#"))
-    assert header.split(",")[:3] == ["experiment", "n", "trial"]
+    assert header.split(",")[:4] == ["experiment", "n", "trial", "seed"]
+    # every experiment's records lead with the same four columns
+    for mode, (args, _, _) in ECHOED.items():
+        if mode.startswith("simulate-"):
+            csv_path = tmp_path / f"{mode}.csv"
+            run_ok(*args, "--trials", "2", "--threads", "1", "--csv", str(csv_path))
+            header = csv_path.read_text().splitlines()[1]
+            assert header.split(",")[:4] == ["experiment", "n", "trial", "seed"], mode
+
+
+def test_simulate_core_csv_keeps_columns_of_later_records(tmp_path):
+    # only trials at n <= 5000 check the corank, so only they carry has_null
+    csv_path = tmp_path / "core.csv"
+    run_ok("simulate", "--exp", "core", "--rho", "r=3", "-n", "6000", "-n", "100",
+           "--trials", "1", "--threads", "1", "--csv", str(csv_path))
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        next(fh)
+        rows = list(csv.DictReader(fh))
+    assert [(r["n"], r["has_null"]) for r in rows] == [("6000", ""), ("100", "1")]
 
 
 def test_simulate_requires_rho():
@@ -603,6 +625,18 @@ def test_no_module_reaches_into_another_modules_private_names():
                     and node.value.id in aliases and _private(node.attr)):
                 reach_ins.append(f"{mod} reads {node.value.id}.{node.attr}")
     assert reach_ins == []
+
+
+def test_every_exit_code_class_is_raised_in_the_package():
+    # an error class that nothing raises any more is dead code left behind
+    raised = set()
+    for tree in _package_trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert [c.__name__ for kinds, _, _ in EXIT_CODES for c in kinds
+            if c.__name__ not in raised] == []
 
 
 def test_every_export_has_a_caller_in_the_package():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gf2rank import oracles
 from gf2rank.errors import InvalidParam, TruncationTooSmall
 from gf2rank.exact import (
+    PARITY_MAX_R,
     ParitySpec,
     _guarded_sum,
     expected_null_count,
@@ -364,17 +365,27 @@ def test_parity_n0():
 
 
 def test_parity_exact_matches_paths():
-    probs = (Fraction(1, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 5))
-    for r in (2, 3):
-        for t in ((0, 0), (1, r - 1)):
-            spec = ParitySpec(k=2, r=r, targets=t, cell_probs=probs)
-            for n in range(5):
-                assert multinomial_parity(spec, n, exact=True) == \
-                    oracles.parity_paths(spec, n)
+    # every modulus in 2..8; distinct denominators and, for k >= 2, an empty
+    # cell; n runs past r at k = 1
+    for k in (1, 2, 3):
+        weights = [(3 * g) % 7 if k > 1 else g + 1 for g in range(1 << k)]
+        probs = tuple(Fraction(w, (g % 3 + 1) * sum(weights)) for g, w in enumerate(weights))
+        probs = probs[:-1] + (1 - sum(probs[:-1]),)
+        floats = tuple(map(float, probs))
+        for r in range(2, PARITY_MAX_R + 1):
+            for t in ((0,) * k, tuple((i + 1) % r for i in range(k)), (r - 1,) * k):
+                spec = ParitySpec(k=k, r=r, targets=t, cell_probs=probs)
+                float_spec = ParitySpec(k=k, r=r, targets=t, cell_probs=floats)
+                for n in range({1: 10, 2: 6, 3: 4}[k]):
+                    assert multinomial_parity(spec, n, exact=True) == \
+                        oracles.parity_paths(spec, n), (k, r, t, n)
+                    # the float route's error is absolute, about 1e-15 at small n
+                    want = multinomial_parity(float_spec, n, exact=True)
+                    assert abs(multinomial_parity(float_spec, n) - want) <= 1e-15, (k, r, t, n)
 
 
 def test_parity_exact_higher_modulus():
-    # cyclotomic reduction for a non-prime modulus
+    # fair cells at r = 4: both routes against the path walk
     probs = (Fraction(1, 2), Fraction(1, 2))
     spec = ParitySpec(k=1, r=4, targets=(2,), cell_probs=probs)
     for n in range(6):
