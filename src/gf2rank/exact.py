@@ -23,18 +23,17 @@ P[A(n,m)], the expected null count and its weight profile are exact integer
 sums over a common denominator of the lambda_j, each rounded once at the
 requested precision, with no retry; a true zero comes out as 0.
 
-Complementing the column set J maps |row ∩ J| to W - |row ∩ J|, so when
-every weight of the per-n law (weights min(W, n) in the exact scheme) has
-one parity, lambda_{n-j} = lambda_j (all even) or -lambda_j (all odd, where
-every odd power is a structural zero; the exact scheme needs the masses to
-sum to exactly 1 here).  These sums then build lambda_j only for j <= n/2
-and count each j < n/2 twice: half the work, the same integers.  A law that
-mixes parities sums j = 0..n.
-
-The float ``pi_multinomial`` is a guarded mpf sum that retries at doubled
-precision whenever its rounding-error bound is too large relative to the
-result.  It sums j = 0..n for every law: folding it would move the last bits
-of the rounded sum, which the tests pin.
+Every sum here reads the law it is given with its masses as Fractions
+scaled to sum to exactly 1 (float masses such as 0.9 + 0.1 sum to
+1 + 2^-55), so exact and float results describe one law.  Complementing the
+column set J maps |row ∩ J| to W - |row ∩ J|, so when every weight of the
+law (weights min(W, n) in the exact scheme) has one parity, lambda_{n-j} =
+lambda_j (all even) or -lambda_j (all odd, where every odd power is a
+structural zero).  Every parity sum, exact or float, then takes lambda_j
+only for j <= n/2 and counts each j < n/2 twice; a law that mixes parities
+sums j = 0..n.  The float ``pi_multinomial`` is a guarded mpf sum that
+retries at doubled precision whenever its rounding-error bound is too large
+relative to the result.
 """
 
 from __future__ import annotations
@@ -70,13 +69,11 @@ def _guarded_sum(term_factory, precision: int, amplification: int = 0):
     ``term_factory()`` yields mpf terms under the current working precision.
     The error bound is (#terms + amplification) ulps of the absolute sum; if
     it exceeds _REL_TOL relative to the result, the precision is doubled, up
-    to a hard cap, after which PrecisionLoss is raised.  A total of exactly
-    zero at two successive precisions is accepted as a true zero (the inputs
-    are dyadic rationals, so exact cancellation is real and doubling cannot
-    certify it any further).
+    to a hard cap, after which PrecisionLoss is raised.  A total of 0 is
+    accepted only when every term is 0: a sum that cancels to 0 certifies
+    nothing, so it ends in PrecisionLoss.
     """
     prec = precision
-    zero_seen = False
     while True:
         with mp.workprec(prec):
             total = mp.mpf(0)
@@ -87,12 +84,8 @@ def _guarded_sum(term_factory, precision: int, amplification: int = 0):
                 abs_total += abs(t)
                 count += 1
             bound = abs_total * mp.mpf(2) ** (4 - prec) * (count + amplification + 1)
-            if bound == 0 or (total != 0 and bound <= _REL_TOL * abs(total)):
+            if bound <= _REL_TOL * abs(total):
                 return +total
-            if total == 0:
-                if zero_seen:
-                    return total
-                zero_seen = True
         if prec >= _MAX_PRECISION:
             raise PrecisionLoss(
                 f"rounding bound {mp.nstr(bound, 5)} vs result {mp.nstr(total, 5)} "
@@ -113,38 +106,44 @@ def _structurally_zero(m: int, weights) -> bool:
     return m % 2 == 1 and all(w % 2 == 1 for w in weights)
 
 
+def _unit_law(law) -> list:
+    """The (weight, mass) pairs of ``law`` with the masses as Fractions scaled
+    to sum to exactly 1; masses that already do are unchanged."""
+    law = [(w, Fraction(p)) for w, p in law]
+    total = sum(p for _, p in law)
+    return [(w, p / total) for w, p in law]
+
+
 # lambda_j is the mean of (-1)^|row ∩ J| for a fixed j-subset J of the columns,
 # so P[A(n,m)] = 2^-n sum_j C(n,j) lambda_j^m in both row models.  Each model
-# defines it in one place, exactly, and _lambda_table builds it for the j
-# that the sums need.
+# defines it in one place, exactly, as a table (c, lams): the _multiplicities
+# c and lambda_j for the j that c covers.
 
-def _lambda_table(n: int, folds: bool, lam) -> tuple:
-    """(c, lams) with sum_{j=0}^{n} C(n,j) lambda_j^l = sum_j c_j lams_j^l
-    for every l that _structurally_zero leaves; lams_j = lam(j).
+def _multiplicities(n: int, law) -> list:
+    """c with sum_{j=0}^{n} C(n,j) lambda_j^l = sum_j c_j lambda_j^l for
+    every l that _structurally_zero leaves, for a law of total mass 1.
 
-    ``folds`` says that lambda_{n-j} = lambda_j, or -lambda_j with every
-    weight odd (l is then even): the terms of j and n - j are equal, so only
-    j <= n/2 is built, with c_j = 2 C(n,j) for j < n/2 and c_{n/2} = C(n,n/2).
-    Otherwise j runs over 0..n with c_j = C(n,j).
+    When every weight of ``law`` has one parity, lambda_{n-j} = lambda_j, or
+    -lambda_j with every weight odd (l is then even): the terms of j and
+    n - j are equal, so only j <= n/2 is taken, with c_j = 2 C(n,j) for
+    j < n/2 and c_{n/2} = C(n,n/2).  Otherwise j runs over 0..n with
+    c_j = C(n,j).
     """
+    folds = len({w % 2 for w, _ in law}) == 1
     cs = []
     c = 1  # C(n, j), by its recurrence in j
     for j in range(n // 2 + 1 if folds else n + 1):
         cs.append(2 * c if folds and 2 * j < n else c)
         c = c * (n - j) // (j + 1)
-    return cs, [lam(j) for j in range(len(cs))]
+    return cs
 
 
 def _lambdas_binomial(n: int, dist: WeightDist) -> tuple:
     """lambda_j = rho(1 - 2j/n) in the binomial allocation scheme.  Since
     1 - 2(n-j)/n = -(1 - 2j/n), a law whose weights share one parity folds."""
-    atoms = [(k, Fraction(p)) for k, p in dist.atoms]
-
-    def lam(j):
-        s = Fraction(n - 2 * j, n)
-        return sum(p * s**k for k, p in atoms)
-
-    return _lambda_table(n, len({k % 2 for k, _ in atoms}) == 1, lam)
+    atoms = _unit_law(dist.atoms)
+    cs = _multiplicities(n, atoms)
+    return cs, [sum(p * Fraction(n - 2 * j, n) ** k for k, p in atoms) for j in range(len(cs))]
 
 
 def _lambdas_binomial_rows(n: int, dist: WeightDist) -> tuple:
@@ -165,15 +164,13 @@ def _lambdas_exact(n: int, law) -> tuple:
     hypergeometric even-overlap probability under the per-n law.
 
     Complementing J keeps the parity of |row ∩ J| for an even weight and
-    flips it for an odd one.  So an all-even law folds, and an all-odd law
-    has lambda_{n-j} = 2 S - 2 - lambda_j for its total mass S: it folds
-    only when S is exactly 1, which float masses such as 0.9 + 0.1 miss.
+    flips it for an odd one, so with total mass 1 a law whose weights share
+    one parity folds.
     """
-    frac_law = [(r, Fraction(p)) for r, p in law]
-    parities = {r % 2 for r, _ in frac_law}
-    folds = parities == {0} or (parities == {1} and sum(p for _, p in frac_law) == 1)
-    return _lambda_table(n, folds, lambda j: 2 * sum(p * hypergeometric_even_overlap(n, j, r)
-                                                     for r, p in frac_law) - 1)
+    law = _unit_law(law)
+    cs = _multiplicities(n, law)
+    return cs, [2 * sum(p * hypergeometric_even_overlap(n, j, r) for r, p in law) - 1
+                for j in range(len(cs))]
 
 
 def _over_common_denominator(lams) -> tuple:
@@ -191,25 +188,11 @@ def _rounded(num: int, den: int, precision: int):
 
 def _parity_sum(n: int, m: int, table) -> tuple:
     """(num, den) with 2^-n sum_j C(n,j) lambda_j^m = num / den exactly, from
-    the (c, lams) of _lambda_table: with lambda_j = a_j / d,
+    a table (c, lams): with lambda_j = a_j / d,
     num = sum_j c_j a_j^m and den = 2^n d^m."""
     cs, lams = table
     d, a = _over_common_denominator(lams)
     return sum(c * x**m for c, x in zip(cs, a)), d**m << n
-
-
-def _parity_sum_guarded(n: int, m: int, lam, precision: int):
-    """2^-n sum_j C(n,j) lam(j)^m as a guarded mpf sum; ``lam(j)`` is evaluated
-    at the working precision.  The signs of lam(j)^m may alternate, so the sum
-    can cancel: _guarded_sum certifies it."""
-    def terms():
-        scale = (mp.mpf(1) / 2) ** n
-        c = 1  # C(n, j), by its recurrence in j
-        for j in range(n + 1):
-            yield scale * c * lam(j) ** m
-            c = c * (n - j) // (j + 1)
-
-    return _guarded_sum(terms, precision, amplification=m + n)
 
 
 def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PRECISION,
@@ -220,14 +203,25 @@ def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PR
     The urn quantity: an empty row counts, though the binomial sampler
     redraws it.  For the point mass at weight 1 this is the classical
     probability that all n cells of a multinomial(m; 1/n, ..., 1/n) vector
-    are even.
+    are even.  The float result is a guarded mpf sum with the masses
+    rounded to the working precision.
     """
     _check_args(n, m, precision, exact)
     if _structurally_zero(m, (k for k, _ in dist.atoms)):
         return Fraction(0) if exact else mp.mpf(0)
     if exact:
         return Fraction(*_parity_sum(n, m, _lambdas_binomial(n, dist)))
-    return _parity_sum_guarded(n, m, lambda j: dist.pgf(1 - 2 * mp.mpf(j) / n), precision)
+    atoms = _unit_law(dist.atoms)
+    cs = _multiplicities(n, atoms)
+
+    def terms():  # the lambda_j^m may alternate in sign, so the sum can cancel
+        scale = (mp.mpf(1) / 2) ** n
+        masses = [(k, _rounded(p.numerator, p.denominator, mp.mp.prec)) for k, p in atoms]
+        for j, c in enumerate(cs):
+            s = 1 - 2 * mp.mpf(j) / n
+            yield scale * c * sum(p * s**k for k, p in masses) ** m
+
+    return _guarded_sum(terms, precision, amplification=m + n)
 
 
 def hypergeometric_even_overlap(n: int, j: int, r: int) -> Fraction:
@@ -410,8 +404,8 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
     """P[count of event i = targets[i] (mod r) for every i] over n i.i.d. trials.
 
     The exact path returns a Fraction, integers over a common denominator like
-    every exact result here: with p_g = a_g / d over the least common
-    denominator d, it runs the law of the count vector mod r through n trials
+    every exact result here: with the p_g scaled to sum to exactly 1 and
+    p_g = a_g / d over the least common denominator d, it runs the law of the count vector mod r through n trials
     as integer weights d^s P[counts = c (mod r)] on the residue tuples c, and
     reads off the targets' weight over d^n.
 
@@ -426,7 +420,7 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
     k, r, t = spec.k, spec.r, spec.targets
 
     if exact:
-        d, a = _over_common_denominator([Fraction(p) for p in spec.cell_probs])
+        d, a = _over_common_denominator([p for _, p in _unit_law(enumerate(spec.cell_probs))])
         steps = [(tuple((g >> i) & 1 for i in range(k)), w) for g, w in enumerate(a) if w]
         law = {(0,) * k: 1}
         for _ in range(n):

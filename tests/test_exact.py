@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gf2rank import oracles
-from gf2rank.errors import InvalidParam, TruncationTooSmall
+from gf2rank.errors import InvalidParam, PrecisionLoss, TruncationTooSmall
 from gf2rank.exact import (
     PARITY_MAX_R,
     ParitySpec,
@@ -207,14 +207,20 @@ def test_expected_null_count_matches_per_l_route(model):
                 assert got == _per_l_route(n, m, dist, model), (dist, n, m)
 
 
+def _scaled(law):
+    """law with its masses as Fractions scaled to sum to exactly 1."""
+    total = sum(Fraction(p) for _, p in law)
+    return [(w, Fraction(p) / total) for w, p in law]
+
+
 def _lambda(n, j, dist, model):
     """lambda_j of a row of the exact model, of a binomial sampler row, or of
     a throw of the urn scheme ("urn"), for one j and with no folding."""
     if model == "exact":
-        return 2 * sum(Fraction(p) * hypergeometric_even_overlap(n, j, r)
-                       for r, p in dist.per_n_law_exact(n)) - 1
+        return 2 * sum(p * hypergeometric_even_overlap(n, j, r)
+                       for r, p in _scaled(dist.per_n_law_exact(n))) - 1
     s = Fraction(n - 2 * j, n)
-    urn = sum(Fraction(p) * s**k for k, p in dist.atoms)
+    urn = sum(p * s**k for k, p in _scaled(dist.atoms))
     if model == "urn":
         return urn
     p0 = _empty_row(n, dist)  # a sampler row: a throw conditioned on being nonempty
@@ -267,8 +273,6 @@ FOLD_DISTS = {
     "3-45": GATE_DISTS[5],  # one parity at odd n < 45 and at n >= 45
     "w4": WeightDist.fixed(4),
     "2-4": WeightDist(((2, Fraction(1, 2)), (4, Fraction(1, 2)))),
-    # odd at odd n < 24, but the float masses do not sum to exactly 1 as
-    # rationals, so lambda_{n-j} != -lambda_j in the exact model
     "fig1": parse_rho("0.9:3,0.1:24"),
 }
 
@@ -305,6 +309,58 @@ def test_exact_sums_equal_the_full_range_oracle(name, model):
                 assert pi_multinomial(n, m, dist, exact=True) == want, (name, n, m)
 
 
+FIG1 = FOLD_DISTS["fig1"]
+
+
+@pytest.mark.parametrize("model", ["exact", "binomial"])
+def test_float_masses_are_scaled_to_sum_to_one(model):
+    # FIG1's float masses sum to 1 + 2^-55 as Fractions; read as they are,
+    # one nonempty row would be null with chance 2^-55 in the exact model
+    scaled = WeightDist(tuple(_scaled(FIG1.atoms)))
+    for n in range(1, 31):
+        got = expected_null_count(n, n + 2, FIG1, model=model, exact=True)
+        assert got[1][1] == 0, n
+        assert got == expected_null_count(n, n + 2, scaled, model=model, exact=True), n
+        if model == "exact":
+            assert prob_A_general(n, 1, FIG1.per_n_law_exact(n), exact=True) == 0, n
+            for m in (n - 1, n + 2):
+                assert prob_A_general(n, m, FIG1.per_n_law_exact(n), exact=True) == \
+                    prob_A_general(n, m, scaled.per_n_law_exact(n), exact=True), (n, m)
+        else:
+            for m in (n - 1, n + 2):
+                assert pi_multinomial(n, m, FIG1, exact=True) == \
+                    pi_multinomial(n, m, scaled, exact=True), (n, m)
+
+
+def test_parity_exact_float_cells_sum_to_one():
+    # 0.1 + 0.9 is 1 + 2^-55 as Fractions
+    specs = [ParitySpec(k=1, r=3, targets=(t,), cell_probs=(0.1, 0.9)) for t in range(3)]
+    assert sum(multinomial_parity(spec, 5, exact=True) for spec in specs) == 1
+
+
+def test_guarded_sum_refuses_a_cancelled_zero():
+    with pytest.raises(PrecisionLoss):
+        _guarded_sum(lambda: iter([mp.mpf(1), mp.mpf(-1)]), 53)
+    assert _guarded_sum(lambda: iter([mp.mpf(0), mp.mpf(0)]), 53) == 0
+
+
+@pytest.mark.parametrize("name", ["w1", "w2", "w3", "3-5", "fig1", "mixed"])
+def test_pi_multinomial_float_within_guard_of_exact(name):
+    # the guard promises 1e-15 relative; folded laws (w1, w2, w3 and the
+    # all-odd 3-5) and mixed-parity ones (fig1 at these n, mixed)
+    dist = WeightDist(((2, 0.5), (3, 0.3), (7, 0.2))) if name == "mixed" else FOLD_DISTS[name]
+    for n in (31, 64, 257, 400):
+        for m in (2, 2 * round(0.45 * n), 2 * round(0.45 * n) + 1):
+            want = pi_multinomial(n, m, dist, exact=True)
+            got = pi_multinomial(n, m, dist)
+            if want == 0:  # odd m with every weight odd
+                assert got == 0
+                continue
+            with mp.workprec(1024):
+                exact_value = mp.mpf(want.numerator) / want.denominator
+                assert abs(got - exact_value) <= 1e-15 * exact_value, (n, m)
+
+
 def _pi_reference(n, m, dist, precision=256):
     """The guarded pi sum with every binomial from math.comb."""
     def terms():
@@ -316,6 +372,8 @@ def _pi_reference(n, m, dist, precision=256):
 
 
 def test_pi_multinomial_bit_identical_to_comb_reference():
+    # not bit for bit: repr rounds both sums to mpmath's default 15 digits
+    # (53 bits) and compares those
     mixed = WeightDist(((2, 0.5), (3, 0.3), (7, 0.2)))
     for dist, n, m in ((W3, 400, 380), (mixed, 400, 381), (mixed, 257, 64),
                        (W2, 100, 33), (mixed, 31, 1), (W1, 60, 60)):
