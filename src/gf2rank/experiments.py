@@ -305,8 +305,9 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
         raise InvalidParam("classical limits are for the fixed weights r=1 or r=2")
     r = dist.min_weight
     z = cfg.z
-    if r == 2 and not 0.0 <= z <= 1.0:
-        raise InvalidParam(f"z {z} outside [0, 1], where the r=2 law is defined")
+    z_hi = 1.0 if r == 2 else math.inf
+    if not 0.0 <= z <= z_hi:
+        raise InvalidParam(f"z {z} outside [0, {z_hi:g}], where the r={r} law is defined")
     records = []
     per_n = {}
     for ni, n in enumerate(cfg.n_values):

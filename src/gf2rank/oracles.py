@@ -1,19 +1,28 @@
-"""Brute-force reference computations for desk-scale instances.
+"""Exact reference computations for desk-scale instances.
 
 These deliberately share no code with the closed-form routes they check:
-probabilities come from exhaustive enumeration over row tuples, ball throws,
-or trial paths, in exact rational arithmetic.  Both row models share the
-all-even and E[2^corank] enumerations over a row alphabet.
+every probability is a sum over row tuples, ball throws or trial paths, in
+exact rational arithmetic.  ``_walk`` takes the sum over m-tuples of i.i.d.
+rows grouped by the state each prefix reaches: the XOR of the rows for
+P[A] and the urn probability, the span of the rows for E[2^corank], the XOR
+of unit vectors for one throw of k balls.  By distributivity this is the
+same sum as the enumeration of every tuple, with one term per reachable
+state in place of one per tuple.  Both row models share the XOR and span
+walks over a row alphabet.
+
+``parity_paths`` stays an enumeration of every path: grouping its paths by
+their count vector mod r would be ``multinomial_parity``'s own residue-count
+DP, which it is there to check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from operator import xor
 
 from .errors import TooLarge
 from .exact import ParitySpec
-from .gf2 import RankState
 from .weights import WeightDist
 
 
@@ -38,95 +47,76 @@ def _row_alphabet(n: int, law):
     return alphabet
 
 
-def _all_even(alphabet, m: int, limit: int) -> Fraction:
-    """P[the XOR of m i.i.d. rows from the alphabet is 0], summed over every
-    m-tuple of rows."""
-    if len(alphabet) ** m > limit:
-        raise TooLarge(f"{len(alphabet)}^{m} row tuples exceed {limit}")
-    shares = {p for _, p in alphabet}
-    if len(shares) == 1:  # uniform-probability fast path: count good tuples
-        good = 0
-        for rows in product([a for a, _ in alphabet], repeat=m):
-            acc = 0
-            for x in rows:
-                acc ^= x
-            if acc == 0:
-                good += 1
-        return good * shares.pop() ** m
-    total = Fraction(0)
-    for rows in product(alphabet, repeat=m):
-        acc = 0
-        prob = Fraction(1)
-        for x, p in rows:
-            acc ^= x
-            prob *= p
-        if acc == 0:
-            total += prob
-    return total
+def _walk(rows, m: int, step, start) -> dict:
+    """{state: probability} after m i.i.d. draws from rows, (row, probability)
+    pairs, where each draw moves the state s to step(s, row)."""
+    law = {start: Fraction(1)}
+    for _ in range(m):
+        nxt: dict = {}
+        for s, q in law.items():
+            for x, p in rows:
+                t = step(s, x)
+                nxt[t] = nxt.get(t, 0) + q * p
+        law = nxt
+    return law
 
 
-def _mean_two_to_corank(n: int, m: int, alphabet, limit: int) -> Fraction:
-    """E[2^corank] over every matrix of m i.i.d. rows from the alphabet."""
-    if len(alphabet) ** m > limit:
-        raise TooLarge(f"{len(alphabet)}^{m} matrices exceed {limit}")
-    total = Fraction(0)
-    for rows in product(alphabet, repeat=m):
-        state = RankState(n)
-        prob = Fraction(1)
-        for x, p in rows:
-            state.absorb(x)
-            prob *= p
-        total += prob * 2 ** state.corank
-    return total
+def _span_with(basis: tuple, x: int) -> tuple:
+    """The reduced echelon basis of span(basis + x): rows in descending order,
+    and no row holds another row's top bit."""
+    for b in basis:
+        x = min(x, x ^ b)  # clears b's top bit from x
+    if x == 0:
+        return basis
+    top = 1 << (x.bit_length() - 1)
+    return tuple(sorted([b ^ x if b & top else b for b in basis] + [x], reverse=True))
 
 
-def _ball_rows(dist: WeightDist, n: int, limit: int) -> dict:
+def _mean_two_to_corank(rows, m: int) -> Fraction:
+    """E[2^corank] of m i.i.d. rows: corank = m - dim of their span."""
+    return sum(p * 2 ** (m - len(v)) for v, p in _walk(rows, m, _span_with, ()).items())
+
+
+def _ball_rows(dist: WeightDist, n: int) -> dict:
     """{mask: probability} of one throw of the binomial scheme: W from dist,
     W balls uniform over n urns, the row the set of odd urns (0 if none)."""
+    urns = [(1 << u, Fraction(1, n)) for u in range(n)]
     rows: dict = {}
     for k, p in dist.atoms:
-        if n**k > limit:
-            raise TooLarge(f"{n}^{k} throws exceed {limit}")
-        share = Fraction(p) / Fraction(n) ** k
-        for balls in product(range(n), repeat=k):
-            mask = 0
-            for u in balls:
-                mask ^= 1 << u
-            rows[mask] = rows.get(mask, Fraction(0)) + share
+        for mask, q in _walk(urns, k, xor, 0).items():
+            rows[mask] = rows.get(mask, 0) + Fraction(p) * q
     return rows
 
 
-def prob_A_enumerated(n: int, m: int, law, limit: int = 10**7) -> Fraction:
-    """P[all column sums even] by summing over every m-tuple of rows."""
-    return _all_even(_row_alphabet(n, law), m, limit)
+def prob_A(n: int, m: int, law) -> Fraction:
+    """P[all column sums even] for m rows of the exact scheme."""
+    return _walk(_row_alphabet(n, law), m, xor, 0).get(0, Fraction(0))
 
 
-def mean_null_count_enumerated(n: int, m: int, law, limit: int = 10**6) -> Fraction:
-    """E[2^corank] by enumerating every possible matrix of m rows."""
-    return _mean_two_to_corank(n, m, _row_alphabet(n, law), limit)
+def mean_null_count(n: int, m: int, law) -> Fraction:
+    """E[2^corank] for m rows of the exact scheme."""
+    return _mean_two_to_corank(_row_alphabet(n, law), m)
 
 
-def binomial_null_count_enumerated(n: int, m: int, dist: WeightDist,
-                                   limit: int = 10**6) -> Fraction:
-    """E[2^corank] for rows of the binomial sampler, by enumerating every
-    matrix of m nonempty ball-throw rows.  The sampler redraws an empty row,
-    so the nonempty rows' probabilities are renormalised to sum to 1."""
-    rows = _ball_rows(dist, n, limit)
+def binomial_mean_null_count(n: int, m: int, dist: WeightDist) -> Fraction:
+    """E[2^corank] for m rows of the binomial sampler: the nonempty ball-throw
+    rows, since the sampler redraws an empty row, with their probabilities
+    renormalised to sum to 1."""
+    rows = _ball_rows(dist, n)
     keep = 1 - rows.pop(0, Fraction(0))
-    return _mean_two_to_corank(n, m, [(x, p / keep) for x, p in rows.items()], limit)
+    return _mean_two_to_corank([(x, p / keep) for x, p in rows.items()], m)
 
 
-def pi_multinomial_enumerated(n: int, m: int, dist: WeightDist,
-                              limit: int = 10**7) -> Fraction:
-    """P[all urn occupancies even] by enumerating every m-tuple of ball-throw
-    rows of the binomial scheme, empty rows included."""
-    return _all_even(list(_ball_rows(dist, n, limit).items()), m, limit)
+def pi_urns(n: int, m: int, dist: WeightDist) -> Fraction:
+    """P[all urn occupancies even] after m ball-throw rows of the binomial
+    scheme, empty rows included."""
+    return _walk(_ball_rows(dist, n).items(), m, xor, 0).get(0, Fraction(0))
 
 
-def binomial_weight_law(dist: WeightDist, n: int, limit: int = 10**6) -> list:
+def binomial_weight_law(dist: WeightDist, n: int) -> list:
     """Exact pmf of the binomial-model row weight (odd-urn count), including 0."""
     masses: dict = {}
-    for mask, p in _ball_rows(dist, n, limit).items():
+    for mask, p in _ball_rows(dist, n).items():
         w = mask.bit_count()
         masses[w] = masses.get(w, Fraction(0)) + p
     return sorted(masses.items())
@@ -149,4 +139,3 @@ def parity_paths(spec: ParitySpec, n: int, limit: int = 10**7) -> Fraction:
         if all(c % spec.r == t for c, t in zip(counts, spec.targets)):
             total += prob
     return total
-

@@ -60,7 +60,6 @@ from .weights import WeightDist
 TOL_F = 1e-12          # F > TOL_F counts as positive in the alpha_star bisection
 ALPHA_TOL = 1e-12      # alpha-bisection resolution
 GAMMA_TOL = 1e-12      # golden-section resolution in gamma
-GSTAR_TOL = 1e-12
 ALPHA_BAR_TOL = 1e-9   # alpha_bar resolution the report's checks assume
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
 ROUTES_R_MAX = 159     # heaviest fixed weight whose alpha_star routes hold their roots
@@ -361,7 +360,7 @@ def _rightmost_crossing_below(dist, level, vals, u_min):
     below = np.flatnonzero(~(vals[1:i + 1] > level))
     i = int(below[-1]) + 1 if below.size else 0
     lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= level, float(grid[i]), float(grid[i + 1]),
-                     GSTAR_TOL)
+                     _U_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -407,9 +406,9 @@ def _g_star_u(dist: WeightDist, alpha: float, minima: list) -> float | None:
     # exactly one crossing of h = alpha to the right of lo: any dip below
     # alpha out there would be a local minimum <= alpha right of lo
     if _h_of_u(dist, _U_HI) <= alpha:
-        # past _U_HI x rounds to 1, where h = u / E[W]: for E[W] >= _U_HI
-        # (fixed r >= 700) h crosses alpha there, at u = alpha E[W]
-        return alpha * dist.mean() if dist.mean() >= _U_HI else _U_HI
+        # past _U_HI x rounds to 1, where h = u / E[W]: h crosses alpha there,
+        # at u = alpha E[W]
+        return alpha * dist.mean()
     lo, hi = _bisect(lambda u: _h_of_u(dist, u) <= alpha, lo, _U_HI, _U_TOL)
     return 0.5 * (lo + hi)
 
@@ -687,7 +686,7 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> Th
                        > _psi_g_star(dist, a_bar + d, mins))
         # the ordering is certified to 10 ALPHA_BAR_TOL; the true gap drops
         # below that around fixed weight 22
-        if not (a_star <= a_bar + 10 * ALPHA_BAR_TOL and a_bar <= 1.0 + 1e-9):
+        if not (a_star <= a_bar + d and a_bar <= 1.0 + 1e-9):
             raise Inconsistent(
                 f"threshold ordering violated: alpha_star={a_star}, alpha_bar={a_bar}")
     if dist.min_weight >= 2:
@@ -711,8 +710,8 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> Th
             "tol_F": TOL_F,
             "alpha_bisect": ALPHA_TOL,
             "gamma_refine": GAMMA_TOL,
-            "g_star_bisect": GSTAR_TOL,
-            "alpha_bar_bisect": ALPHA_BAR_TOL,
+            "u_refine": _U_TOL,
+            "alpha_bar_check_slack": 10.0 * ALPHA_BAR_TOL,
             "jump_prominence": PROMINENCE,
         },
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import mpmath as mp
 
@@ -139,21 +138,15 @@ def suite_fig8() -> list:
 
 
 def suite_oracles() -> list:
-    """Exact-arithmetic agreement of the closed forms with brute enumeration."""
+    """Exact-arithmetic agreement of the closed forms with the oracles' walks."""
     checks = []
     for r in (2, 3):
         law = [(r, 1)]
         for n in range(r, 7):
-            for m in range(0, 5):
+            for m in range(0, 3 * n + 1):
                 got = prob_A_general(n, m, law, exact=True)
-                want = oracles.prob_A_enumerated(n, m, law)
+                want = oracles.prob_A(n, m, law)
                 checks.append(_equal(f"oracle prob_A n={n} m={m} W={r}", want, got))
-
-    law2 = [(2, 1)]
-    for m in range(0, 4):
-        want = oracles.mean_null_count_enumerated(4, m, law2)
-        got, _ = expected_null_count(4, m, WeightDist.fixed(2), model="exact", exact=True)
-        checks.append(_equal(f"oracle E[N] n=4 m={m} W=2", want, got))
 
     parity_cases = [
         (1, 2, (0,), (Fraction(2, 3), Fraction(1, 3))),
@@ -179,21 +172,29 @@ def suite_oracles() -> list:
                 b = prob_A_general(n, m, bin_law, exact=True)
                 checks.append(_equal(f"oracle pi==pa-bin n={n} m={m} W={r}", b, a))
 
-    # ball-level enumeration of the binomial scheme at tiny sizes
-    for r, n, m in ((1, 2, 2), (1, 3, 3), (2, 3, 2), (2, 2, 3), (3, 3, 2)):
-        dist = WeightDist.fixed(r)
-        a = pi_multinomial(n, m, dist, exact=True)
-        b = oracles.pi_multinomial_enumerated(n, m, dist)
-        checks.append(_equal(f"oracle pi-balls n={n} m={m} W={r}", b, a))
-
-    # E[N] of the binomial model against the sampler's rows: the nonempty
-    # ball throws, renormalised
     w23 = WeightDist(((2, Fraction(1, 2)), (3, Fraction(1, 2))))
-    for name, dist in (("2", WeightDist.fixed(2)), ("4", WeightDist.fixed(4)), ("2/3", w23)):
-        for n, m in product(range(2, 5), range(1, 4)):
-            want = oracles.binomial_null_count_enumerated(n, m, dist)
-            got, _ = expected_null_count(n, m, dist, model="binomial", exact=True)
-            checks.append(_equal(f"oracle E[N] binomial n={n} m={m} W={name}", want, got))
+    dists = (("1", WeightDist.fixed(1)), ("2", WeightDist.fixed(2)), ("3", WeightDist.fixed(3)),
+             ("4", WeightDist.fixed(4)), ("2/3", w23))
+    # ball-level walk of the binomial scheme, empty rows included
+    for name, dist in dists:
+        for n in range(2, 6):
+            for m in range(0, 2 * n + 1):
+                a = pi_multinomial(n, m, dist, exact=True)
+                b = oracles.pi_urns(n, m, dist)
+                checks.append(_equal(f"oracle pi-balls n={n} m={m} W={name}", b, a))
+
+    # E[N] = E[2^corank] in both row models; the binomial rows are the
+    # sampler's: the nonempty ball throws, renormalised
+    for name, dist in dists[1:]:
+        for n in range(2, 5):
+            for m in range(0, 2 * n + 1):
+                if n >= dist.max_weight:
+                    want = oracles.mean_null_count(n, m, dist.atoms)
+                    got, _ = expected_null_count(n, m, dist, model="exact", exact=True)
+                    checks.append(_equal(f"oracle E[N] n={n} m={m} W={name}", want, got))
+                want = oracles.binomial_mean_null_count(n, m, dist)
+                got, _ = expected_null_count(n, m, dist, model="binomial", exact=True)
+                checks.append(_equal(f"oracle E[N] binomial n={n} m={m} W={name}", want, got))
     return checks
 
 

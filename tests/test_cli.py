@@ -238,6 +238,19 @@ def test_curves_psi_of_gstar_sign_matches_core_theory(r):
     assert seen == {1, -1}
 
 
+def test_core_and_curves_past_the_u_grid():
+    # g_star sits at u = alpha E[W] > 700, where x rounds to 1 and
+    # psi(g_star) = 1 - alpha; u = 700 broke core's incidence identity
+    payload = json.loads(run_ok("core", "--rho", "r=40", "-n", "10", "-m", "200"))
+    assert payload["result"]["theory"]["incidence_frac"] == 800.0
+    out = run_ok("curves", "--rho", "r=3", "--what", "gstar,psi_of_gstar", "--lo", "100",
+                 "--hi", "400", "--grid", "4")
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert [float(a) for a, _, _ in rows[1:]] == [100.0, 175.0, 250.0, 325.0, 400.0]
+    for a, g, p in rows[1:]:
+        assert float(g) == 1.0 and float(p) == pytest.approx(1.0 - float(a), rel=1e-12)
+
+
 def test_curves_rejects_mixed_kinds():
     result = CliRunner().invoke(main, ["curves", "--rho", "r=3", "--what", "h,gstar"])
     assert result.exit_code == 2
@@ -327,6 +340,7 @@ def test_tn_rows_replay_stream(r, model):
     ["simulate", "--exp", "core", "--rho", "r=3", "-n", "50", "--alpha", "nan"],
     ["simulate", "--exp", "classical", "--rho", "r=2", "-n", "50", "--z", "2"],
     ["simulate", "--exp", "classical", "--rho", "r=1", "-n", "50", "--z", "nan"],
+    ["simulate", "--exp", "classical", "--rho", "r=1", "-n", "20", "--trials", "2", "--z", "-1"],
     ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--window-eps", "nan"],
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "nan"],
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "inf"],
@@ -345,7 +359,8 @@ def test_tn_rows_replay_stream(r, model):
         "dense-r-values", "binomial-even-n1", "en-binomial-even-n1", "parity-targets",
         "parity-cell-probs", "curves-grid0", "curves-gstar-grid0", "curves-grid-neg",
         "thresholds-alpha-nan", "thresholds-alpha-neg", "simulate-alpha-nan",
-        "classical-r2-z2", "classical-z-nan", "tn-window-eps-nan", "poisson-mu-nan",
+        "classical-r2-z2", "classical-z-nan", "classical-r1-z-neg", "tn-window-eps-nan",
+        "poisson-mu-nan",
         "poisson-mu-inf", "poisson-mu-huge", "poisson-truncation-huge", "parity-cell-probs-nan", "curves-gstar-lo-nan",
         "sample-seed-neg", "tn-seed-neg", "core-seed-neg", "simulate-seed-neg", "simulate-threads0",
         "poisson-truncation-neg"])
@@ -637,6 +652,24 @@ def test_every_exit_code_class_is_raised_in_the_package():
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert [c.__name__ for kinds, _, _ in EXIT_CODES for c in kinds
             if c.__name__ not in raised] == []
+
+
+def test_oracles_import_no_route_they_check():
+    # the oracles stay independent of what they check: from the package they
+    # take the error classes, the weight law and the ParitySpec record only
+    allowed = {"errors": None, "weights": None, "exact": {"ParitySpec"}}
+    imported = []
+    for node in ast.walk(_package_trees()["oracles"]):
+        if isinstance(node, ast.Import):
+            imported += [(a.name.removeprefix("gf2rank."), "*") for a in node.names
+                         if a.name.split(".")[0] == "gf2rank"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "gf2rank"):
+            mod = (node.module or "").removeprefix("gf2rank").lstrip(".")
+            imported += [(mod, a.name) if mod else (a.name, "*") for a in node.names]
+    assert imported
+    assert [(mod, name) for mod, name in imported if mod not in allowed
+            or allowed[mod] is not None and name not in allowed[mod]] == []
 
 
 def test_every_export_has_a_caller_in_the_package():

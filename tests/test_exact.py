@@ -20,6 +20,7 @@ from gf2rank.exact import (
     poissonization_check,
     prob_A_general,
 )
+from gf2rank.gf2 import RankState
 from gf2rank.sampling import derive_stream_seed
 from gf2rank.weights import WeightDist, parse_rho
 
@@ -42,7 +43,7 @@ def test_pi_odd_m_is_zero():
 def test_pi_against_ball_enumeration():
     for dist, n, m in ((W1, 2, 2), (W2, 3, 2), (W3, 3, 2), (W2, 2, 3)):
         assert pi_multinomial(n, m, dist, exact=True) == \
-            oracles.pi_multinomial_enumerated(n, m, dist)
+            oracles.pi_urns(n, m, dist)
 
 
 def test_hypergeometric_even_overlap_values():
@@ -62,7 +63,7 @@ def test_prob_A_single_row_zero():
 
 def test_prob_A_matches_enumeration_w3():
     got = prob_A_general(6, 3, [(3, 1)], exact=True)
-    want = oracles.prob_A_enumerated(6, 3, [(3, 1)])
+    want = oracles.prob_A(6, 3, [(3, 1)])
     assert got == want
 
 
@@ -70,7 +71,7 @@ def test_prob_A_mixture_law_matches_enumeration():
     law = [(1, Fraction(1, 4)), (2, Fraction(3, 4))]
     for m in range(4):
         assert prob_A_general(4, m, law, exact=True) == \
-            oracles.prob_A_enumerated(4, m, law)
+            oracles.prob_A(4, m, law)
 
 
 def test_prob_A_float_path_matches_exact():
@@ -128,9 +129,33 @@ def test_expected_null_count_small():
 
 def test_expected_null_count_matches_corank_enumeration():
     for m in range(4):
-        want = oracles.mean_null_count_enumerated(4, m, [(2, 1)])
+        want = oracles.mean_null_count(4, m, [(2, 1)])
         got, _ = expected_null_count(4, m, W2, exact=True)
         assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_span_with_is_the_canonical_basis_of_the_span(data, n):
+    # the span walk's state: the same rows in any order give the same tuple,
+    # one row per rank of the span, and no row holds another's top bit
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    order = data.draw(st.permutations(rows))
+    bases = []
+    for seq in (rows, order):
+        basis = ()
+        for x in seq:
+            basis = oracles._span_with(basis, x)
+        bases.append(basis)
+    state = RankState(n)
+    for x in rows:
+        state.absorb(x)
+    basis = bases[0]
+    assert bases[1] == basis
+    assert len(basis) == len(rows) - state.corank
+    assert list(basis) == sorted(basis, reverse=True)
+    top = {b: 1 << (b.bit_length() - 1) for b in basis}
+    assert all(not b & top[c] for b in basis for c in basis if c != b)
 
 
 def test_pair_weight_profile_identity():
@@ -504,7 +529,6 @@ def test_gfq_against_simulation():
     # small. the full-precision version is in the acceptance suite
     n, trials = 20, 4000
     dist = WeightDist.fixed(1)  # placeholder; dense rows sampled directly
-    from gf2rank.gf2 import RankState
     from gf2rank.sampling import make_rng
     hits = {r: 0 for r in (1, 2, 3)}
     for t in range(trials):

@@ -439,6 +439,37 @@ def test_threshold_report_heavy_fixed_weights_read_the_root(r):
     assert g_star(dist, rep.alpha_bar) == rep.x_star
 
 
+@pytest.mark.parametrize("r, alpha", [(3, 300.0), (40, 20.0)])
+def test_g_star_past_the_u_grid(r, alpha):
+    # past _U_HI x rounds to 1 and h = u / E[W], so h crosses alpha at
+    # u = alpha E[W] for every law; u = _U_HI broke core_theory's identities
+    dist = WeightDist.fixed(r)
+    assert thresholds._g_star_u(dist, alpha, thresholds._h_landscape(dist)[1]) == alpha * r
+    th = core_theory(dist, alpha)
+    assert th.g_star == 1.0 and th.incidence_frac == alpha * r
+
+
+def test_report_tolerances_are_the_ones_applied(monkeypatch):
+    # every bisection and golden refinement of a report runs to a reported
+    # tolerance, and every key holds the constant the code applies
+    seen = set()
+    for name in ("_bisect", "_golden_min"):
+        def spy(f, a, b, tol, _inner=getattr(thresholds, name)):
+            seen.add(tol)
+            return _inner(f, a, b, tol)
+        monkeypatch.setattr(thresholds, name, spy)
+    tol = threshold_report(FIG1).tolerances
+    assert tol == {
+        "tol_F": thresholds.TOL_F,
+        "alpha_bisect": thresholds.ALPHA_TOL,
+        "gamma_refine": thresholds.GAMMA_TOL,
+        "u_refine": thresholds._U_TOL,
+        "alpha_bar_check_slack": 10 * thresholds.ALPHA_BAR_TOL,
+        "jump_prominence": thresholds.PROMINENCE,
+    }
+    assert seen == {tol["alpha_bisect"], tol["gamma_refine"], tol["u_refine"]}
+
+
 @pytest.mark.parametrize("dist", [W3, FIG1, FIG2, parse_rho("0.5:4,0.3:9,0.2:17")],
                          ids=["W3", "FIG1", "FIG2", "mix3"])
 def test_components_match_report(dist):
