@@ -5,7 +5,12 @@ of the ni-th n draws its stream from PCG64 seeded by ``derive_stream_seed``
 from the pair (seed, ni * trials + t), a SeedSequence hash, so fan-out order
 does not matter and parallel and serial runs aggregate identically.
 ``fan_out`` is the only place that derives those seeds and spreads trials
-over processes; every experiment and the ``tn`` command run through it.
+over processes.  Every experiment that runs trials goes through ``_run``,
+which alone passes ``fan_out`` the index ni of n, writes the record prefix
+(experiment, n, trial, seed) and puts each n's entry under ``per_n``; an
+experiment gives it a worker, the worker's argument, the record fields and
+the per-n entry.  The ``tn`` command calls ``fan_out`` itself, because its
+CSV columns are its own.
 """
 
 from __future__ import annotations
@@ -162,6 +167,23 @@ def _dense_trial(payload):
 
 # --- experiments ------------------------------------------------------------
 
+def _run(cfg: ExperimentConfig, worker, payload, fields, entry, **summary) -> ExperimentResult:
+    """Run cfg.trials trials of worker at each n of cfg.n_values.
+
+    Trial t at n gets worker(payload(n, seed)) and the record
+    {experiment, n, trial, seed, **fields(n, result)}; per_n[n] is
+    entry(n, results), with results in trial order.  The summary is
+    **summary followed by per_n.
+    """
+    records, per_n = [], {}
+    for ni, n in enumerate(cfg.n_values):
+        seeds, results = fan_out(cfg, ni, worker, partial(payload, n))
+        records += [{"experiment": cfg.experiment, "n": n, "trial": t, "seed": seed,
+                     **fields(n, res)} for t, (seed, res) in enumerate(zip(seeds, results))]
+        per_n[n] = entry(n, results)
+    return ExperimentResult(cfg.experiment, records, {**summary, "per_n": per_n})
+
+
 def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
     """Empirical law of T_n/n against the window [alpha_star - eps, alpha_bar + eps].
 
@@ -179,25 +201,21 @@ def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
     a_star = alpha_star(dist)
     a_bar = alpha_bar(dist)
     lo, hi = a_star - cfg.window_eps, a_bar + cfg.window_eps
-    records = []
-    per_n = {}
-    for ni, n in enumerate(cfg.n_values):
-        seeds, ts = fan_out(cfg, ni, run_Tn, partial(SampleConfig, n, 0, dist, cfg.model))
+
+    def entry(n, ts):
         ratios = [t / n for t in ts]
         inside = sum(1 for x in ratios if lo <= x <= hi) / cfg.trials
-        for t, (seed, tn) in enumerate(zip(seeds, ts)):
-            records.append({"experiment": "tn", "n": n, "trial": t,
-                            "seed": seed, "T_n": tn, "ratio": tn / n})
-        per_n[n] = {
+        return {
             "in_window": inside,
             "in_window_ci95": _ci95(inside, cfg.trials),
             "mean_ratio": sum(ratios) / cfg.trials,
             "max_T": max(ts),
             "all_le_n_plus_1": all(t <= n + 1 for t in ts),
         }
-    summary = {"alpha_star": a_star, "alpha_bar": a_bar,
-               "window": [lo, hi], "per_n": per_n}
-    return ExperimentResult("tn", records, summary)
+
+    return _run(cfg, run_Tn, lambda n, s: SampleConfig(n, 0, dist, cfg.model, s),
+                lambda n, t: {"T_n": t, "ratio": t / n}, entry,
+                alpha_star=a_star, alpha_bar=a_bar, window=[lo, hi])
 
 
 def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
@@ -207,40 +225,32 @@ def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
     verify corank >= 1 directly, the pigeonhole consequence of a hypercycle;
     larger n only peel.
     """
-    dist = cfg.dist
-    th = core_theory(dist, cfg.alpha)
-    records = []
-    per_n = {}
-    for ni, n in enumerate(cfg.n_values):
-        check = n <= 5000
-        m = round(cfg.alpha * n)
-        sample = partial(SampleConfig, n, m, dist, cfg.model)
-        seeds, out = fan_out(cfg, ni, _core_trial, lambda s: (sample(s), check, cfg.eps))
+    th = core_theory(cfg.dist, cfg.alpha)
+    m_of = lambda n: round(cfg.alpha * n)
+
+    def entry(n, out):
         recs, e_flags = zip(*out)
-        for t, (seed, rec) in enumerate(zip(seeds, recs)):
-            records.append({"experiment": "core", "n": n, "trial": t,
-                            "seed": seed, "m": m, **rec})
         mean = lambda k: sum(r[k] for r in recs) / (cfg.trials * n)
-        rows_frac, cols_frac, inc_frac = mean("core_rows"), mean("occupied_cols"), mean("incidences")
-        e_freq = sum(e_flags) / cfg.trials
-        entry = {
-            "m": m,
-            "rows_frac": rows_frac,
-            "cols_frac": cols_frac,
-            "inc_frac": inc_frac,
+        stats = {
+            "m": m_of(n),
+            "rows_frac": mean("core_rows"),
+            "cols_frac": mean("occupied_cols"),
+            "inc_frac": mean("incidences"),
             "theory_rows": th.core_row_frac,
             "theory_cols": th.occupied_col_frac,
             "theory_inc": th.incidence_frac,
             "aspect_sign_theory": th.aspect_sign,
             "more_rows_freq": sum(r["more_rows"] for r in recs) / cfg.trials,
-            "E_freq": e_freq,
+            "E_freq": sum(e_flags) / cfg.trials,
         }
-        if check:
-            viol = sum(1 for r in recs if r["more_rows"] and not r.get("has_null", 0))
-            entry["hypercycle_violations"] = viol
-        per_n[n] = entry
-    summary = {"alpha": cfg.alpha, "per_n": per_n}
-    return ExperimentResult("core", records, summary)
+        if "has_null" in recs[0]:
+            stats["hypercycle_violations"] = sum(
+                1 for r in recs if r["more_rows"] and not r["has_null"])
+        return stats
+
+    return _run(cfg, _core_trial,
+                lambda n, s: (SampleConfig(n, m_of(n), cfg.dist, cfg.model, s), n <= 5000, cfg.eps),
+                lambda n, res: {"m": m_of(n), **res[0]}, entry, alpha=cfg.alpha)
 
 
 def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
@@ -248,36 +258,30 @@ def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
 
     Below alpha_star: Monte Carlo over coranks; reports
     n^(r0-2) (mean(2^sigma) - 1) per n, which should stay bounded in n.
-    At or above alpha_star: exact (1/n) log E[N] per n against F(alpha).
+    At or above alpha_star: exact (1/n) log E[N] per n against F(alpha),
+    with no trials and so no records.
     """
     dist = cfg.dist
     a_star = alpha_star(dist)
-    records = []
-    per_n = {}
+    m_of = lambda n: round(cfg.alpha * n)
     if cfg.alpha < a_star:
         r0 = dist.min_weight
-        for ni, n in enumerate(cfg.n_values):
-            m = round(cfg.alpha * n)
-            sample = partial(SampleConfig, n, m, dist, cfg.model)
-            seeds, sigmas = fan_out(cfg, ni, _corank_trial, sample)
+
+        def entry(n, sigmas):
             mean_count = sum(2**s for s in sigmas) / cfg.trials
-            stat = n ** (r0 - 2) * (mean_count - 1.0)
-            for t, (seed, s) in enumerate(zip(seeds, sigmas)):
-                records.append({"experiment": "null-growth", "n": n, "trial": t,
-                                "seed": seed, "corank": s})
-            per_n[n] = {"m": m, "mean_null_count": mean_count, "scaled_excess": stat}
-        summary = {"alpha": cfg.alpha, "alpha_star": a_star, "branch": "below",
-                   "r0": r0, "per_n": per_n}
-    else:
-        f_alpha = F_of_alpha(dist, cfg.alpha)[0]
-        for n in cfg.n_values:
-            m = round(cfg.alpha * n)
-            total, _ = expected_null_count(n, m, dist, model=cfg.model)
-            rate = float(mp.log(total)) / n
-            per_n[n] = {"m": m, "log_EN_over_n": rate, "F_alpha": f_alpha}
-        summary = {"alpha": cfg.alpha, "alpha_star": a_star, "branch": "above",
-                   "per_n": per_n}
-    return ExperimentResult("null-growth", records, summary)
+            return {"m": m_of(n), "mean_null_count": mean_count,
+                    "scaled_excess": n ** (r0 - 2) * (mean_count - 1.0)}
+
+        return _run(cfg, _corank_trial, lambda n, s: SampleConfig(n, m_of(n), dist, cfg.model, s),
+                    lambda n, s: {"corank": s}, entry,
+                    alpha=cfg.alpha, alpha_star=a_star, branch="below", r0=r0)
+    f_alpha = F_of_alpha(dist, cfg.alpha)[0]
+    per_n = {}
+    for n in cfg.n_values:
+        total, _ = expected_null_count(n, m_of(n), dist, model=cfg.model)
+        per_n[n] = {"m": m_of(n), "log_EN_over_n": float(mp.log(total)) / n, "F_alpha": f_alpha}
+    summary = {"alpha": cfg.alpha, "alpha_star": a_star, "branch": "above", "per_n": per_n}
+    return ExperimentResult(cfg.experiment, [], summary)
 
 
 def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
@@ -308,91 +312,74 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
     z_hi = 1.0 if r == 2 else math.inf
     if not 0.0 <= z <= z_hi:
         raise InvalidParam(f"z {z} outside [0, {z_hi:g}], where the r={r} law is defined")
-    records = []
-    per_n = {}
-    for ni, n in enumerate(cfg.n_values):
+    limit = (math.exp(-z * z / 2.0) if r == 1
+             else math.sqrt(1.0 - z) * math.exp(z / 2.0 + z * z / 4.0))
+
+    def entry(n, out):
+        ts, ds = (out, None) if r == 1 else zip(*out)
         cut = z * math.sqrt(n) if r == 1 else z * n / 2.0
-        limit = (math.exp(-z * z / 2.0) if r == 1
-                 else math.sqrt(1.0 - z) * math.exp(z / 2.0 + z * z / 4.0))
         tail = lambda xs: sum(1 for x in xs if x > cut) / cfg.trials
-        sample = partial(SampleConfig, n, 0, dist, cfg.model)
-        if r == 1:
-            seeds, ts = fan_out(cfg, ni, run_Tn, sample)
-        else:
-            seeds, out = fan_out(cfg, ni, _classical_r2_trial, sample)
-            ts, ds = zip(*out)
         emp = tail(ts)
-        for t, (seed, tn) in enumerate(zip(seeds, ts)):
-            rec = {"experiment": "classical", "n": n, "trial": t,
-                   "seed": seed, "T_n": tn}
-            if r == 2:
-                rec["T_distinct"] = ds[t]
-            records.append(rec)
-        entry = {"z": z, "empirical_tail": emp, "limit_tail": limit,
+        stats = {"z": z, "empirical_tail": emp, "limit_tail": limit,
                  "ci95": _ci95(emp, cfg.trials), "abs_error": abs(emp - limit)}
         if r == 2:
             iid_limit = math.sqrt(1.0 - z) * math.exp(z / 2.0)
             emp_distinct = tail(ds)
-            entry["limit_tail_iid"] = iid_limit
-            entry["abs_error_iid"] = abs(emp - iid_limit)
-            entry["empirical_tail_distinct"] = emp_distinct
-            entry["abs_error_distinct"] = abs(emp_distinct - limit)
-        per_n[n] = entry
-    summary = {"r": r, "per_n": per_n}
-    return ExperimentResult("classical", records, summary)
+            stats["limit_tail_iid"] = iid_limit
+            stats["abs_error_iid"] = abs(emp - iid_limit)
+            stats["empirical_tail_distinct"] = emp_distinct
+            stats["abs_error_distinct"] = abs(emp_distinct - limit)
+        return stats
+
+    if r == 1:
+        worker, fields = run_Tn, lambda n, t: {"T_n": t}
+    else:
+        worker, fields = _classical_r2_trial, lambda n, res: {"T_n": res[0], "T_distinct": res[1]}
+    return _run(cfg, worker, lambda n, s: SampleConfig(n, 0, dist, cfg.model, s),
+                fields, entry, r=r)
 
 
 def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
     """Uniform nonzero GF(2) rows: empirical P[T_n > n+1-r] against the exact
     finite-n product, for each offset r in cfg.r_values."""
-    records = []
-    per_n = {}
-    for ni, n in enumerate(cfg.n_values):
+    for n in cfg.n_values:
         if not 1 <= n <= 62:
             raise InvalidParam(f"dense survival sampler needs 1 <= n <= 62 (a row in one word); n={n}")
-        seeds, ts = fan_out(cfg, ni, _dense_trial, lambda s: (n, s))
-        for t, (seed, tn) in enumerate(zip(seeds, ts)):
-            records.append({"experiment": "dense", "n": n, "trial": t,
-                            "seed": seed, "T_n": tn})
+
+    def entry(n, ts):
         tails = {}
         for r in cfg.r_values:
             emp = sum(1 for t in ts if t > n + 1 - r) / cfg.trials
             exact_val = gfq_dense_survival(2, r, n)
             tails[r] = {"empirical": emp, "exact": exact_val,
                         "ci95": _ci95(emp, cfg.trials), "abs_error": abs(emp - exact_val)}
-        per_n[n] = tails
-    summary = {"q": 2, "per_n": per_n}
-    return ExperimentResult("dense", records, summary)
+        return tails
+
+    return _run(cfg, _dense_trial, lambda n, s: (n, s), lambda n, t: {"T_n": t}, entry, q=2)
 
 
 def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
     """Exact weight profile of the null space versus the empirical histogram
     of enumerated null vectors (small n, m <= 24)."""
-    dist = cfg.dist
-    records = []
-    per_n = {}
-    for ni, n in enumerate(cfg.n_values):
-        m = round(cfg.alpha * n)
-        total, profile = expected_null_count(n, m, dist, model=cfg.model)
+    m_of = lambda n: round(cfg.alpha * n)
+
+    def entry(n, profs):
+        total, profile = expected_null_count(n, m_of(n), cfg.dist, model=cfg.model)
         exact_profile = {l: float(v / total) for l, v in profile.items()}
-        sample = partial(SampleConfig, n, m, dist, cfg.model)
-        seeds, profs = fan_out(cfg, ni, _profile_trial, sample)
         counts: dict = {}
         grand = 0
-        for t, (seed, prof) in enumerate(zip(seeds, profs)):
+        for prof in profs:
             for l, c in prof.items():
                 counts[l] = counts.get(l, 0) + c
                 grand += c
-            records.append({"experiment": "profile", "n": n, "trial": t,
-                            "seed": seed,
-                            "null_vectors": sum(prof.values())})
         empirical = {l: c / grand for l, c in counts.items()}
         tv = 0.5 * sum(abs(exact_profile.get(l, 0.0) - empirical.get(l, 0.0))
                        for l in set(exact_profile) | set(empirical))
-        per_n[n] = {"m": m, "tv_distance": tv,
-                    "exact_profile": exact_profile, "empirical_profile": empirical}
-    summary = {"alpha": cfg.alpha, "per_n": per_n}
-    return ExperimentResult("profile", records, summary)
+        return {"m": m_of(n), "tv_distance": tv,
+                "exact_profile": exact_profile, "empirical_profile": empirical}
+
+    return _run(cfg, _profile_trial, lambda n, s: SampleConfig(n, m_of(n), cfg.dist, cfg.model, s),
+                lambda n, prof: {"null_vectors": sum(prof.values())}, entry, alpha=cfg.alpha)
 
 
 # experiment id -> (runner, the ExperimentConfig fields it reads besides

@@ -133,20 +133,18 @@ def is_one_null(matrix: GF2Matrix) -> bool:
     return acc == 0
 
 
-def enumerate_null_vectors(matrix: GF2Matrix, max_m: int = ENUM_LIMIT):
+def enumerate_null_vectors(matrix: GF2Matrix):
     """All a in {0,1}^m with a.M = 0 (mod 2), including a = 0.
 
     Walks the 2^m subsets in Gray-code order, so each step is a single XOR.
     Returns (vectors, profile): vectors are bitmasks over row indices, and
     profile[l] counts null vectors using exactly l rows.
 
-    Raises TooLarge when m exceeds max_m (itself capped at 24).
+    Raises TooLarge when m exceeds ENUM_LIMIT (24).
     """
     m = matrix.m
-    if max_m > ENUM_LIMIT:
-        raise TooLarge(f"max_m {max_m} > {ENUM_LIMIT}")
-    if m > max_m:
-        raise TooLarge(f"m {m} > max_m {max_m}")
+    if m > ENUM_LIMIT:
+        raise TooLarge(f"m {m} > max_m {ENUM_LIMIT}")
     rows = matrix.rows
     vectors = [0]
     profile = {0: 1}
@@ -186,25 +184,26 @@ def matrix_to_text(matrix: GF2Matrix, fmt: str = "sparse") -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def matrix_from_text(text: str, n_cols: int | None = None, fmt: str = "auto") -> GF2Matrix:
+def matrix_from_text(text: str, n_cols: int | None = None) -> GF2Matrix:
+    """Read either text format.  0/1 lines all wider than one character are
+    dense.  A width-1 line reads as sparse, except at n_cols = 1 when some
+    line is "1", which no sparse row of one column can be."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if fmt == "auto":
-        dense = lines and all(set(ln) <= {"0", "1"} and len(ln) > 1 for ln in lines)
-        fmt = "dense" if dense else "sparse"
+    bits = lines and all(set(ln) <= {"0", "1"} for ln in lines)
     rows = []
-    if fmt == "dense":
+    if bits and (all(len(ln) > 1 for ln in lines) or (n_cols == 1 and "1" in lines)):
         widths = {len(ln) for ln in lines}
         if len(widths) > 1:
             raise ParseError(f"dense rows of unequal length: {sorted(widths)}")
-        width = widths.pop() if widths else (n_cols or 1)
+        width = widths.pop()
         if n_cols is None:
             n_cols = width
         elif n_cols != width:
             raise ParseError(f"dense width {width} != n_cols {n_cols}")
         for ln in lines:
             rows.append(tuple(i for i, ch in enumerate(ln) if ch == "1"))
-    elif fmt == "sparse":
+    else:
         maxc = -1
         for ln in lines:
             try:
@@ -217,8 +216,6 @@ def matrix_from_text(text: str, n_cols: int | None = None, fmt: str = "auto") ->
             rows.append(tuple(sorted(set(cols))))
         if n_cols is None:
             n_cols = maxc + 1 if maxc >= 0 else 1
-    else:
-        raise ParseError(f"unknown matrix format {fmt!r}")
     matrix = GF2Matrix(n_cols)
     for cols in rows:
         matrix.append_cols(cols)

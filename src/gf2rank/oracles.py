@@ -122,11 +122,11 @@ def binomial_weight_law(dist: WeightDist, n: int) -> list:
     return sorted(masses.items())
 
 
-def parity_paths(spec: ParitySpec, n: int, limit: int = 10**7) -> Fraction:
+def parity_paths(spec: ParitySpec, n: int) -> Fraction:
     """Joint congruence probability by walking all (2^k)^n outcome paths."""
     cells = [(g, Fraction(p)) for g, p in enumerate(spec.cell_probs)]
-    if len(cells) ** n > limit:
-        raise TooLarge(f"{len(cells)}^{n} paths exceed {limit}")
+    if len(cells) ** n > 10**7:
+        raise TooLarge(f"{len(cells)}^{n} paths exceed 10000000")
     total = Fraction(0)
     for path in product(cells, repeat=n):
         counts = [0] * spec.k

@@ -172,6 +172,13 @@ def alpha_star(dist: WeightDist) -> float:
     the bisection alone runs.
     F(0) = sup_gamma (H(gamma) - log 2) = 0, so the bisection starts at
     alpha = 0.
+    Each F_gamma(alpha) = alpha A - B is affine in alpha, with
+    A = log(1 + rho(1 - 2 gamma)) and B = log 2 - H(gamma), so
+    alpha_star = min(1, inf B/A).  As gamma -> 1/2, B/A tends to 0 with
+    weight-1 mass, and to 1/(2 p_2) with weight-2 mass and none of weight 1.
+    When that edge limit is the infimum, F grows only quadratically past it
+    and the bisection lands about sqrt(TOL_F) high, so the result is capped
+    at the edge limit.
     """
     hi = 1.0 if F_of_alpha(dist, 1.0)[0] > TOL_F else 2.0  # alpha_star <= 1; guard anyway
     lo, hi = _bisect(lambda a: F_of_alpha(dist, a)[0] <= TOL_F, 0.0, hi, ALPHA_TOL)
@@ -185,8 +192,10 @@ def alpha_star(dist: WeightDist) -> float:
                 f"alpha_star routes disagree at r={r}: sup={a_sup!r}, "
                 f"stationary={a_stat!r}, lambda-system={a_lam!r}")
         a_sup = a_lam  # best-conditioned route once agreement is established
+    p = dict(dist.atoms)
+    edge = 0.0 if 1 in p else 1.0 / (2.0 * float(p[2])) if 2 in p else 1.0
     # alpha_star <= 1 always; the bisection can overshoot by ~1e-12
-    return 1.0 if r >= STAR_ONE_R else min(a_sup, 1.0)
+    return 1.0 if r >= STAR_ONE_R else min(a_sup, edge, 1.0)
 
 
 def _alpha_star_stationary(r: int) -> float:
@@ -625,12 +634,13 @@ def core_theory(dist: WeightDist, alpha: float) -> CoreTheory:
 
 # --- large-r asymptotics (arbitrary precision) ------------------------------
 
-def threshold_asymptotics(r_max: int = 12, precision: int = 256) -> list:
-    """Scaled threshold gaps for r = 3..r_max, computed in arbitrary precision:
+def threshold_asymptotics(r_max: int = 12) -> list:
+    """Scaled threshold gaps for r = 3..r_max, computed in 256-bit precision:
     (1 - alpha_star_r) e^r log 2 and (1 - alpha_bar_r) e^r, both -> 1."""
     if r_max > 16:
         raise InvalidParam("r_max > 16 serves no purpose; the gaps are < 1e-7 there")
     rows = []
+    precision = 256
     with mp.workprec(precision):
         for r in range(3, r_max + 1):
             a_star = _alpha_star_lambda_system(r, precision=precision)

@@ -207,7 +207,7 @@ def test_criterion_12_property_suites():
         n = int(rng.integers(3, 12))
         m = int(rng.integers(1, 17))
         mat = sample_matrix(SampleConfig(n=n, m=m, dist=W3, seed=int(rng.integers(2**31))))
-        vecs, _ = enumerate_null_vectors(mat, max_m=16)
+        vecs, _ = enumerate_null_vectors(mat)
         if len(vecs) != 2 ** corank(mat):
             count_ok = False
         core = set(peel_2core(Hypergraph.from_matrix(mat)).core_edge_ids)

@@ -275,6 +275,16 @@ def test_rank_stdin_dense():
     assert res["m"] == 3 and res["rank"] == 2 and res["corank"] == 1
 
 
+def test_rank_one_column_dense_round_trip():
+    # "1" is no sparse row of one column, so under -n 1 it reads as dense;
+    # "0" lines still read as sparse rows holding column 0
+    text = run_ok("sample", "--rho", "r=1", "-n", "1", "-m", "2", "--format", "dense")
+    res = json.loads(run_ok("rank", "-n", "1", input=text))["result"]
+    assert (res["n_cols"], res["m"], res["rank"], res["corank"]) == (1, 2, 1, 1)
+    res = json.loads(run_ok("rank", "-n", "1", input="0\n0\n"))["result"]
+    assert (res["n_cols"], res["m"], res["rank"], res["corank"]) == (1, 2, 1, 1)
+
+
 def test_rank_enumerate():
     payload = json.loads(run_ok("rank", "--enumerate", input="110\n110\n"))
     res = payload["result"]
@@ -670,6 +680,19 @@ def test_oracles_import_no_route_they_check():
     assert imported
     assert [(mod, name) for mod, name in imported if mod not in allowed
             or allowed[mod] is not None and name not in allowed[mod]] == []
+
+
+def test_fan_out_is_called_by_the_trial_driver_and_cmd_tn_only():
+    # every experiment reaches fan_out through the one driver, which alone
+    # writes the record prefix and per_n; cmd_tn keeps its own CSV columns
+    callers = []
+    for mod, tree in _package_trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "fan_out" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.append((mod, getattr(top, "name", None)))
+    assert callers == [("cli", "cmd_tn"), ("experiments", "_run")]
 
 
 def test_every_export_has_a_caller_in_the_package():

@@ -89,12 +89,18 @@ def test_beta0_in_range():
     assert v > 0 and 0 < g0 < 0.5 and 0 < b0 < 0.5
 
 
-def test_alpha_star_weight2():
-    assert alpha_star(W2) == pytest.approx(0.5, abs=5e-6)
-
-
-def test_alpha_star_weight1():
-    assert alpha_star(W1) == pytest.approx(0.0, abs=5e-6)
+@pytest.mark.parametrize("spec, want", [
+    ("r=1", 0.0),
+    ("r=2", 0.5),
+    ("0.001:1,0.999:3", 0.0),
+    ("0.7:2,0.3:4", 5 / 7),
+    ("0.9:2,0.1:3", 0.552824503175998),  # infimum interior, below the edge's 1/1.8
+], ids=["weight1", "weight2", "p1-0.001", "p2-0.7", "interior"])
+def test_alpha_star_edge_limit(spec, want):
+    # as gamma -> 1/2, B/A tends to 0 with weight-1 mass and to 1/(2 p_2) with
+    # weight-2 mass and none of weight 1; F grows only quadratically past such
+    # an infimum, so the bisection alone lands about sqrt(TOL_F) = 1e-6 high
+    assert alpha_star(parse_rho(spec)) == pytest.approx(want, abs=1e-11)
 
 
 def test_alpha_star_routes_agree():
