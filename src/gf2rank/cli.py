@@ -60,14 +60,6 @@ def _num(x) -> dict:
     return {"decimal": f"{float(x):.17g}", "double": float(x)}
 
 
-def _json_default(o):
-    if isinstance(o, mp.mpf):
-        return _mpf_str(o)
-    if hasattr(o, "numerator") and hasattr(o, "denominator"):
-        return f"{o.numerator}/{o.denominator}"
-    raise TypeError(f"cannot serialize {type(o)}")
-
-
 def _config(*names: str) -> dict:
     """The named options of the running command as this invocation read
     them, keyed by option name: "--cell-probs" is cell_probs."""
@@ -87,7 +79,7 @@ def _provenance(command: str, config: dict, result=None) -> str:
     record = {"tool": "gf2rank", "version": __version__, "command": command, "config": config}
     if result is None:
         return "# " + json.dumps(record, separators=(",", ":"))
-    return json.dumps({**record, "result": result}, indent=2, default=_json_default)
+    return json.dumps({**record, "result": result}, indent=2)
 
 
 def _emit(text: str, out: str | None) -> None:

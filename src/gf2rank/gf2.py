@@ -42,12 +42,13 @@ def row_cols(row: int) -> List[int]:
 
 
 class GF2Matrix:
-    """Immutable-after-build list of nonzero rows over n_cols columns.
+    """Immutable-after-build list of rows over n_cols columns.
 
-    ``cols`` holds one sorted, duplicate-free, non-empty tuple of columns per
-    row, each below n_cols.  The constructor takes rows as int bitmasks and
-    ``append_cols`` takes a row's column tuple; ``rows`` derives the int
-    bitmasks on each access and does not store them.
+    ``cols`` holds one sorted, duplicate-free tuple of columns per row, each
+    below n_cols; a zero row is the empty tuple.  The constructor takes rows
+    as int bitmasks and ``append_cols`` a row's column tuple, which it checks
+    for both.  ``rows`` derives the int bitmasks on each access and does not
+    store them.
     """
 
     __slots__ = ("n_cols", "cols")
@@ -58,20 +59,17 @@ class GF2Matrix:
         self.n_cols = n_cols
         self.cols: List[Tuple[int, ...]] = []
         for r in rows:
-            if r < 0:
+            if r < 0:  # row_cols never ends on a negative int
                 raise DimensionMismatch(f"row {r} < 0")
-            if r.bit_length() > n_cols:
-                raise DimensionMismatch(f"row spans column {r.bit_length() - 1} >= n_cols {n_cols}")
             self.append_cols(tuple(row_cols(r)))
 
     def append_cols(self, cols: Tuple[int, ...]) -> None:
         """Append the row with these columns, a sorted, duplicate-free tuple."""
-        if not cols:
-            raise DimensionMismatch("zero row rejected (model guarantees weight >= 1)")
-        if cols[-1] >= self.n_cols:
-            raise DimensionMismatch(f"row spans column {cols[-1]} >= n_cols {self.n_cols}")
-        if cols[0] < 0:
-            raise DimensionMismatch(f"column {cols[0]} < 0")
+        if cols:
+            if cols[-1] >= self.n_cols:
+                raise DimensionMismatch(f"row spans column {cols[-1]} >= n_cols {self.n_cols}")
+            if cols[0] < 0:
+                raise DimensionMismatch(f"column {cols[0]} < 0")
         self.cols.append(cols)
 
     @property

@@ -37,11 +37,12 @@ def _support_masks(n: int, r: int):
 
 
 def _row_alphabet(n: int, law):
-    """All (mask, probability) values of a single row under the exact scheme."""
+    """All (mask, probability) values of a single row under the exact scheme,
+    whose row has min(W, n) distinct columns."""
     alphabet = []
     for r, p in law:
         p = Fraction(p)
-        supports = _support_masks(n, r)
+        supports = _support_masks(n, min(r, n))
         share = p / len(supports)
         alphabet.extend((mask, share) for mask in supports)
     return alphabet

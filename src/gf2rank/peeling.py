@@ -7,6 +7,9 @@ deleting a hyperedge incident to a degree-1 vertex; the result does not
 depend on the deletion order, so ``peel_2core`` has one: first in, first out
 over the pending degree-1 vertices.  Columns are never deleted, so
 "occupied" counts the columns that still meet an alive edge at termination.
+``CoreStats`` holds the core's edge ids, its rows by weight and its occupied
+columns by degree; the row, occupied-column and incidence totals are derived
+from them.
 
 A deleted row has a column that no row left at that point touches, so it
 lies in no null combination: corank(M) = corank(2-core).  ``eliminate_core``
@@ -70,17 +73,23 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class CoreStats:
-    """Terminal statistics of the peeling process."""
+    """Terminal statistics of the peeling process; the totals are derived."""
 
-    core_rows: int
-    occupied_cols: int
-    incidences: int
+    core_edge_ids: tuple
     rows_by_weight: dict
     cols_by_degree: dict
-    core_edge_ids: tuple
 
-    def __post_init__(self):
-        assert self.incidences == sum(k * v for k, v in self.rows_by_weight.items())
+    @property
+    def core_rows(self) -> int:
+        return len(self.core_edge_ids)
+
+    @property
+    def occupied_cols(self) -> int:
+        return sum(self.cols_by_degree.values())
+
+    @property
+    def incidences(self) -> int:
+        return sum(k * v for k, v in self.rows_by_weight.items())
 
 
 def peel_2core(h: Hypergraph) -> CoreStats:
@@ -112,25 +121,14 @@ def peel_2core(h: Hypergraph) -> CoreStats:
 
     core_ids = tuple(i for i in range(len(edges)) if alive[i])
     rows_by_weight: dict = {}
-    occupied = 0
     cols_by_degree: dict = {}
     for i in core_ids:
         w = len(edges[i])
         rows_by_weight[w] = rows_by_weight.get(w, 0) + 1
-    for v in range(h.n_vertices):
-        d = degree[v]
-        if d > 0:
-            occupied += 1
+    for d in degree:
+        if d:
             cols_by_degree[d] = cols_by_degree.get(d, 0) + 1
-    incidences = sum(len(edges[i]) for i in core_ids)
-    return CoreStats(
-        core_rows=len(core_ids),
-        occupied_cols=occupied,
-        incidences=incidences,
-        rows_by_weight=rows_by_weight,
-        cols_by_degree=cols_by_degree,
-        core_edge_ids=core_ids,
-    )
+    return CoreStats(core_ids, rows_by_weight, cols_by_degree)
 
 
 def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int]:

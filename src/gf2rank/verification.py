@@ -188,10 +188,9 @@ def suite_oracles() -> list:
     for name, dist in dists[1:]:
         for n in range(2, 5):
             for m in range(0, 2 * n + 1):
-                if n >= dist.max_weight:
-                    want = oracles.mean_null_count(n, m, dist.atoms)
-                    got, _ = expected_null_count(n, m, dist, model="exact", exact=True)
-                    checks.append(_equal(f"oracle E[N] n={n} m={m} W={name}", want, got))
+                want = oracles.mean_null_count(n, m, dist.atoms)
+                got, _ = expected_null_count(n, m, dist, model="exact", exact=True)
+                checks.append(_equal(f"oracle E[N] n={n} m={m} W={name}", want, got))
                 want = oracles.binomial_mean_null_count(n, m, dist)
                 got, _ = expected_null_count(n, m, dist, model="binomial", exact=True)
                 checks.append(_equal(f"oracle E[N] binomial n={n} m={m} W={name}", want, got))

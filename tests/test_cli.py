@@ -82,6 +82,24 @@ def test_thresholds_table1_text():
     assert "0.889493" in out and "0.999660" in out
 
 
+@pytest.mark.parametrize("rho, jumps", [("r=3", 1), ("r=2", 0), ("0.9:3,0.1:24", 2)])
+def test_thresholds_text_matches_json(rho, jumps):
+    res = json.loads(run_ok("thresholds", "--rho", rho))["result"]
+    lines = run_ok("thresholds", "--rho", rho, "--format", "text").splitlines()
+    want = [f"alpha_sharp = {res['alpha_sharp']['double']:.9f}",
+            f"alpha_star  = {res['alpha_star']['double']:.9f}"]
+    if res["alpha_bar"] is None:
+        want.append("alpha_bar   = —  (undefined for min weight < 3)")
+    else:
+        want += [f"alpha_bar   = {res['alpha_bar']['double']:.9f}",
+                 f"x_star      = {res['x_star']['double']:.9f}"]
+    assert len(res["discontinuities"]) == jumps
+    want += [f"g_star jump at alpha={d['alpha']['double']:.9f}: "
+             f"{d['g_left']['double']:.6f} -> {d['g_right']['double']:.6f}"
+             for d in res["discontinuities"]]
+    assert lines == want
+
+
 def test_thresholds_witness():
     payload = json.loads(run_ok("thresholds", "--rho", "r=3", "--alpha", "0.95"))
     b0 = payload["result"]["beta0"]["double"]
@@ -285,6 +303,22 @@ def test_rank_one_column_dense_round_trip():
     assert (res["n_cols"], res["m"], res["rank"], res["corank"]) == (1, 2, 1, 1)
 
 
+def test_dense_zero_row_is_a_dependent_core_row(schema, tmp_path):
+    # a line of zeros is a zero row: it adds 1 to the corank, and no peel
+    # step deletes it, so it stays in the 2-core with weight 0
+    payload = json.loads(run_ok("rank", input="110\n000\n"))
+    validate(payload, schema, "rank_result")
+    res = payload["result"]
+    assert (res["m"], res["rank"], res["corank"]) == (2, 1, 1)
+    mat = tmp_path / "zero.txt"
+    mat.write_text("110\n000\n")
+    payload = json.loads(run_ok("core", "--in", str(mat)))
+    validate(payload, schema, "core_result")
+    res = payload["result"]
+    assert (res["core_rows"], res["occupied_cols"], res["incidences"]) == (1, 0, 0)
+    assert res["rows_by_weight"] == {"0": 1} and res["cols_by_degree"] == {}
+
+
 def test_rank_enumerate():
     payload = json.loads(run_ok("rank", "--enumerate", input="110\n110\n"))
     res = payload["result"]
@@ -378,6 +412,16 @@ def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["thresholds"], "--rho is required unless --table1 is given"),
+    (["core", "--rho", "r=3", "-n", "10"], "--rho sampling needs -n and -m"),
+    (["exact", "--what", "parity", "-n", "3"], "--cell-probs is required for --what parity"),
+    (["exact", "--what", "gfq"], "--r is required for --what gfq"),
+], ids=["thresholds-rho", "core-rho-m", "parity-cell-probs", "gfq-r"])
+def test_missing_option_exits_2_with_its_message(args, message):
+    assert run_fail(args, 2) == f"error: {message}"
+
+
 def test_simulate_classical_r2_default_z_runs():
     # z = 1 closes the r=2 law's domain: both limits are 0 there
     out = run_ok("simulate", "--exp", "classical", "--rho", "r=2", "-n", "50", "--trials", "4",
@@ -444,8 +488,11 @@ def test_simulate_dense_with_csv(tmp_path):
         if mode.startswith("simulate-"):
             csv_path = tmp_path / f"{mode}.csv"
             run_ok(*args, "--trials", "2", "--threads", "1", "--csv", str(csv_path))
-            header = csv_path.read_text().splitlines()[1]
-            assert header.split(",")[:4] == ["experiment", "n", "trial", "seed"], mode
+            header = csv_path.read_text().splitlines()[1:2]
+            if mode == "simulate-null-growth-above":  # no trials: the '#' line alone
+                assert header == [], mode
+            else:
+                assert header[0].split(",")[:4] == ["experiment", "n", "trial", "seed"], mode
 
 
 def test_simulate_core_csv_keeps_columns_of_later_records(tmp_path):
@@ -544,6 +591,9 @@ ECHOED = {
                       ("rho", "model", "alpha", "eps"), "simulate_result"),
     "simulate-null-growth": (["simulate", "--exp", "null-growth", "--rho", "r=3", "-n", "20",
                               "--alpha", "0.5"], ("rho", "model", "alpha"), "simulate_result"),
+    "simulate-null-growth-above": (["simulate", "--exp", "null-growth", "--rho", "r=3", "-n", "20",
+                                    "--alpha", "0.95"], ("rho", "model", "alpha"),
+                                   "simulate_result"),
     "simulate-classical": (["simulate", "--exp", "classical", "--rho", "r=2", "-n", "20"],
                            ("rho", "model", "z"), "simulate_result"),
     "simulate-profile": (["simulate", "--exp", "profile", "--rho", "r=3", "-n", "10",

@@ -39,11 +39,12 @@ def test_full_rank_then_anything_dependent(rng):
         assert st_.absorb(row) is True
 
 
-def test_zero_row_dependent_but_rejected_in_matrix():
+def test_zero_row_is_dependent():
     st_ = RankState(4)
     assert st_.absorb(0) is True
-    with pytest.raises(DimensionMismatch):
-        GF2Matrix(4, [0])
+    mat = GF2Matrix(4, [0b0011, 0])
+    assert mat.cols == [(0, 1), ()]
+    assert corank(mat) == 1
 
 
 def test_dimension_mismatch():
@@ -164,7 +165,7 @@ def test_matrix_rows_are_column_tuples():
     assert mat.rows == [0b000011, 0b101000, 0b010101]  # derived on access
     mat.append_cols((5,))
     assert mat.m == 4 and mat.rows[-1] == 0b100000
-    for bad in ((), (6,), (-1, 2)):
+    for bad in ((6,), (-1, 2)):
         with pytest.raises(DimensionMismatch):
             mat.append_cols(bad)
     with pytest.raises(DimensionMismatch):

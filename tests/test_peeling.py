@@ -66,9 +66,9 @@ def test_core_degrees_at_least_two(rng):
 def test_check_E():
     empty = peel_2core(Hypergraph(3, [(0, 1, 2)]))
     assert not check_E(empty, 10, 0.1)
-    square = CoreStats(3, 3, 6, {2: 3}, {2: 3}, (0, 1, 2))
+    square = CoreStats((0, 1, 2), {2: 3}, {2: 3})
     assert not check_E(square, 10, 0.1)  # needs strictly more rows
-    more = CoreStats(4, 3, 8, {2: 4}, {2: 2, 3: 2}, (0, 1, 2, 3))
+    more = CoreStats((0, 1, 2, 3), {2: 4}, {2: 1, 3: 2})
     assert check_E(more, 10, 0.1)
     assert not check_E(more, 100, 0.1)  # 4 < eps * n
     for eps in (0.0, -1.0, math.nan):
