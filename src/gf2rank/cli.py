@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 parse/parameter error, 3 verification failure,
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
+from pathlib import Path
 
 import click
 import mpmath as mp
@@ -39,7 +39,7 @@ from .exact import (
     poissonization_check,
     prob_A_general,
 )
-from .experiments import (EXPERIMENTS, FIELDS_READ, ExperimentConfig, fan_out, run_experiment,
+from .experiments import (EXPERIMENTS, FIELDS_READ, ExperimentConfig, run_experiment, run_trials,
                           write_records_csv)
 from .gf2 import GF2Matrix, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
 from .peeling import Hypergraph, check_E, corank, peel_2core
@@ -112,21 +112,28 @@ def _parse_list(name: str, text: str, kind=int) -> tuple:
         raise ParseError(f"{name} must be comma-separated {kind.__name__} values; got {text!r}") from exc
 
 
-def _guard(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """The command group, and the one error guard of every command: a package
+    error exits with its EXIT_CODES code, and a file that cannot be read or
+    written with code 2, each after one line on stderr."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except Gf2RankError as exc:
             for kinds, code, prefix in EXIT_CODES:
                 if isinstance(exc, kinds):
                     click.echo(f"{prefix}: {exc}", err=True)
                     sys.exit(code)
             raise
-    return wrapper
+        except OSError as exc:
+            if exc.filename is None:
+                raise  # such as a closed stdout pipe, which click handles itself
+            click.echo(f"error: {exc.strerror}: {exc.filename}", err=True)
+            sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Sparse random GF(2) matrices: thresholds, 2-cores, and exact formulas."""
@@ -140,7 +147,6 @@ def main():
 @click.option("--table1", "table1", is_flag=True, help="Emit the fixed-weight table for r=1..8.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
     """Compute alpha_sharp, alpha_star, alpha_bar, and the g_star jump set."""
     if table1:
@@ -206,7 +212,6 @@ def cmd_thresholds(rho_spec, alpha, table1, fmt, out):
 @click.option("--lo", type=float, default=None, help="Lower end of the grid.")
 @click.option("--hi", type=float, default=None, help="Upper end of the grid.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_curves(rho_spec, what, grid, lo, hi, out):
     """Emit curve data as CSV for figure reproduction."""
     if grid < 1:
@@ -242,7 +247,6 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
 @click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--format", "fmt", type=click.Choice(["sparse", "dense"]), default="sparse")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_sample(rho_spec, n, m, seed, model, fmt, out):
     """Sample M(n, m) and print it in the sparse or dense text format."""
     cfg = SampleConfig(n=n, m=m, dist=parse_rho(rho_spec), model=model, seed=seed)
@@ -251,7 +255,10 @@ def cmd_sample(rho_spec, n, m, seed, model, fmt, out):
 
 
 def _read_matrix(path: str | None, n: int | None) -> GF2Matrix:
-    text = sys.stdin.read() if path in (None, "-") else open(path, encoding="utf-8").read()
+    try:
+        text = sys.stdin.read() if path in (None, "-") else Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"matrix text is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return matrix_from_text(text, n_cols=n)
 
 
@@ -261,7 +268,6 @@ def _read_matrix(path: str | None, n: int | None) -> GF2Matrix:
 @click.option("-n", "n", type=int, default=None, help="Column count (inferred if omitted).")
 @click.option("--enumerate", "enum", is_flag=True, help="Also enumerate null vectors (m <= 24).")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_rank(path, n, enum, out):
     """GF(2) rank, corank, and the all-ones-null flag of a matrix."""
     mat = _read_matrix(path, n)
@@ -290,7 +296,6 @@ def cmd_rank(path, n, enum, out):
 @click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--eps", type=float, default=0.05, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
     """Peel to the 2-core; report stats next to the limit-law predictions."""
     if rho_spec is not None:
@@ -333,15 +338,15 @@ def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_tn(rho_spec, n, trials, seed, model, out):
     """First-dependency times: CSV with columns trial,seed,T_n,n,T_n/n."""
     dist = parse_rho(rho_spec)
     cfg = ExperimentConfig("tn", dist, (n,), trials, seed, model=model, threads=_threads())
-    seeds, ts = fan_out(cfg, 0, run_Tn, functools.partial(SampleConfig, n, 0, dist, model))
+    res = run_trials(cfg, run_Tn, lambda n, s: SampleConfig(n, 0, dist, model, s),
+                     lambda n, t: {"T_n": t}, lambda n, ts: None)
     lines = [_provenance("tn", _config("rho", "n", "trials", "seed", "model")),
              "trial,seed,T_n,n,T_n/n"]
-    lines += [f"{t},{s},{tn},{n},{tn / n:.8f}" for t, (s, tn) in enumerate(zip(seeds, ts))]
+    lines += [f"{r['trial']},{r['seed']},{r['T_n']},{n},{r['T_n'] / n:.8f}" for r in res.records]
     _emit("\n".join(lines), out)
 
 
@@ -353,7 +358,7 @@ _EXACT_READS = {
     "pa": ("rho", "n", "m", "precision"),
     "en": ("rho", "n", "m", "model", "precision"),
     "poisson": ("n", "m", "mu", "truncation", "precision"),
-    "parity": ("n", "k", "modulus", "targets", "cell_probs"),
+    "parity": ("n", "modulus", "targets", "cell_probs"),
     "gfq": ("q", "r", "n"),
 }
 
@@ -370,13 +375,12 @@ _EXACT_READS = {
 @click.option("--truncation", type=int, default=None)
 @click.option("--q", type=int, default=2)
 @click.option("--r", type=int, default=None, help="Offset for gfq survival.")
-@click.option("--k", "k", type=int, default=1, help="Tracked events for parity.")
 @click.option("--modulus", type=int, default=2, help="Congruence modulus for parity.")
-@click.option("--targets", default="0", help="Comma-separated residues, length k.")
-@click.option("--cell-probs", default=None, help="Comma-separated 2^k cell probabilities.")
+@click.option("--targets", default="0", help="Comma-separated residues, one per tracked event.")
+@click.option("--cell-probs", default=None,
+              help="Comma-separated 2^k cell probabilities for k targets.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
-def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
+def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
               modulus, targets, cell_probs, out):
     """Evaluate one of the exactly computable probabilities."""
     if what != "gfq" and n is None:
@@ -406,7 +410,7 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
         if cell_probs is None:
             raise ParseError("--cell-probs is required for --what parity")
         probs = _parse_list("--cell-probs", cell_probs, float)
-        spec = ParitySpec(k=k, r=modulus, targets=t, cell_probs=probs)
+        spec = ParitySpec(k=len(t), r=modulus, targets=t, cell_probs=probs)
         result = {"probability": _num(multinomial_parity(spec, n))}
     else:  # gfq
         if r is None:
@@ -433,7 +437,6 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r, k,
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None,
               help="Write per-trial records here.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
 def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
                  window_eps, z, r_values, threads, csv_path, out):
     """Run one Monte Carlo experiment; JSON summary plus optional CSV records."""
@@ -456,7 +459,6 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
 
 @main.command("verify")
 @click.argument("suite", type=click.Choice(list(verification.SUITES)))
-@_guard
 def cmd_verify(suite):
     """Run a named verification suite; exit 3 if any check fails."""
     checks = verification.run_suite(suite)

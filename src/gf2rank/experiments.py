@@ -4,13 +4,12 @@ Every experiment is reproducible from (experiment id, seed, config): trial t
 of the ni-th n draws its stream from PCG64 seeded by ``derive_stream_seed``
 from the pair (seed, ni * trials + t), a SeedSequence hash, so fan-out order
 does not matter and parallel and serial runs aggregate identically.
-``fan_out`` is the only place that derives those seeds and spreads trials
-over processes.  Every experiment that runs trials goes through ``_run``,
-which alone passes ``fan_out`` the index ni of n, writes the record prefix
-(experiment, n, trial, seed) and puts each n's entry under ``per_n``; an
-experiment gives it a worker, the worker's argument, the record fields and
-the per-n entry.  The ``tn`` command calls ``fan_out`` itself, because its
-CSV columns are its own.
+``run_trials`` alone derives those seeds and opens the process pool, one
+per run.  It writes the record prefix (experiment, n, trial, seed) and puts
+each n's entry under ``per_n``; an experiment gives it a worker, the
+worker's argument, the record fields and the per-n entry.  Every experiment
+that runs trials goes through it, and so does the ``tn`` command, which
+writes its CSV columns from the records.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import os
 
 import mpmath as mp
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import InvalidParam
 from .exact import expected_null_count, gfq_dense_survival
@@ -78,24 +77,6 @@ class ExperimentResult:
 
 def _ci95(p: float, n: int) -> float:
     return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def fan_out(cfg: ExperimentConfig, ni: int, worker, payload):
-    """Run cfg.trials trials of worker for the ni-th n; return (seeds, results).
-
-    Trial t gets the stream seed derived from (cfg.seed, ni * cfg.trials + t),
-    and the worker receives payload(seed).  Results come back in trial order,
-    serially or over min(cfg.threads, trials, CPUs) processes: a result
-    depends only on its seed, so the pool size changes none of them.
-    """
-    seeds = [derive_stream_seed(cfg.seed, ni * cfg.trials + t) for t in range(cfg.trials)]
-    payloads = [payload(s) for s in seeds]
-    workers = min(cfg.threads, len(payloads), os.cpu_count() or 1)
-    if workers <= 1:
-        return seeds, [worker(p) for p in payloads]
-    chunk = max(1, len(payloads) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return seeds, list(pool.map(worker, payloads, chunksize=chunk))
 
 
 # --- workers (module level so the process pool can pickle them) -----------
@@ -167,20 +148,30 @@ def _dense_trial(payload):
 
 # --- experiments ------------------------------------------------------------
 
-def _run(cfg: ExperimentConfig, worker, payload, fields, entry, **summary) -> ExperimentResult:
+def run_trials(cfg: ExperimentConfig, worker, payload, fields, entry,
+               **summary) -> ExperimentResult:
     """Run cfg.trials trials of worker at each n of cfg.n_values.
 
-    Trial t at n gets worker(payload(n, seed)) and the record
+    Trial t at the ni-th n gets the stream seed derived from
+    (cfg.seed, ni * cfg.trials + t), worker(payload(n, seed)) and the record
     {experiment, n, trial, seed, **fields(n, result)}; per_n[n] is
     entry(n, results), with results in trial order.  The summary is
-    **summary followed by per_n.
+    **summary followed by per_n.  The trials run serially or, for the whole
+    run, over one pool of min(cfg.threads, trials, CPUs) processes: a result
+    depends only on its seed, so the pool size changes none of them.
     """
+    width = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
+    chunk = max(1, cfg.trials // (width * 4))
     records, per_n = [], {}
-    for ni, n in enumerate(cfg.n_values):
-        seeds, results = fan_out(cfg, ni, worker, partial(payload, n))
-        records += [{"experiment": cfg.experiment, "n": n, "trial": t, "seed": seed,
-                     **fields(n, res)} for t, (seed, res) in enumerate(zip(seeds, results))]
-        per_n[n] = entry(n, results)
+    with ProcessPoolExecutor(max_workers=width) if width > 1 else nullcontext() as pool:
+        for ni, n in enumerate(cfg.n_values):
+            seeds = [derive_stream_seed(cfg.seed, ni * cfg.trials + t) for t in range(cfg.trials)]
+            payloads = [payload(n, s) for s in seeds]
+            results = (list(pool.map(worker, payloads, chunksize=chunk)) if pool
+                       else [worker(p) for p in payloads])
+            records += [{"experiment": cfg.experiment, "n": n, "trial": t, "seed": seed,
+                         **fields(n, res)} for t, (seed, res) in enumerate(zip(seeds, results))]
+            per_n[n] = entry(n, results)
     return ExperimentResult(cfg.experiment, records, {**summary, "per_n": per_n})
 
 
@@ -213,9 +204,9 @@ def exp_tn_window(cfg: ExperimentConfig) -> ExperimentResult:
             "all_le_n_plus_1": all(t <= n + 1 for t in ts),
         }
 
-    return _run(cfg, run_Tn, lambda n, s: SampleConfig(n, 0, dist, cfg.model, s),
-                lambda n, t: {"T_n": t, "ratio": t / n}, entry,
-                alpha_star=a_star, alpha_bar=a_bar, window=[lo, hi])
+    return run_trials(cfg, run_Tn, lambda n, s: SampleConfig(n, 0, dist, cfg.model, s),
+                      lambda n, t: {"T_n": t, "ratio": t / n}, entry,
+                      alpha_star=a_star, alpha_bar=a_bar, window=[lo, hi])
 
 
 def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
@@ -248,9 +239,10 @@ def exp_core_vs_theory(cfg: ExperimentConfig) -> ExperimentResult:
                 1 for r in recs if r["more_rows"] and not r["has_null"])
         return stats
 
-    return _run(cfg, _core_trial,
-                lambda n, s: (SampleConfig(n, m_of(n), cfg.dist, cfg.model, s), n <= 5000, cfg.eps),
-                lambda n, res: {"m": m_of(n), **res[0]}, entry, alpha=cfg.alpha)
+    return run_trials(cfg, _core_trial,
+                      lambda n, s: (SampleConfig(n, m_of(n), cfg.dist, cfg.model, s), n <= 5000,
+                                    cfg.eps),
+                      lambda n, res: {"m": m_of(n), **res[0]}, entry, alpha=cfg.alpha)
 
 
 def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
@@ -272,9 +264,10 @@ def exp_null_growth(cfg: ExperimentConfig) -> ExperimentResult:
             return {"m": m_of(n), "mean_null_count": mean_count,
                     "scaled_excess": n ** (r0 - 2) * (mean_count - 1.0)}
 
-        return _run(cfg, _corank_trial, lambda n, s: SampleConfig(n, m_of(n), dist, cfg.model, s),
-                    lambda n, s: {"corank": s}, entry,
-                    alpha=cfg.alpha, alpha_star=a_star, branch="below", r0=r0)
+        return run_trials(cfg, _corank_trial,
+                          lambda n, s: SampleConfig(n, m_of(n), dist, cfg.model, s),
+                          lambda n, s: {"corank": s}, entry,
+                          alpha=cfg.alpha, alpha_star=a_star, branch="below", r0=r0)
     f_alpha = F_of_alpha(dist, cfg.alpha)[0]
     per_n = {}
     for n in cfg.n_values:
@@ -335,8 +328,8 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
         worker, fields = run_Tn, lambda n, t: {"T_n": t}
     else:
         worker, fields = _classical_r2_trial, lambda n, res: {"T_n": res[0], "T_distinct": res[1]}
-    return _run(cfg, worker, lambda n, s: SampleConfig(n, 0, dist, cfg.model, s),
-                fields, entry, r=r)
+    return run_trials(cfg, worker, lambda n, s: SampleConfig(n, 0, dist, cfg.model, s),
+                      fields, entry, r=r)
 
 
 def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
@@ -355,7 +348,7 @@ def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
                         "ci95": _ci95(emp, cfg.trials), "abs_error": abs(emp - exact_val)}
         return tails
 
-    return _run(cfg, _dense_trial, lambda n, s: (n, s), lambda n, t: {"T_n": t}, entry, q=2)
+    return run_trials(cfg, _dense_trial, lambda n, s: (n, s), lambda n, t: {"T_n": t}, entry, q=2)
 
 
 def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
@@ -378,8 +371,9 @@ def exp_weight_profile(cfg: ExperimentConfig) -> ExperimentResult:
         return {"m": m_of(n), "tv_distance": tv,
                 "exact_profile": exact_profile, "empirical_profile": empirical}
 
-    return _run(cfg, _profile_trial, lambda n, s: SampleConfig(n, m_of(n), cfg.dist, cfg.model, s),
-                lambda n, prof: {"null_vectors": sum(prof.values())}, entry, alpha=cfg.alpha)
+    return run_trials(cfg, _profile_trial,
+                      lambda n, s: SampleConfig(n, m_of(n), cfg.dist, cfg.model, s),
+                      lambda n, prof: {"null_vectors": sum(prof.values())}, entry, alpha=cfg.alpha)
 
 
 # experiment id -> (runner, the ExperimentConfig fields it reads besides

@@ -62,6 +62,8 @@ ALPHA_TOL = 1e-12      # alpha-bisection resolution
 GAMMA_TOL = 1e-12      # golden-section resolution in gamma
 ALPHA_BAR_TOL = 1e-9   # alpha_bar resolution the report's checks assume
 ROUTE_TOL = 1e-6       # agreement required between independent alpha_star routes
+STATIONARY_TOL = 1e-11  # log-gamma bisection resolution of the stationary alpha_star route
+LAMBDA_TOL = 1e-14     # lambda bisection resolution of the lambda-system alpha_star route
 ROUTES_R_MAX = 159     # heaviest fixed weight whose alpha_star routes hold their roots
 STAR_ONE_R = 34        # from this fixed weight on, 1 - alpha_star_r is below the routes' error
 PROMINENCE = 1e-10     # minimum depth for a local minimum to count as a jump
@@ -213,7 +215,7 @@ def _alpha_star_stationary(r: int) -> float:
         return (math.log(2.0) + g * u + (1.0 - g) * math.log1p(-g)) / math.log1p(t**r)
 
     lo, hi = _bisect(lambda u: a_r(u) - phi_r(u) > 0.0,
-                     math.log(1e-300), math.log(0.45), 1e-11)
+                     math.log(1e-300), math.log(0.45), STATIONARY_TOL)
     return a_r(0.5 * (lo + hi))
 
 
@@ -240,7 +242,7 @@ def _alpha_star_lambda_system(r: int, precision: int = 0):
     if precision:
         with mp.workprec(precision):
             return solve(mp.mpf("0.05"), mp.mpf(80), mp.mpf(2) ** (20 - precision))
-    return solve(0.05, 80.0, 1e-14)
+    return solve(0.05, 80.0, LAMBDA_TOL)
 
 
 # --- the 2-core functions h, psi, g_star ----------------------------------
@@ -587,7 +589,6 @@ class CoreTheory:
 
     alpha: float
     g_star: float
-    mu: float               # alpha rho'(1): mean column degree
     nu: float               # alpha rho'(g*): core column-degree parameter
     core_row_frac: float    # alpha rho(g*)
     occupied_col_frac: float  # 1 - e^-nu (1 + nu)
@@ -615,9 +616,8 @@ def core_theory(dist: WeightDist, alpha: float) -> CoreTheory:
                 f"alpha={alpha} sits on a discontinuity of g_star; "
                 "the core limits are not continuous here", stacklevel=2)
     u = _g_star_u(dist, alpha, mins)
-    mu = alpha * dist.pgf(1.0, 1)
     if u is None:
-        return CoreTheory(alpha, 0.0, mu, 0.0, 0.0, 0.0, 0.0, 0)
+        return CoreTheory(alpha, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
     g = -math.expm1(-u)
     nu = alpha * dist.pgf(g, 1)
     rows = alpha * dist.pgf(g)
@@ -629,7 +629,7 @@ def core_theory(dist: WeightDist, alpha: float) -> CoreTheory:
             f"{inc} vs {alpha * g * dist.pgf(g, 1)}")
     p = _psi_of_u(dist, u)  # psi(g_star(alpha)), reusing u
     sign = (p > 0) - (p < 0)
-    return CoreTheory(alpha, g, mu, nu, rows, cols, inc, sign)
+    return CoreTheory(alpha, g, nu, rows, cols, inc, sign)
 
 
 # --- large-r asymptotics (arbitrary precision) ------------------------------
@@ -680,6 +680,9 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> Th
 
     alpha_bar and x_star require min_weight >= 3 and are None otherwise
     (the 2-core transition is not defined for weights 1 and 2).
+
+    tolerances names each resolution and slack the report applies; its star_*
+    keys apply only to a fixed weight 3 <= r <= ROUTES_R_MAX (see alpha_star).
     """
     landscape = _h_landscape(dist)
     a_sharp, mins, jumps = landscape
@@ -723,5 +726,8 @@ def threshold_report(dist: WeightDist, witness_alpha: float | None = None) -> Th
             "u_refine": _U_TOL,
             "alpha_bar_check_slack": 10.0 * ALPHA_BAR_TOL,
             "jump_prominence": PROMINENCE,
+            "star_route_agreement": ROUTE_TOL,
+            "star_stationary_refine": STATIONARY_TOL,
+            "star_lambda_refine": LAMBDA_TOL,
         },
     )

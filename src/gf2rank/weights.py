@@ -73,10 +73,6 @@ class WeightDist:
     def min_weight(self) -> int:
         return self.atoms[0][0]
 
-    @property
-    def max_weight(self) -> int:
-        return self.atoms[-1][0]
-
     def pgf(self, s, order: int = 0):
         """Evaluate the pgf or one of its first three derivatives at s.
 

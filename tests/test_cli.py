@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from gf2rank import errors
 from gf2rank.cli import EXIT_CODES, main
+from gf2rank.exact import ParitySpec, multinomial_parity
 from gf2rank.sampling import SampleConfig, derive_stream_seed, run_Tn
 from gf2rank.thresholds import core_theory
 from gf2rank.weights import WeightDist
@@ -187,6 +188,21 @@ def test_exact_missing_rho_exits_2():
 
 def test_rank_column_out_of_range_exits_2():
     assert "n_cols 2" in run_fail(["rank", "-n", "2"], 2, stdin="5\n")
+
+
+def test_rank_input_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "mat.txt"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    assert run_fail(["rank", "--in", str(path)], 2).startswith("error: matrix text is not UTF-8")
+
+
+@pytest.mark.parametrize("args", [
+    ["thresholds", "--rho", "r=3", "--out"],
+    ["simulate", "--exp", "dense", "-n", "5", "--trials", "2", "--threads", "1", "--csv"],
+], ids=["thresholds-out", "simulate-csv"])
+def test_unwritable_output_path_exits_2(args, tmp_path):
+    path = tmp_path / "missing" / "x.out"
+    assert run_fail(args + [str(path)], 2) == f"error: No such file or directory: {path}"
 
 
 def test_rank_enumerate_too_large_exits_2():
@@ -372,9 +388,9 @@ def test_tn_rows_replay_stream(r, model):
      "--r-values", "x"],
     ["sample", "--rho", "r=2", "-n", "1", "-m", "2", "--model", "binomial"],
     ["exact", "--what", "en", "--rho", "r=2", "-n", "1", "-m", "2", "--model", "binomial"],
-    ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "x",
+    ["exact", "--what", "parity", "--modulus", "2", "--targets", "x",
      "--cell-probs", "0.3,0.7", "-n", "5"],
-    ["exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "0",
+    ["exact", "--what", "parity", "--modulus", "2", "--targets", "0",
      "--cell-probs", "0.3,y", "-n", "5"],
     ["curves", "--rho", "r=3", "--grid", "0"],
     ["curves", "--rho", "r=3", "--what", "gstar,psi_of_gstar", "--grid", "0"],
@@ -438,10 +454,18 @@ def test_exact_pi():
 
 def test_exact_parity():
     payload = json.loads(run_ok(
-        "exact", "--what", "parity", "--k", "1", "--modulus", "2", "--targets", "0",
+        "exact", "--what", "parity", "--modulus", "2", "--targets", "0",
         "--cell-probs", "0.3,0.7", "-n", "5"))
     want = (1 + (1 - 1.4) ** 5) / 2
     assert abs(payload["result"]["probability"]["double"] - want) < 1e-12
+
+
+def test_exact_parity_k_is_the_number_of_targets():
+    payload = json.loads(run_ok(
+        "exact", "--what", "parity", "--modulus", "3", "--targets", "0,1",
+        "--cell-probs", "0.1,0.2,0.3,0.4", "-n", "4"))
+    want = multinomial_parity(ParitySpec(2, 3, (0, 1), (0.1, 0.2, 0.3, 0.4)), 4)
+    assert payload["result"]["probability"]["double"] == want
 
 
 def test_exact_gfq():
@@ -583,7 +607,7 @@ ECHOED = {
     "exact-poisson": (["exact", "--what", "poisson", "-n", "4", "-m", "2"],
                       ("what", "n", "m", "mu", "truncation", "precision"), "exact_result"),
     "exact-parity": (["exact", "--what", "parity", "-n", "5", "--cell-probs", "0.3,0.7"],
-                     ("what", "n", "k", "modulus", "targets", "cell_probs"), "exact_result"),
+                     ("what", "n", "modulus", "targets", "cell_probs"), "exact_result"),
     "exact-gfq": (["exact", "--what", "gfq", "--r", "3"], ("what", "q", "r", "n"), "exact_result"),
     "simulate-tn": (["simulate", "--exp", "tn", "--rho", "r=3", "-n", "30"],
                     ("rho", "model", "window_eps"), "simulate_result"),
@@ -732,17 +756,45 @@ def test_oracles_import_no_route_they_check():
             or allowed[mod] is not None and name not in allowed[mod]] == []
 
 
-def test_fan_out_is_called_by_the_trial_driver_and_cmd_tn_only():
-    # every experiment reaches fan_out through the one driver, which alone
-    # writes the record prefix and per_n; cmd_tn keeps its own CSV columns
-    callers = []
+def test_trial_seeds_and_pool_are_in_run_trials_only():
+    # one trial driver: no other code derives a trial's stream seed or
+    # opens a process pool, the tn command included
+    users = set()
     for mod, tree in _package_trees().items():
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "fan_out" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    callers.append((mod, getattr(top, "name", None)))
-    assert callers == [("cli", "cmd_tn"), ("experiments", "_run")]
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in ("ProcessPoolExecutor", "derive_stream_seed"):
+                    users.add((mod, getattr(top, "name", None), name))
+    assert sorted(users) == [("experiments", "run_trials", "ProcessPoolExecutor"),
+                             ("experiments", "run_trials", "derive_stream_seed")]
+
+
+def test_main_group_holds_the_only_error_guard():
+    # every command gets its exit code from _Main.invoke, so no other
+    # function catches a package error and no command wears a guard
+    caught = {"Gf2RankError", "Exception", "BaseException",
+              *(c.__name__ for c in errors.Gf2RankError.__subclasses__())}
+    catchers, guarded = [], []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+                if child.name.startswith("cmd_") and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "_guard"
+                        for d in child.decorator_list for n in ast.walk(d)):
+                    guarded.append(name)
+            if isinstance(child, ast.ExceptHandler) and (child.type is None or caught & {
+                    getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child.type)}):
+                catchers.append(owner)
+            walk(child, name)
+
+    walk(_package_trees()["cli"], None)
+    assert catchers == ["_Main.invoke"]
+    assert guarded == []
 
 
 def test_every_export_has_a_caller_in_the_package():

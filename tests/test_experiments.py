@@ -108,6 +108,17 @@ def test_fan_out_single_cpu_runs_serially(monkeypatch):
     assert sizes == []
 
 
+def test_one_pool_per_run(monkeypatch):
+    # the trial driver opens one pool for every n of a run, not one per n
+    sizes = _stub_pool(monkeypatch, 2)
+    got = run_experiment(ExperimentConfig(experiment="dense", dist=None, n_values=(10, 12, 14),
+                                          trials=4, seed=3, threads=2))
+    assert sizes == [2]
+    serial = run_experiment(ExperimentConfig(experiment="dense", dist=None, n_values=(10, 12, 14),
+                                             trials=4, seed=3, threads=1))
+    assert got.records == serial.records and got.summary == serial.summary
+
+
 def test_tn_window_summary_fields():
     cfg = ExperimentConfig(experiment="tn", dist=W3, n_values=(400,), trials=30, seed=8)
     res = exp_tn_window(cfg)

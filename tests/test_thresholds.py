@@ -472,8 +472,16 @@ def test_report_tolerances_are_the_ones_applied(monkeypatch):
         "u_refine": thresholds._U_TOL,
         "alpha_bar_check_slack": 10 * thresholds.ALPHA_BAR_TOL,
         "jump_prominence": thresholds.PROMINENCE,
+        "star_route_agreement": thresholds.ROUTE_TOL,
+        "star_stationary_refine": thresholds.STATIONARY_TOL,
+        "star_lambda_refine": thresholds.LAMBDA_TOL,
     }
     assert seen == {tol["alpha_bisect"], tol["gamma_refine"], tol["u_refine"]}
+    # a fixed weight's alpha_star also runs the two cross-check routes
+    seen.clear()
+    tol = threshold_report(W3).tolerances
+    assert seen <= set(tol.values())
+    assert {tol["star_stationary_refine"], tol["star_lambda_refine"]} <= seen
 
 
 @pytest.mark.parametrize("dist", [W3, FIG1, FIG2, parse_rho("0.5:4,0.3:9,0.2:17")],

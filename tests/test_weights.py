@@ -64,7 +64,7 @@ def test_pgf_negative_argument_bound_property(ks, raw, s):
 def test_parse_point_mass():
     d = parse_rho("r=3")
     assert d.atoms == ((3, 1),)
-    assert d.min_weight == d.max_weight == 3
+    assert d.min_weight == 3
 
 
 def test_parse_mixture():
