@@ -448,6 +448,8 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
         experiment=exp_id, dist=dist, n_values=tuple(n_values), trials=trials, seed=seed,
         alpha=alpha, model=model, eps=eps, window_eps=window_eps, z=z,
         r_values=_parse_list("--r-values", r_values), threads=_threads(threads))
+    if csv_path:
+        open(csv_path, "a", encoding="utf-8").close()  # fail on an unwritable path before the run
     res = run_experiment(cfg)
     # the options behind the fields the experiment reads: --rho gives dist
     echoed = ("rho" if f == "dist" else f for f in reads)

@@ -1,22 +1,25 @@
 """Hypergraph view of a GF(2) matrix, its 2-core, and the elimination kernel.
 
 Rows are hyperedges, columns are vertices: a ``GF2Matrix`` row is already its
-sorted tuple of columns, so ``Hypergraph.from_matrix`` indexes the matrix's
-``cols`` with no bit scan.  The 2-core is the terminal state of repeatedly
-deleting a hyperedge incident to a degree-1 vertex; the result does not
-depend on the deletion order, so ``peel_2core`` has one: first in, first out
-over the pending degree-1 vertices.  Columns are never deleted, so
-"occupied" counts the columns that still meet an alive edge at termination.
-``CoreStats`` holds the core's edge ids, its rows by weight and its occupied
-columns by degree; the row, occupied-column and incidence totals are derived
-from them.
+sorted tuple of columns, so ``Hypergraph.from_matrix`` flattens the matrix's
+``cols`` into incidence arrays with no bit scan.  The 2-core is the terminal
+state of repeatedly deleting a hyperedge incident to a degree-1 vertex.  The
+result does not depend on the deletion order, so ``peel_2core`` deletes in
+frontier rounds of array operations: round-parallel peeling ends at the same
+2-core (Jiang, Mitzenmacher & Thaler, "Parallel peeling algorithms", SPAA
+2014), and the tests check it against a first-in, first-out loop and a
+rescanning peeler.  Columns are never deleted, so "occupied" counts the
+columns that still meet an alive edge at termination.  ``CoreStats`` holds
+the core's edge ids, its rows by weight and its occupied columns by degree;
+the row, occupied-column and incidence totals are derived from them.
 
 A deleted row has a column that no row left at that point touches, so it
 lies in no null combination: corank(M) = corank(2-core).  ``eliminate_core``
 is the one elimination kernel of the package.  It peels with ``peel_2core``,
 numbers the occupied core columns so that the lowest core degrees are
 pivoted on first, and absorbs the core rows, as int bitmasks over those
-positions, into a ``gf2.RankState``.
+positions, into a ``gf2.RankState`` until every occupied column holds a
+pivot; the rows after that point are dependent.
 ``corank`` reads the corank from it, and the ``core`` experiment's
 hypercycle check reads the core statistics and the corank from one call.
 A ``RankState`` fed every row of the matrix is the independent route that
@@ -25,22 +28,28 @@ the tests compare it with.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DimensionMismatch, InvalidParam
 from .gf2 import GF2Matrix, RankState
 
 
 class Hypergraph:
-    """Incidence structure with per-vertex degrees, mutable only by peeling.
+    """Incidence arrays with per-vertex degrees, mutable only by peeling.
 
-    Each vertex keeps the XOR of the ids of its alive incident edges in place
-    of an incidence list: at degree 1 that XOR is the one alive edge.
+    ``edges`` holds each edge as its sorted tuple of vertices.  The peel
+    reads the same incidences as arrays: ``_cols`` lists every edge's
+    vertices in edge order, and edge i owns ``_cols[_start[i]:_start[i] +
+    _size[i]]``.  ``vertex_degree`` counts each vertex's alive edges.  Each
+    vertex keeps the XOR of the ids of its alive incident edges in place of
+    an incidence list: at degree 1 that XOR is the one alive edge.
     """
 
-    __slots__ = ("n_vertices", "edges", "vertex_degree", "alive", "_edge_xor")
+    __slots__ = ("n_vertices", "edges", "vertex_degree", "_edge_xor", "_cols", "_start", "_size")
 
     def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
         checked = []
@@ -55,13 +64,14 @@ class Hypergraph:
         """Take edges that are sorted, duplicate-free tuples within range."""
         self.n_vertices = n_vertices
         self.edges = edges
-        self.vertex_degree = [0] * n_vertices
-        self._edge_xor = [0] * n_vertices
-        for i, e in enumerate(edges):
-            for v in e:
-                self.vertex_degree[v] += 1
-                self._edge_xor[v] ^= i
-        self.alive = [True] * len(edges)
+        size = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+        cols = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(size.sum()))
+        self._size = size
+        self._start = size.cumsum() - size
+        self._cols = cols
+        self.vertex_degree = np.bincount(cols, minlength=n_vertices)
+        self._edge_xor = np.zeros(n_vertices, dtype=np.intp)
+        np.bitwise_xor.at(self._edge_xor, cols, np.arange(len(edges)).repeat(size))
 
     @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
@@ -73,7 +83,12 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class CoreStats:
-    """Terminal statistics of the peeling process; the totals are derived."""
+    """Terminal statistics of the peeling process; the totals are derived.
+
+    ``rows_by_weight`` maps a row weight to the number of core rows of that
+    weight, and ``cols_by_degree`` a core degree to the number of occupied
+    columns of that degree; both list their keys in ascending order.
+    """
 
     core_edge_ids: tuple
     rows_by_weight: dict
@@ -92,63 +107,70 @@ class CoreStats:
         return sum(k * v for k, v in self.rows_by_weight.items())
 
 
+def _histogram(values: np.ndarray) -> dict:
+    """{value: count} for each value present, keys ascending."""
+    counts = np.bincount(values)
+    keys = counts.nonzero()[0]
+    return dict(zip(keys.tolist(), counts[keys].tolist()))
+
+
 def peel_2core(h: Hypergraph) -> CoreStats:
     """Run the degree-1 deletion process to termination and report the core.
 
-    Pending degree-1 vertices are processed first in, first out.  The
-    terminal core does not depend on that order; the tests check it against
-    a reference peeler that deletes in another order.  The hypergraph is
-    consumed (degrees and alive flags reflect the terminal state afterwards).
+    Each round deletes the alive edge of every degree-1 vertex, then lowers
+    the degrees and edge-id XORs of the vertices those edges touch; the
+    touched vertices left at degree 1 are the next round's frontier.  The
+    hypergraph is consumed (``vertex_degree`` holds the terminal degrees
+    afterwards).
     """
     degree = h.vertex_degree
-    alive = h.alive
-    edges = h.edges
     edge_xor = h._edge_xor
+    cols, start, size = h._cols, h._start, h._size
+    alive = np.ones(size.size, dtype=bool)
 
-    pending = deque(v for v in range(h.n_vertices) if degree[v] == 1)
+    frontier = (degree == 1).nonzero()[0]
+    while frontier.size:
+        ids = edge_xor[frontier]
+        ids.sort()
+        dead = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]  # each edge once
+        alive[dead] = False
+        k = size[dead]
+        # the incidences of the dead edges: edge j's run of k[j] slots from start[j]
+        ends = k.cumsum()
+        touched = cols[(start[dead] + k - ends).repeat(k) + np.arange(ends[-1])]
+        np.subtract.at(degree, touched, 1)
+        np.bitwise_xor.at(edge_xor, touched, dead.repeat(k))
+        frontier = touched[degree[touched] == 1]
 
-    while pending:
-        v = pending.popleft()
-        if degree[v] != 1:
-            continue  # stale entry
-        eid = edge_xor[v]
-        alive[eid] = False
-        for u in edges[eid]:
-            degree[u] -= 1
-            edge_xor[u] ^= eid
-            if degree[u] == 1:
-                pending.append(u)
-
-    core_ids = tuple(i for i in range(len(edges)) if alive[i])
-    rows_by_weight: dict = {}
-    cols_by_degree: dict = {}
-    for i in core_ids:
-        w = len(edges[i])
-        rows_by_weight[w] = rows_by_weight.get(w, 0) + 1
-    for d in degree:
-        if d:
-            cols_by_degree[d] = cols_by_degree.get(d, 0) + 1
-    return CoreStats(core_ids, rows_by_weight, cols_by_degree)
+    core_ids = alive.nonzero()[0]
+    return CoreStats(tuple(core_ids.tolist()), _histogram(size[core_ids]),
+                     _histogram(degree[degree > 0]))
 
 
 def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int]:
     """Peel h to its 2-core and return (stats, corank of h's edges).
 
     Only occupied columns get a position, so core rows stay short.  Positions
-    go in descending core degree, so the columns of lowest core degree hold
-    the highest bits and become the first pivots (``RankState`` pivots on the
-    highest bit).  The hypergraph is consumed, as by ``peel_2core``.
+    go in descending core degree, ties in column order, so the columns of
+    lowest core degree hold the highest bits and become the first pivots
+    (``RankState`` pivots on the highest bit).  Once every occupied column
+    holds a pivot the rank is full, and each remaining core row counts as
+    dependent without being reduced.  The hypergraph is consumed, as by
+    ``peel_2core``.
     """
     stats = peel_2core(h)
     degree = h.vertex_degree
-    occupied = sorted((v for v in range(h.n_vertices) if degree[v]), key=degree.__getitem__,
-                      reverse=True)
-    pos = [0] * h.n_vertices
-    for i, v in enumerate(occupied):
-        pos[v] = i
-    state = RankState(len(occupied))
+    occupied = degree.nonzero()[0]
+    order = occupied[np.argsort(-degree[occupied], kind="stable")]
+    pos = np.zeros(h.n_vertices, dtype=np.intp)
+    pos[order] = np.arange(order.size)
+    pos = pos.tolist()
+    full_rank = order.size
+    state = RankState(full_rank)
     edges = h.edges
-    for i in stats.core_edge_ids:
+    for absorbed, i in enumerate(stats.core_edge_ids):
+        if absorbed - state.corank == full_rank:
+            return stats, state.corank + stats.core_rows - absorbed
         row = 0
         for v in edges[i]:
             row |= 1 << pos[v]

@@ -1,6 +1,9 @@
+from collections import Counter, deque
+
 import numpy as np
 import pytest
 
+from gf2rank.peeling import CoreStats
 from gf2rank.weights import WeightDist
 
 
@@ -27,8 +30,8 @@ def mixture_batch(seed: int, count: int, **kwargs) -> list:
 
 def naive_core(n, edges):
     """Reference peeler: rescan everything each round and delete the edge of
-    the smallest degree-1 vertex, an order unlike peel_2core's first in,
-    first out; also reports the aspect-ratio trajectory (rows / occupied
+    the smallest degree-1 vertex, one at a time, unlike peel_2core's
+    frontier rounds; also reports the aspect-ratio trajectory (rows / occupied
     columns) after every deletion."""
     alive = set(range(len(edges)))
     trajectory = []
@@ -53,3 +56,46 @@ def naive_core(n, edges):
         occ = occupied()
         if occ:
             trajectory.append(len(alive) / len(occ))
+
+
+def core_record(n, edges, core_ids):
+    """(CoreStats, degree of every vertex) of the edges core_ids, counted
+    afresh; the histograms list their keys in ascending order."""
+    degree = [0] * n
+    for i in core_ids:
+        for v in edges[i]:
+            degree[v] += 1
+    core_ids = tuple(sorted(core_ids))
+    rows_by_weight = dict(sorted(Counter(len(edges[i]) for i in core_ids).items()))
+    cols_by_degree = dict(sorted(Counter(d for d in degree if d).items()))
+    return CoreStats(core_ids, rows_by_weight, cols_by_degree), degree
+
+
+def fifo_core(n, edges):
+    """Reference peeler for large n: delete one edge at a time, taking the
+    pending degree-1 vertices first in, first out, in Python loops.  Each
+    vertex keeps the XOR of its alive edge ids, which at degree 1 is its one
+    alive edge.  Returns core_record of the surviving edges, after checking
+    that the loop's own degrees agree with it."""
+    degree = [0] * n
+    edge_xor = [0] * n
+    for i, e in enumerate(edges):
+        for v in e:
+            degree[v] += 1
+            edge_xor[v] ^= i
+    alive = [True] * len(edges)
+    pending = deque(v for v in range(n) if degree[v] == 1)
+    while pending:
+        v = pending.popleft()
+        if degree[v] != 1:
+            continue  # stale entry
+        eid = edge_xor[v]
+        alive[eid] = False
+        for u in edges[eid]:
+            degree[u] -= 1
+            edge_xor[u] ^= eid
+            if degree[u] == 1:
+                pending.append(u)
+    stats, counted = core_record(n, edges, [i for i in range(len(edges)) if alive[i]])
+    assert counted == degree
+    return stats, degree

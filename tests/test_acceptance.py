@@ -186,8 +186,8 @@ def test_criterion_11_asymptotics():
 def test_criterion_12_property_suites():
     rng = np.random.default_rng(777)
 
-    # peeling order invariance, 10^3 fuzz cases: peel_2core (first in, first
-    # out) against naive_core (smallest degree-1 vertex first)
+    # peeling order invariance, 10^3 fuzz cases: peel_2core (frontier rounds)
+    # against naive_core (one edge at a time, smallest degree-1 vertex first)
     order_ok = True
     for _ in range(1000):
         n = int(rng.integers(1, 14))

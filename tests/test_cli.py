@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from gf2rank import errors
+from gf2rank import cli, errors
 from gf2rank.cli import EXIT_CODES, main
 from gf2rank.exact import ParitySpec, multinomial_parity
 from gf2rank.sampling import SampleConfig, derive_stream_seed, run_Tn
@@ -205,6 +205,16 @@ def test_unwritable_output_path_exits_2(args, tmp_path):
     assert run_fail(args + [str(path)], 2) == f"error: No such file or directory: {path}"
 
 
+def test_simulate_csv_path_is_checked_before_the_run(monkeypatch, tmp_path):
+    def no_run(cfg):
+        raise AssertionError("run_experiment called before the --csv path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    path = tmp_path / "missing" / "x.csv"
+    args = ["simulate", "--exp", "dense", "-n", "5", "--trials", "2", "--csv", str(path)]
+    assert run_fail(args, 2) == f"error: No such file or directory: {path}"
+
+
 def test_rank_enumerate_too_large_exits_2():
     rows = "".join(f"{i}\n" for i in range(25))
     assert "max_m 24" in run_fail(["rank", "--enumerate"], 2, stdin=rows)
@@ -333,6 +343,18 @@ def test_dense_zero_row_is_a_dependent_core_row(schema, tmp_path):
     res = payload["result"]
     assert (res["core_rows"], res["occupied_cols"], res["incidences"]) == (1, 0, 0)
     assert res["rows_by_weight"] == {"0": 1} and res["cols_by_degree"] == {}
+
+
+def test_core_histograms_list_keys_ascending(schema, tmp_path):
+    # the first core row has weight 3 and the first column degree 3, so the
+    # order in which rows or columns are met would list 3 before 2
+    mat = tmp_path / "core.txt"
+    mat.write_text("0 1 2\n0 1\n0 2\n1 3\n2 3\n")
+    payload = json.loads(run_ok("core", "--in", str(mat)))
+    validate(payload, schema, "core_result")
+    res = payload["result"]
+    assert list(res["rows_by_weight"].items()) == [("2", 4), ("3", 1)]
+    assert list(res["cols_by_degree"].items()) == [("2", 1), ("3", 3)]
 
 
 def test_rank_enumerate():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import naive_core
+from conftest import core_record, fifo_core, naive_core
+from gf2rank import peeling
 from gf2rank.errors import DimensionMismatch, InvalidParam
 from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors, row_from_cols
 from gf2rank.peeling import (
@@ -16,8 +17,8 @@ from gf2rank.peeling import (
     peel_2core,
 )
 from gf2rank.sampling import SampleConfig, sample_matrix
-from gf2rank.thresholds import alpha_bar, alpha_star, core_theory
-from gf2rank.verification import FIG1_RHO
+from gf2rank.thresholds import alpha_bar, alpha_sharp, alpha_star, core_theory
+from gf2rank.verification import FIG1_RHO, FIG2_RHO
 from gf2rank.weights import WeightDist, parse_rho
 
 
@@ -82,12 +83,91 @@ def test_hypergraph_edge_out_of_range():
             Hypergraph(3, [(0, 1), edge])
 
 
+def peel_record(n, edges):
+    """(CoreStats, terminal degrees) of the array peel."""
+    h = Hypergraph(n, edges)
+    return peel_2core(h), h.vertex_degree.tolist()
+
+
+def assert_same_core(got, want):
+    """Equal stats and degrees, and the histogram keys in the same order."""
+    (stats, degree), (want_stats, want_degree) = got, want
+    assert stats == want_stats
+    assert list(stats.rows_by_weight.items()) == list(want_stats.rows_by_weight.items())
+    assert list(stats.cols_by_degree.items()) == list(want_stats.cols_by_degree.items())
+    assert degree == want_degree
+
+
 def test_peel_matches_naive_and_order_invariant(rng):
-    # naive_core deletes in another order, so equal cores show order invariance
+    # naive_core and fifo_core delete one edge at a time in two other orders,
+    # so equal cores show order invariance
     for _ in range(300):
         n, edges = random_hypergraph(rng)
-        want, _ = naive_core(n, edges)
-        assert set(peel_2core(Hypergraph(n, edges)).core_edge_ids) == want
+        got = peel_record(n, edges)
+        assert_same_core(got, core_record(n, edges, naive_core(n, edges)[0]))
+        assert_same_core(got, fifo_core(n, edges))
+
+
+FIG1_JUMP = 0.938536  # alpha of FIG1's jump of g_star
+
+
+def test_peel_matches_fifo_over_laws_and_sizes():
+    laws = ("r=2", "r=3", FIG1_RHO, FIG2_RHO, "0.9325:3,0.0675:44", "0.2:1,0.8:3")
+    checked = 0
+    for spec in laws:
+        dist = parse_rho(spec)
+        a_sharp = alpha_sharp(dist)[0]
+        alphas = sorted({a for a in (0.3, a_sharp - 0.03, a_sharp + 0.03, FIG1_JUMP - 0.01,
+                                     FIG1_JUMP + 0.01, 1.2) if a > 0})
+        for model in ("exact", "binomial"):
+            for n in (1, 2, 7, 40, 300, 3000):
+                if n == 1 and model == "binomial" and spec == "r=2":
+                    continue  # no nonempty row exists; SampleConfig refuses it
+                for alpha in alphas:
+                    mat = sample_matrix(SampleConfig(n, round(alpha * n), dist, model, seed=checked))
+                    h = Hypergraph.from_matrix(mat)
+                    stats = peel_2core(h)
+                    assert_same_core((stats, h.vertex_degree.tolist()), fifo_core(n, mat.cols)), (
+                        spec, model, n, alpha)
+                    checked += 1
+    assert checked > 350
+
+
+def lollipop(tail, cycle):
+    """A weight-2 path of `tail` edges ending on a cycle of `cycle` edges."""
+    path = [(i, i + 1) for i in range(tail)]
+    ring = [(tail + i, tail + (i + 1) % cycle) for i in range(cycle)]
+    return tail + cycle, path + [tuple(sorted(e)) for e in ring]
+
+
+def test_peel_hand_cases():
+    n_path = 2001
+    cases = {
+        "long-path": (n_path, [(i, i + 1) for i in range(n_path - 1)]),  # about 1000 rounds
+        "path-into-cycle": lollipop(600, 5),
+        "cycle": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        "zero-rows": (3, [(), (0, 1), (), (0, 1), (1, 2)]),
+        "duplicate-edges": (4, [(0, 1, 2), (0, 1, 2), (2, 3)]),
+        "no-rows": (4, []),
+        "n=1": (1, [(0,), (), (0,)]),
+        "n=1-peels": (1, [(0,), ()]),
+    }
+    want = {
+        "long-path": CoreStats((), {}, {}),
+        "path-into-cycle": CoreStats(tuple(range(600, 605)), {2: 5}, {2: 5}),
+        "cycle": CoreStats((0, 1, 2, 3, 4), {2: 5}, {2: 5}),
+        "zero-rows": CoreStats((0, 1, 2, 3), {0: 2, 2: 2}, {2: 2}),
+        "duplicate-edges": CoreStats((0, 1), {3: 2}, {2: 3}),
+        "no-rows": CoreStats((), {}, {}),
+        "n=1": CoreStats((0, 1, 2), {0: 1, 1: 2}, {2: 1}),
+        "n=1-peels": CoreStats((1,), {0: 1}, {}),
+    }
+    for name, (n, edges) in cases.items():
+        got = peel_record(n, edges)
+        assert got[0] == want[name], name
+        assert_same_core(got, fifo_core(n, edges))
+        if len(edges) <= 20:
+            assert_same_core(got, core_record(n, edges, naive_core(n, edges)[0]))
 
 
 def test_aspect_ratio_monotone_under_peeling(rng):
@@ -207,3 +287,31 @@ def test_eliminate_core_matches_peel_and_full_rankstate(rng):
         stats, sigma = eliminate_core(Hypergraph(n, edges))
         assert stats == peel_2core(Hypergraph(n, edges))
         assert sigma == state.corank
+
+
+def test_eliminate_core_stops_once_rank_is_full(monkeypatch):
+    # the four triples of four columns have full rank; every row after them
+    # is dependent and is counted without being absorbed
+    absorbed = []
+
+    class CountingRankState(RankState):
+        def absorb(self, row):
+            absorbed.append(row)
+            return super().absorb(row)
+
+    monkeypatch.setattr(peeling, "RankState", CountingRankState)
+    mat = GF2Matrix(4)
+    for cols in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)] * 5 + [(0, 1), (2, 3)]:
+        mat.append_cols(cols)
+    assert corank(mat) == full_corank(mat) == 18
+    assert len(absorbed) == 4
+    # sampled matrices whose core rank fills up before the last core row
+    stopped = 0
+    for spec, alpha in (("r=3", 1.2), ("r=3", 1.5), (FIG1_RHO, 1.2)):
+        for seed in (1, 2, 3):
+            mat = sample_matrix(SampleConfig(300, round(alpha * 300), parse_rho(spec), seed=seed))
+            absorbed.clear()
+            stats, sigma = eliminate_core(Hypergraph.from_matrix(mat))
+            assert sigma == full_corank(mat), (spec, alpha, seed)
+            stopped += len(absorbed) < stats.core_rows
+    assert stopped > 0
