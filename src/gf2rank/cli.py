@@ -43,9 +43,9 @@ from .experiments import (EXPERIMENTS, FIELDS_READ, ExperimentConfig, run_experi
                           write_records_csv)
 from .gf2 import GF2Matrix, enumerate_null_vectors, is_one_null, matrix_from_text, matrix_to_text
 from .peeling import Hypergraph, check_E, corank, peel_2core
-from .sampling import MODELS, SampleConfig, run_Tn, sample_matrix
+from .sampling import SampleConfig, run_Tn, sample_matrix
 from .thresholds import core_theory, g_star_curve, h_psi, threshold_report
-from .weights import WeightDist, parse_rho
+from .weights import MODELS, WeightDist, parse_rho
 
 
 def _mpf_str(x) -> str:
@@ -60,13 +60,25 @@ def _num(x) -> dict:
     return {"decimal": f"{float(x):.17g}", "double": float(x)}
 
 
-def _config(*names: str) -> dict:
+def _config(*names: str, needs: tuple = ()) -> dict:
     """The named options of the running command as this invocation read
-    them, keyed by option name: "--cell-probs" is cell_probs."""
+    them, keyed by option name: "--cell-probs" is cell_probs.
+
+    The first option in needs that was not given, or was given empty,
+    raises ParseError("<flag> is required for <mode flag> <mode>"), where
+    the first name is the command's mode, such as what or exp.
+    """
     ctx = click.get_current_context()
-    given = {max(p.opts, key=len).lstrip("-").replace("-", "_"): ctx.params[p.name]
-             for p in ctx.command.params}
-    return {k: given[k] for k in names}
+    given = {}  # option name -> (flag, value)
+    for p in ctx.command.params:
+        flag = max(p.opts, key=len)
+        given[flag.lstrip("-").replace("-", "_")] = flag, ctx.params[p.name]
+    for k in needs:
+        flag, value = given[k]
+        if value is None or value == "":
+            mode_flag, mode = given[names[0]]
+            raise ParseError(f"{flag} is required for {mode_flag} {mode}")
+    return {k: given[k][1] for k in names}
 
 
 def _provenance(command: str, config: dict, result=None) -> str:
@@ -306,7 +318,7 @@ def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
     else:
         mat = _read_matrix(path, n)
         dist = None
-    stats = peel_2core(Hypergraph.from_matrix(mat))
+    stats = peel_2core(Hypergraph(mat))
     result = {
         "n": mat.n_cols,
         "m": mat.m,
@@ -352,20 +364,19 @@ def cmd_tn(rho_spec, n, trials, seed, model, out):
 
 # --- exact formulas -----------------------------------------------------------
 
-# the options that each --what reads
+# each --what: (the options it reads, the options it needs in check order)
 _EXACT_READS = {
-    "pi": ("rho", "n", "m", "precision"),
-    "pa": ("rho", "n", "m", "precision"),
-    "en": ("rho", "n", "m", "model", "precision"),
-    "poisson": ("n", "m", "mu", "truncation", "precision"),
-    "parity": ("n", "modulus", "targets", "cell_probs"),
-    "gfq": ("q", "r", "n"),
+    "pi": (("rho", "n", "m", "precision"), ("n", "m")),
+    "pa": (("rho", "n", "m", "precision"), ("n", "m", "rho")),
+    "en": (("rho", "n", "m", "model", "precision"), ("n", "m", "rho")),
+    "poisson": (("n", "m", "mu", "truncation", "precision"), ("n", "m")),
+    "parity": (("n", "modulus", "targets", "cell_probs"), ("n", "cell_probs")),
+    "gfq": (("q", "r", "n"), ("r",)),
 }
 
 
 @main.command("exact")
-@click.option("--what", type=click.Choice(["pi", "pa", "en", "poisson", "parity", "gfq"]),
-              required=True)
+@click.option("--what", type=click.Choice(list(_EXACT_READS)), required=True)
 @click.option("--rho", "rho_spec", default=None)
 @click.option("-n", "n", type=int, default=None)
 @click.option("-m", "m", type=int, default=None)
@@ -383,13 +394,8 @@ _EXACT_READS = {
 def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
               modulus, targets, cell_probs, out):
     """Evaluate one of the exactly computable probabilities."""
-    if what != "gfq" and n is None:
-        raise ParseError(f"-n is required for --what {what}")
-    if what in ("pi", "pa", "en", "poisson") and m is None:
-        raise ParseError(f"-m is required for --what {what}")
-    if what in ("pa", "en") and rho_spec is None:
-        raise ParseError(f"--rho is required for --what {what}")
-    config = _config("what", *_EXACT_READS[what])
+    reads, needs = _EXACT_READS[what]
+    config = _config("what", *reads, needs=needs)
     if what == "pi":
         rho_spec = config["rho"] = rho_spec or "r=1"
     dist = parse_rho(rho_spec) if "rho" in config else None
@@ -407,14 +413,10 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
         result = {"lhs": _num(lhs), "rhs": _num(rhs), "abs_diff": _num(abs(lhs - rhs))}
     elif what == "parity":
         t = _parse_list("--targets", targets)
-        if cell_probs is None:
-            raise ParseError("--cell-probs is required for --what parity")
         probs = _parse_list("--cell-probs", cell_probs, float)
         spec = ParitySpec(k=len(t), r=modulus, targets=t, cell_probs=probs)
         result = {"probability": _num(multinomial_parity(spec, n))}
     else:  # gfq
-        if r is None:
-            raise ParseError("--r is required for --what gfq")
         result = {"survival": _num(gfq_dense_survival(q, r, n))}
     _emit(_provenance("exact", config, result), out)
 
@@ -440,10 +442,11 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
 def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
                  window_eps, z, r_values, threads, csv_path, out):
     """Run one Monte Carlo experiment; JSON summary plus optional CSV records."""
-    reads = FIELDS_READ[exp_id]
+    # the options behind the fields the experiment reads: --rho gives dist
+    echoed = ["rho" if f == "dist" else f for f in FIELDS_READ[exp_id]]
+    config = _config("exp", "n", "trials", "seed", *echoed,
+                     needs=("rho",) if "rho" in echoed else ())
     dist = parse_rho(rho_spec) if rho_spec else None
-    if "dist" in reads and dist is None:
-        raise ParseError(f"--rho is required for --exp {exp_id}")
     cfg = ExperimentConfig(
         experiment=exp_id, dist=dist, n_values=tuple(n_values), trials=trials, seed=seed,
         alpha=alpha, model=model, eps=eps, window_eps=window_eps, z=z,
@@ -451,9 +454,7 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
     if csv_path:
         open(csv_path, "a", encoding="utf-8").close()  # fail on an unwritable path before the run
     res = run_experiment(cfg)
-    # the options behind the fields the experiment reads: --rho gives dist
-    echoed = ("rho" if f == "dist" else f for f in reads)
-    config = {**_config("exp", "n", "trials", "seed", *echoed), "threads": cfg.threads}
+    config["threads"] = cfg.threads
     if csv_path:
         write_records_csv(csv_path, res.records, _provenance("simulate", config))
     _emit(_provenance("simulate", config, res.summary), out)

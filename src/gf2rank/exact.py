@@ -54,7 +54,7 @@ from .errors import (
     TooLarge,
     TruncationTooSmall,
 )
-from .weights import WeightDist
+from .weights import MODELS, WeightDist
 
 DEFAULT_PRECISION = 256
 _MAX_PRECISION = 1 << 14
@@ -275,7 +275,7 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     elif model == "binomial":
         (powers, lams), weights = _lambdas_binomial_rows(n, dist), [k for k, _ in dist.atoms]
     else:
-        raise InvalidParam(f"model {model!r} not in ('exact', 'binomial')")
+        raise InvalidParam(f"model {model!r} not in {MODELS}")
     d, a = _over_common_denominator(lams)
 
     # powers holds c_j a_j^l for the current l; when every weight is odd,

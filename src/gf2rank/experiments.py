@@ -107,7 +107,7 @@ def _core_trial(payload):
     """(stats, E) for one matrix: the core stats as record fields, and
     whether E(n, m; eps) holds."""
     cfg, check_corank, eps = payload
-    h = Hypergraph.from_matrix(sample_matrix(cfg))
+    h = Hypergraph(sample_matrix(cfg))
     if check_corank:
         stats, sigma = eliminate_core(h)
     else:
@@ -334,16 +334,17 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
 
 def exp_dense_survival(cfg: ExperimentConfig) -> ExperimentResult:
     """Uniform nonzero GF(2) rows: empirical P[T_n > n+1-r] against the exact
-    finite-n product, for each offset r in cfg.r_values."""
+    finite-n product, for each offset r in cfg.r_values.  The exact values,
+    and with them the check 1 <= r <= n, come before any trial."""
     for n in cfg.n_values:
         if not 1 <= n <= 62:
             raise InvalidParam(f"dense survival sampler needs 1 <= n <= 62 (a row in one word); n={n}")
+    exact = {n: {r: gfq_dense_survival(2, r, n) for r in cfg.r_values} for n in cfg.n_values}
 
     def entry(n, ts):
         tails = {}
-        for r in cfg.r_values:
+        for r, exact_val in exact[n].items():
             emp = sum(1 for t in ts if t > n + 1 - r) / cfg.trials
-            exact_val = gfq_dense_survival(2, r, n)
             tails[r] = {"empirical": emp, "exact": exact_val,
                         "ci95": _ci95(emp, cfg.trials), "abs_error": abs(emp - exact_val)}
         return tails

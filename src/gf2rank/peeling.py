@@ -1,17 +1,19 @@
 """Hypergraph view of a GF(2) matrix, its 2-core, and the elimination kernel.
 
-Rows are hyperedges, columns are vertices: a ``GF2Matrix`` row is already its
-sorted tuple of columns, so ``Hypergraph.from_matrix`` flattens the matrix's
-``cols`` into incidence arrays with no bit scan.  The 2-core is the terminal
-state of repeatedly deleting a hyperedge incident to a degree-1 vertex.  The
-result does not depend on the deletion order, so ``peel_2core`` deletes in
-frontier rounds of array operations: round-parallel peeling ends at the same
-2-core (Jiang, Mitzenmacher & Thaler, "Parallel peeling algorithms", SPAA
-2014), and the tests check it against a first-in, first-out loop and a
-rescanning peeler.  Columns are never deleted, so "occupied" counts the
-columns that still meet an alive edge at termination.  ``CoreStats`` holds
-the core's edge ids, its rows by weight and its occupied columns by degree;
-the row, occupied-column and incidence totals are derived from them.
+Rows are hyperedges, columns are vertices.  ``Hypergraph`` takes a
+``GF2Matrix``, whose ``append_cols`` has checked each row to be a sorted,
+duplicate-free tuple of columns in range, and flattens the matrix's ``cols``
+into incidence arrays with no bit scan and no second check.  The 2-core is
+the terminal state of repeatedly deleting a hyperedge incident to a degree-1
+vertex.  The result does not depend on the deletion order, so
+``peel_2core`` deletes in frontier rounds of array operations:
+round-parallel peeling ends at the same 2-core (Jiang, Mitzenmacher &
+Thaler, "Parallel peeling algorithms", SPAA 2014), and the tests check it
+against a first-in, first-out loop and a rescanning peeler.  Columns are
+never deleted, so "occupied" counts the columns that still meet an alive
+edge at termination.  ``CoreStats`` holds the core's edge ids, its rows by
+weight and its occupied columns by degree; the row, occupied-column and
+incidence totals are derived from them.
 
 A deleted row has a column that no row left at that point touches, so it
 lies in no null combination: corank(M) = corank(2-core).  ``eliminate_core``
@@ -30,55 +32,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParam
+from .errors import InvalidParam
 from .gf2 import GF2Matrix, RankState
 
 
 class Hypergraph:
-    """Incidence arrays with per-vertex degrees, mutable only by peeling.
+    """The hypergraph of a ``GF2Matrix``: incidence arrays with per-vertex
+    degrees, mutable only by peeling.
 
-    ``edges`` holds each edge as its sorted tuple of vertices.  The peel
-    reads the same incidences as arrays: ``_cols`` lists every edge's
-    vertices in edge order, and edge i owns ``_cols[_start[i]:_start[i] +
-    _size[i]]``.  ``vertex_degree`` counts each vertex's alive edges.  Each
-    vertex keeps the XOR of the ids of its alive incident edges in place of
-    an incidence list: at degree 1 that XOR is the one alive edge.
+    ``n_vertices`` is the matrix's column count and ``edges`` its rows, each
+    the sorted tuple of its vertices.  The peel reads the same incidences as
+    arrays: ``_cols`` lists every edge's vertices in edge order, and edge i
+    owns ``_cols[_start[i]:_start[i] + _size[i]]``.  ``vertex_degree``
+    counts each vertex's alive edges.  Each vertex keeps the XOR of the ids
+    of its alive incident edges in place of an incidence list: at degree 1
+    that XOR is the one alive edge.  ``from_matrix`` is another name for the
+    constructor.
     """
 
     __slots__ = ("n_vertices", "edges", "vertex_degree", "_edge_xor", "_cols", "_start", "_size")
 
-    def __init__(self, n_vertices: int, edges: Iterable[Sequence[int]]):
-        checked = []
-        for e in edges:
-            te = tuple(sorted(set(e)))
-            if te and (te[0] < 0 or te[-1] >= n_vertices):
-                raise DimensionMismatch(f"edge {te} out of range for {n_vertices} vertices")
-            checked.append(te)
-        self._index(n_vertices, checked)
-
-    def _index(self, n_vertices: int, edges: List[Tuple[int, ...]]) -> None:
-        """Take edges that are sorted, duplicate-free tuples within range."""
-        self.n_vertices = n_vertices
-        self.edges = edges
+    def __init__(self, matrix: GF2Matrix):
+        self.n_vertices = n = matrix.n_cols
+        self.edges = edges = list(matrix.cols)
         size = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
         cols = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(size.sum()))
         self._size = size
         self._start = size.cumsum() - size
         self._cols = cols
-        self.vertex_degree = np.bincount(cols, minlength=n_vertices)
-        self._edge_xor = np.zeros(n_vertices, dtype=np.intp)
+        self.vertex_degree = np.bincount(cols, minlength=n)
+        self._edge_xor = np.zeros(n, dtype=np.intp)
         np.bitwise_xor.at(self._edge_xor, cols, np.arange(len(edges)).repeat(size))
 
     @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
-        # a GF2Matrix row is already a sorted, duplicate-free tuple below n_cols
-        h = cls.__new__(cls)
-        h._index(matrix.n_cols, list(matrix.cols))
-        return h
+        return cls(matrix)
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ def corank(matrix: GF2Matrix) -> int:
     count itself is never materialized as a float).  Computed on the 2-core,
     whose corank equals the matrix's.
     """
-    return eliminate_core(Hypergraph.from_matrix(matrix))[1]
+    return eliminate_core(Hypergraph(matrix))[1]
 
 
 def check_E(stats: CoreStats, n: int, eps: float) -> bool:

@@ -48,9 +48,7 @@ import numpy as np
 
 from .errors import InvalidParam
 from .gf2 import GF2Matrix, RankState, row_cols
-from .weights import WeightDist
-
-MODELS = ("exact", "binomial")
+from .weights import MODELS, WeightDist
 
 _U32 = 0xFFFFFFFF
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53, as numpy's random() scales 53 bits

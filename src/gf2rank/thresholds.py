@@ -644,7 +644,7 @@ def threshold_asymptotics(r_max: int = 12) -> list:
     with mp.workprec(precision):
         for r in range(3, r_max + 1):
             a_star = _alpha_star_lambda_system(r, precision=precision)
-            xs = x_star_iteration(r, steps=20000, precision=precision)[0]
+            xs = x_star_iteration(r, precision=precision)[0]
             a_bar = -mp.log(1 - xs) / (r * xs ** (r - 1))
             rows.append({
                 "r": r,

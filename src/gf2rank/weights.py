@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import InvalidDistribution, ParseError
 
+MODELS = ("exact", "binomial")  # the two row models above
+
 _SUM_TOL = 1e-12
 _PARSE_SUM_TOL = 1e-9
 

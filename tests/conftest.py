@@ -3,7 +3,8 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from gf2rank.peeling import CoreStats
+from gf2rank.gf2 import GF2Matrix
+from gf2rank.peeling import CoreStats, Hypergraph
 from gf2rank.weights import WeightDist
 
 
@@ -26,6 +27,16 @@ def random_mixture(rs: np.random.Generator, min_weight: int = 3, max_weight: int
 def mixture_batch(seed: int, count: int, **kwargs) -> list:
     rs = np.random.default_rng(seed)
     return [random_mixture(rs, **kwargs) for _ in range(count)]
+
+
+def hypergraph(n, edges):
+    """Hypergraph of the n-column matrix whose rows are edges, each already
+    a sorted, duplicate-free sequence of columns: GF2Matrix.append_cols
+    checks them and nothing sorts or dedupes them here."""
+    matrix = GF2Matrix(n)
+    for e in edges:
+        matrix.append_cols(tuple(e))
+    return Hypergraph(matrix)
 
 
 def naive_core(n, edges):

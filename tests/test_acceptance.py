@@ -27,7 +27,7 @@ from gf2rank.sampling import SampleConfig, sample_matrix
 from gf2rank.thresholds import alpha_sharp, g_star, h_psi
 from gf2rank.weights import WeightDist, parse_rho
 
-from conftest import mixture_batch, naive_core
+from conftest import hypergraph, mixture_batch, naive_core
 
 W1, W2, W3 = WeightDist.fixed(1), WeightDist.fixed(2), WeightDist.fixed(3)
 
@@ -196,7 +196,7 @@ def test_criterion_12_property_suites():
         for _ in range(m):
             k = int(rng.integers(1, min(4, n) + 1))
             edges.append(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        if set(peel_2core(Hypergraph(n, edges)).core_edge_ids) != naive_core(n, edges)[0]:
+        if set(peel_2core(hypergraph(n, edges)).core_edge_ids) != naive_core(n, edges)[0]:
             order_ok = False
             break
 

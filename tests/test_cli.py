@@ -454,8 +454,14 @@ def test_bad_run_param_exits_2(args):
     (["thresholds"], "--rho is required unless --table1 is given"),
     (["core", "--rho", "r=3", "-n", "10"], "--rho sampling needs -n and -m"),
     (["exact", "--what", "parity", "-n", "3"], "--cell-probs is required for --what parity"),
+    (["exact", "--what", "parity", "-n", "3", "--targets", "x"],
+     "--cell-probs is required for --what parity"),
     (["exact", "--what", "gfq"], "--r is required for --what gfq"),
-], ids=["thresholds-rho", "core-rho-m", "parity-cell-probs", "gfq-r"])
+    (["exact", "--what", "pa", "-n", "4", "-m", "2"], "--rho is required for --what pa"),
+    (["exact", "--what", "en", "-n", "4", "-m", "2"], "--rho is required for --what en"),
+    (["simulate", "--exp", "core", "-n", "10"], "--rho is required for --exp core"),
+], ids=["thresholds-rho", "core-rho-m", "parity-cell-probs", "parity-cell-probs-before-targets",
+        "gfq-r", "pa-rho", "en-rho", "simulate-core-rho"])
 def test_missing_option_exits_2_with_its_message(args, message):
     assert run_fail(args, 2) == f"error: {message}"
 
@@ -817,6 +823,19 @@ def test_main_group_holds_the_only_error_guard():
     walk(_package_trees()["cli"], None)
     assert catchers == ["_Main.invoke"]
     assert guarded == []
+
+
+def test_config_holds_the_only_missing_option_raise():
+    # each mode's needed options come from a table, and _config alone reports
+    # the first one missing: "<flag> is required for <mode>"
+    raisers = []
+    for top in _package_trees()["cli"].body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and "is required for" in str(c.value)
+                    for c in ast.walk(node)):
+                raisers.append(getattr(top, "name", None))
+    assert raisers == ["_config"]
 
 
 def test_every_export_has_a_caller_in_the_package():

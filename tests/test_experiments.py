@@ -266,6 +266,23 @@ def test_dense_survival_small():
         assert entry["abs_error"] <= 0.03
 
 
+def test_dense_offsets_are_checked_before_any_trial(monkeypatch):
+    # an offset r > n is refused before the first trial at every n, in the
+    # runner and at the command line
+    calls = []
+    monkeypatch.setattr(experiments, "_dense_trial", calls.append)
+    for n_values in ((5,), (10, 5)):
+        cfg = ExperimentConfig(experiment="dense", dist=None, n_values=n_values, trials=3,
+                               seed=1, r_values=(2, 7))
+        with pytest.raises(InvalidParam, match=r"^need 1 <= r <= n; got r=7, n=5$"):
+            exp_dense_survival(cfg)
+    result = CliRunner().invoke(main, ["simulate", "--exp", "dense", "-n", "5", "--trials", "3",
+                                       "--r-values", "7", "--threads", "1"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: need 1 <= r <= n; got r=7, n=5\n"
+    assert calls == []
+
+
 def test_weight_profile_exact_small():
     cfg = ExperimentConfig(experiment="profile", dist=W2, n_values=(3,), trials=50,
                            seed=2, alpha=2.0 / 3.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import core_record, fifo_core, naive_core
+from conftest import core_record, fifo_core, hypergraph, naive_core
 from gf2rank import peeling
 from gf2rank.errors import DimensionMismatch, InvalidParam
 from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors, row_from_cols
@@ -33,21 +33,21 @@ def random_hypergraph(rng, n_max=12, m_max=14):
 
 
 def test_single_edge_peels_away():
-    stats = peel_2core(Hypergraph(3, [(0, 1, 2)]))
+    stats = peel_2core(hypergraph(3, [(0, 1, 2)]))
     assert stats.core_rows == 0
     assert stats.occupied_cols == 0
     assert stats.core_edge_ids == ()
 
 
 def test_triangle_survives():
-    stats = peel_2core(Hypergraph(3, [(0, 1), (1, 2), (0, 2)]))
+    stats = peel_2core(hypergraph(3, [(0, 1), (1, 2), (0, 2)]))
     assert stats.core_rows == 3
     assert stats.occupied_cols == 3
     assert stats.incidences == 6
 
 
 def test_duplicate_edges_survive():
-    stats = peel_2core(Hypergraph(3, [(0, 1, 2), (0, 1, 2)]))
+    stats = peel_2core(hypergraph(3, [(0, 1, 2), (0, 1, 2)]))
     assert stats.core_rows == 2
     assert stats.occupied_cols == 3
     assert stats.incidences == 6
@@ -58,14 +58,14 @@ def test_duplicate_edges_survive():
 def test_core_degrees_at_least_two(rng):
     for _ in range(100):
         n, edges = random_hypergraph(rng)
-        stats = peel_2core(Hypergraph(n, edges))
+        stats = peel_2core(hypergraph(n, edges))
         assert all(d >= 2 for d in stats.cols_by_degree)
         assert stats.incidences == sum(k * v for k, v in stats.rows_by_weight.items())
         assert stats.incidences == sum(d * v for d, v in stats.cols_by_degree.items())
 
 
 def test_check_E():
-    empty = peel_2core(Hypergraph(3, [(0, 1, 2)]))
+    empty = peel_2core(hypergraph(3, [(0, 1, 2)]))
     assert not check_E(empty, 10, 0.1)
     square = CoreStats((0, 1, 2), {2: 3}, {2: 3})
     assert not check_E(square, 10, 0.1)  # needs strictly more rows
@@ -78,14 +78,15 @@ def test_check_E():
 
 
 def test_hypergraph_edge_out_of_range():
+    # the matrix refuses the row, before any Hypergraph is built
     for edge in ((0, 3), (-1, 2)):
         with pytest.raises(DimensionMismatch):
-            Hypergraph(3, [(0, 1), edge])
+            hypergraph(3, [(0, 1), edge])
 
 
 def peel_record(n, edges):
     """(CoreStats, terminal degrees) of the array peel."""
-    h = Hypergraph(n, edges)
+    h = hypergraph(n, edges)
     return peel_2core(h), h.vertex_degree.tolist()
 
 
@@ -284,8 +285,8 @@ def test_eliminate_core_matches_peel_and_full_rankstate(rng):
         state = RankState(n)
         for e in edges:
             state.absorb(row_from_cols(e))
-        stats, sigma = eliminate_core(Hypergraph(n, edges))
-        assert stats == peel_2core(Hypergraph(n, edges))
+        stats, sigma = eliminate_core(hypergraph(n, edges))
+        assert stats == peel_2core(hypergraph(n, edges))
         assert sigma == state.corank
 
 
