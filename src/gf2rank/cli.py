@@ -2,7 +2,7 @@
 exact formulas, Monte Carlo experiments, and the verification suites.
 
 Exit codes: 0 success, 2 parse/parameter error, 3 verification failure,
-4 numerical failure; EXIT_CODES maps each package error to one of them.
+4 numerical failure; each error class in errors.py carries its own.
 """
 
 from __future__ import annotations
@@ -16,20 +16,7 @@ import click
 import mpmath as mp
 
 from . import __version__, verification
-from .errors import (
-    DimensionMismatch,
-    Gf2RankError,
-    Inconsistent,
-    InvalidDistribution,
-    InvalidParam,
-    NoConvergence,
-    NumericalResidue,
-    ParseError,
-    PrecisionLoss,
-    TooLarge,
-    TruncationTooSmall,
-    VerificationFailed,
-)
+from .errors import Gf2RankError, InvalidParam, ParseError, VerificationFailed
 from .exact import (
     ParitySpec,
     expected_null_count,
@@ -102,15 +89,6 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text)
 
 
-# (error classes, exit code, stderr prefix) for every Gf2RankError subclass
-EXIT_CODES = (
-    ((ParseError, InvalidDistribution, InvalidParam, DimensionMismatch, TooLarge), 2, "error"),
-    ((VerificationFailed,), 3, "verification failed"),
-    ((PrecisionLoss, NumericalResidue, TruncationTooSmall, NoConvergence, Inconsistent),
-     4, "numerical error"),
-)
-
-
 def _threads(threads: int | None = None) -> int:
     """Trial fan-out width: --threads when given, else one process per core."""
     return threads if threads is not None else (os.cpu_count() or 1)
@@ -126,23 +104,33 @@ def _parse_list(name: str, text: str, kind=int) -> tuple:
 
 class _Main(click.Group):
     """The command group, and the one error guard of every command: a package
-    error exits with its EXIT_CODES code, and a file that cannot be read or
-    written with code 2, each after one line on stderr."""
+    error exits with its class's exit_code, and a usage error of click's or a
+    file that cannot be read or written with code 2, each after one line on
+    stderr."""
+
+    def parse_args(self, ctx, args):
+        if not args:  # a bare gf2rank, for which click prints the help
+            return super().parse_args(ctx, args)
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            self._fail(exc)
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except Gf2RankError as exc:
-            for kinds, code, prefix in EXIT_CODES:
-                if isinstance(exc, kinds):
-                    click.echo(f"{prefix}: {exc}", err=True)
-                    sys.exit(code)
-            raise
+        except (Gf2RankError, click.UsageError) as exc:
+            self._fail(exc)
         except OSError as exc:
             if exc.filename is None:
                 raise  # such as a closed stdout pipe, which click handles itself
-            click.echo(f"error: {exc.strerror}: {exc.filename}", err=True)
-            sys.exit(2)
+            self._fail(ParseError(f"{exc.strerror}: {exc.filename}"))
+
+    def _fail(self, exc):
+        if isinstance(exc, click.UsageError):  # whose choices may take a line each
+            exc = ParseError(" ".join(line.strip() for line in exc.format_message().splitlines()))
+        click.echo(f"{exc.prefix}: {exc}", err=True)
+        sys.exit(exc.exit_code)
 
 
 @click.group(cls=_Main)
@@ -414,7 +402,7 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
     elif what == "parity":
         t = _parse_list("--targets", targets)
         probs = _parse_list("--cell-probs", cell_probs, float)
-        spec = ParitySpec(k=len(t), r=modulus, targets=t, cell_probs=probs)
+        spec = ParitySpec(r=modulus, targets=t, cell_probs=probs)
         result = {"probability": _num(multinomial_parity(spec, n))}
     else:  # gfq
         result = {"survival": _num(gfq_dense_survival(q, r, n))}
@@ -446,7 +434,7 @@ def cmd_simulate(exp_id, rho_spec, n_values, alpha, trials, seed, model, eps,
     echoed = ["rho" if f == "dist" else f for f in FIELDS_READ[exp_id]]
     config = _config("exp", "n", "trials", "seed", *echoed,
                      needs=("rho",) if "rho" in echoed else ())
-    dist = parse_rho(rho_spec) if rho_spec else None
+    dist = parse_rho(rho_spec) if "rho" in config else None
     cfg = ExperimentConfig(
         experiment=exp_id, dist=dist, n_values=tuple(n_values), trials=trials, seed=seed,
         alpha=alpha, model=model, eps=eps, window_eps=window_eps, z=z,

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  Each class carries the exit
+code of the command line and the prefix of its one stderr line: 2 "error" for
+bad input, 3 for a failed verification suite, 4 for a numerical failure."""
 
 
 class Gf2RankError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code, prefix = 2, "error"
 
 
 class ParseError(Gf2RankError):
@@ -23,14 +26,17 @@ class TooLarge(Gf2RankError):
 
 class PrecisionLoss(Gf2RankError):
     """Rounding-error bound of a numerical sum exceeds the allowed tolerance."""
+    exit_code, prefix = 4, "numerical error"
 
 
 class TruncationTooSmall(Gf2RankError):
     """Truncated support leaves more tail mass than permitted."""
+    exit_code, prefix = 4, "numerical error"
 
 
 class NumericalResidue(Gf2RankError):
     """A quantity that must be real carries a non-negligible imaginary part."""
+    exit_code, prefix = 4, "numerical error"
 
 
 class InvalidParam(Gf2RankError):
@@ -39,11 +45,14 @@ class InvalidParam(Gf2RankError):
 
 class NoConvergence(Gf2RankError):
     """Iteration or scan failed to converge within its budget."""
+    exit_code, prefix = 4, "numerical error"
 
 
 class Inconsistent(Gf2RankError):
     """Independent computation routes disagree beyond tolerance."""
+    exit_code, prefix = 4, "numerical error"
 
 
 class VerificationFailed(Gf2RankError):
     """A verification suite reported at least one failing check."""
+    exit_code, prefix = 3, "verification failed"

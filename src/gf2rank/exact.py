@@ -359,25 +359,26 @@ PARITY_MAX_R = 8
 
 @dataclass(frozen=True)
 class ParitySpec:
-    """Joint congruence targets for k tracked events over i.i.d. trials.
+    """Joint congruence targets for k = len(targets) events over i.i.d. trials.
 
     ``cell_probs[g]`` is the single-trial probability of the outcome cell
     indexed by the bitmask g (bit i set means event i occurs); ``targets[i]``
     is the required residue of the count of event i, modulo ``r``.
     """
 
-    k: int
     r: int
     targets: tuple
     cell_probs: tuple
+
+    @property
+    def k(self) -> int:
+        return len(self.targets)
 
     def __post_init__(self):
         if not 1 <= self.k <= PARITY_MAX_K:
             raise InvalidParam(f"k {self.k} outside 1..{PARITY_MAX_K}")
         if not 2 <= self.r <= PARITY_MAX_R:
             raise InvalidParam(f"r {self.r} outside 2..{PARITY_MAX_R}")
-        if len(self.targets) != self.k:
-            raise InvalidParam(f"{len(self.targets)} targets for k={self.k}")
         if any(not 0 <= t < self.r for t in self.targets):
             raise InvalidParam(f"targets {self.targets} not all in 0..{self.r - 1}")
         if len(self.cell_probs) != 1 << self.k:

@@ -149,17 +149,17 @@ def suite_oracles() -> list:
                 checks.append(_equal(f"oracle prob_A n={n} m={m} W={r}", want, got))
 
     parity_cases = [
-        (1, 2, (0,), (Fraction(2, 3), Fraction(1, 3))),
-        (1, 3, (1,), (Fraction(1, 4), Fraction(3, 4))),
-        (2, 2, (0, 1), (Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4))),
-        (2, 3, (2, 0), (Fraction(1, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 5))),
+        (2, (0,), (Fraction(2, 3), Fraction(1, 3))),
+        (3, (1,), (Fraction(1, 4), Fraction(3, 4))),
+        (2, (0, 1), (Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4))),
+        (3, (2, 0), (Fraction(1, 5), Fraction(2, 5), Fraction(1, 5), Fraction(1, 5))),
     ]
-    for k, r, targets, probs in parity_cases:
-        spec = ParitySpec(k=k, r=r, targets=targets, cell_probs=probs)
+    for r, targets, probs in parity_cases:
+        spec = ParitySpec(r=r, targets=targets, cell_probs=probs)
         for n in range(0, 5):
             got = multinomial_parity(spec, n, exact=True)
             want = oracles.parity_paths(spec, n)
-            checks.append(_equal(f"oracle parity k={k} r={r} n={n}", want, got))
+            checks.append(_equal(f"oracle parity k={spec.k} r={r} n={n}", want, got))
 
     # the two all-even formulas agree on the binomial scheme: the closed pgf
     # form equals the even-overlap form fed the exact odd-urn-count law

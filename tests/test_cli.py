@@ -10,8 +10,8 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
-from gf2rank import cli, errors
-from gf2rank.cli import EXIT_CODES, main
+from gf2rank import __version__, cli, errors
+from gf2rank.cli import main
 from gf2rank.exact import ParitySpec, multinomial_parity
 from gf2rank.sampling import SampleConfig, derive_stream_seed, run_Tn
 from gf2rank.thresholds import core_theory
@@ -141,7 +141,43 @@ def run_fail(args, code, stdin=None):
 
 
 def test_every_error_class_has_an_exit_code():
-    assert set(EXIT_CODE) == set(errors.Gf2RankError.__subclasses__())
+    # each class carries its code and the prefix of its stderr line
+    prefix = {2: "error", 3: "verification failed", 4: "numerical error"}
+    assert {c: (c.exit_code, c.prefix) for c in errors.Gf2RankError.__subclasses__()} == {
+        c: (code, prefix[code]) for c, code in EXIT_CODE.items()}
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["sample", "-n", "5", "-m", "3"], "'--rho'"),
+    (["tn", "--rho", "r=3"], "'-n'"),
+    (["exact", "-n", "3"], "'--what'"),
+    (["simulate", "-n", "10"], "'--exp'"),
+    (["exact", "--what", "pi", "-n", "abc"], "'abc'"),
+    (["exact", "--what", "nope"], "'nope'"),
+    (["sample", "--rho", "r=3", "-n", "5", "-m", "3", "--model", "x"], "'x'"),
+    (["rank", "--in", "MISSING"], "missing.txt"),
+    (["core", "--in", "MISSING"], "missing.txt"),
+    (["nosuch"], "'nosuch'"),
+    (["--bogus"], "'--bogus'"),
+], ids=["sample-rho", "tn-n", "exact-what", "simulate-exp", "n-abc", "what-nope", "model-x",
+        "rank-in-missing", "core-in-missing", "unknown-command", "group-option"])
+def test_usage_error_prints_one_line(args, fragment, tmp_path):
+    # click's own usage errors take the package errors' path: one line
+    # "error: <click's message>" and exit 2
+    args = [str(tmp_path / "missing.txt") if a == "MISSING" else a for a in args]
+    line = run_fail(args, 2)
+    assert line.startswith("error: ") and fragment in line
+
+
+def test_help_version_and_bare_group_keep_clicks_output():
+    # a bare gf2rank prints the group's help on stderr and exits 2
+    runs = {a: CliRunner().invoke(main, [a] if a else []) for a in ("--help", "--version", "")}
+    got = {a: (r.exit_code, r.stdout, r.stderr) for a, r in runs.items()}
+    help_text = got["--help"][1]
+    assert help_text.startswith("Usage: main [OPTIONS] COMMAND [ARGS]...\n")
+    assert got == {"--help": (0, help_text, ""),
+                   "--version": (0, f"main, version {__version__}\n", ""),
+                   "": (2, "", help_text)}
 
 
 @pytest.mark.parametrize("cls", list(EXIT_CODE), ids=lambda c: c.__name__)
@@ -492,7 +528,7 @@ def test_exact_parity_k_is_the_number_of_targets():
     payload = json.loads(run_ok(
         "exact", "--what", "parity", "--modulus", "3", "--targets", "0,1",
         "--cell-probs", "0.1,0.2,0.3,0.4", "-n", "4"))
-    want = multinomial_parity(ParitySpec(2, 3, (0, 1), (0.1, 0.2, 0.3, 0.4)), 4)
+    want = multinomial_parity(ParitySpec(3, (0, 1), (0.1, 0.2, 0.3, 0.4)), 4)
     assert payload["result"]["probability"]["double"] == want
 
 
@@ -556,6 +592,13 @@ def test_simulate_core_csv_keeps_columns_of_later_records(tmp_path):
         next(fh)
         rows = list(csv.DictReader(fh))
     assert [(r["n"], r["has_null"]) for r in rows] == [("6000", ""), ("100", "1")]
+
+
+def test_simulate_parses_rho_only_where_the_experiment_reads_it():
+    args = ["simulate", "-n", "5", "--trials", "1", "--threads", "1"]
+    assert run_ok(*args, "--exp", "dense", "--rho", "bad") == run_ok(*args, "--exp", "dense")
+    assert run_fail([*args, "--exp", "tn", "--rho", "bad"], 2) == \
+        "error: malformed token 'bad' (want p:k)"
 
 
 def test_simulate_requires_rho():
@@ -762,7 +805,7 @@ def test_every_exit_code_class_is_raised_in_the_package():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
-    assert [c.__name__ for kinds, _, _ in EXIT_CODES for c in kinds
+    assert [c.__name__ for c in errors.Gf2RankError.__subclasses__()
             if c.__name__ not in raised] == []
 
 
@@ -823,6 +866,29 @@ def test_main_group_holds_the_only_error_guard():
     walk(_package_trees()["cli"], None)
     assert catchers == ["_Main.invoke"]
     assert guarded == []
+
+
+def test_main_group_alone_exits_and_names_usage_errors():
+    # _Main is the one failure path: no other code in cli.py exits or
+    # catches click's usage errors
+    users = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.Attribute) and (
+                    child.attr == "UsageError"
+                    or child.attr == "exit" and getattr(child.value, "id", None) == "sys"):
+                users.append(owner)
+            if isinstance(child, ast.Name) and child.id in ("UsageError", "SystemExit"):
+                users.append(owner)
+            walk(child, name)
+
+    walk(_package_trees()["cli"], None)
+    assert users
+    assert [u for u in users if not (u or "").startswith("_Main.")] == []
 
 
 def test_config_holds_the_only_missing_option_raise():

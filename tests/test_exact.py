@@ -359,7 +359,7 @@ def test_float_masses_are_scaled_to_sum_to_one(model):
 
 def test_parity_exact_float_cells_sum_to_one():
     # 0.1 + 0.9 is 1 + 2^-55 as Fractions
-    specs = [ParitySpec(k=1, r=3, targets=(t,), cell_probs=(0.1, 0.9)) for t in range(3)]
+    specs = [ParitySpec(r=3, targets=(t,), cell_probs=(0.1, 0.9)) for t in range(3)]
     assert sum(multinomial_parity(spec, 5, exact=True) for spec in specs) == 1
 
 
@@ -422,7 +422,7 @@ def test_poissonization_truncation_guard():
 
 
 def test_parity_binomial_closed_form():
-    spec = ParitySpec(k=1, r=2, targets=(0,), cell_probs=(0.3, 0.7))
+    spec = ParitySpec(r=2, targets=(0,), cell_probs=(0.3, 0.7))
     for n in (0, 1, 5, 12):
         want = (1 + (1 - 2 * 0.7) ** n) / 2
         assert abs(multinomial_parity(spec, n) - want) < 1e-12
@@ -431,18 +431,18 @@ def test_parity_binomial_closed_form():
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(0.01, 0.99), n=st.integers(0, 60))
 def test_parity_binomial_closed_form_property(p, n):
-    spec = ParitySpec(k=1, r=2, targets=(0,), cell_probs=(1 - p, p))
+    spec = ParitySpec(r=2, targets=(0,), cell_probs=(1 - p, p))
     want = (1 + (1 - 2 * p) ** n) / 2
     assert abs(multinomial_parity(spec, n) - want) < 1e-11
 
 
 def test_parity_n0():
-    spec = ParitySpec(k=2, r=3, targets=(0, 0), cell_probs=(0.25,) * 4)
+    spec = ParitySpec(r=3, targets=(0, 0), cell_probs=(0.25,) * 4)
     assert multinomial_parity(spec, 0) == pytest.approx(1.0, abs=1e-12)
-    spec = ParitySpec(k=2, r=3, targets=(1, 0), cell_probs=(0.25,) * 4)
+    spec = ParitySpec(r=3, targets=(1, 0), cell_probs=(0.25,) * 4)
     assert multinomial_parity(spec, 0) == pytest.approx(0.0, abs=1e-12)
     # the exact path has no such residue
-    exact_spec = ParitySpec(k=2, r=3, targets=(1, 0),
+    exact_spec = ParitySpec(r=3, targets=(1, 0),
                             cell_probs=(Fraction(1, 4),) * 4)
     assert multinomial_parity(exact_spec, 0, exact=True) == 0
 
@@ -457,8 +457,8 @@ def test_parity_exact_matches_paths():
         floats = tuple(map(float, probs))
         for r in range(2, PARITY_MAX_R + 1):
             for t in ((0,) * k, tuple((i + 1) % r for i in range(k)), (r - 1,) * k):
-                spec = ParitySpec(k=k, r=r, targets=t, cell_probs=probs)
-                float_spec = ParitySpec(k=k, r=r, targets=t, cell_probs=floats)
+                spec = ParitySpec(r=r, targets=t, cell_probs=probs)
+                float_spec = ParitySpec(r=r, targets=t, cell_probs=floats)
                 for n in range({1: 10, 2: 6, 3: 4}[k]):
                     assert multinomial_parity(spec, n, exact=True) == \
                         oracles.parity_paths(spec, n), (k, r, t, n)
@@ -470,7 +470,7 @@ def test_parity_exact_matches_paths():
 def test_parity_exact_higher_modulus():
     # fair cells at r = 4: both routes against the path walk
     probs = (Fraction(1, 2), Fraction(1, 2))
-    spec = ParitySpec(k=1, r=4, targets=(2,), cell_probs=probs)
+    spec = ParitySpec(r=4, targets=(2,), cell_probs=probs)
     for n in range(6):
         assert multinomial_parity(spec, n, exact=True) == oracles.parity_paths(spec, n)
         f = multinomial_parity(spec, n)
@@ -479,13 +479,15 @@ def test_parity_exact_higher_modulus():
 
 def test_parity_spec_validation():
     with pytest.raises(InvalidParam):
-        ParitySpec(k=1, r=9, targets=(0,), cell_probs=(1, 0))
+        ParitySpec(r=9, targets=(0,), cell_probs=(1, 0))
     with pytest.raises(InvalidParam):
-        ParitySpec(k=11, r=2, targets=(0,) * 11, cell_probs=(1,) * (1 << 11))
+        ParitySpec(r=2, targets=(0,) * 11, cell_probs=(1,) * (1 << 11))
+    with pytest.raises(InvalidParam):  # k is the number of targets, at least 1
+        ParitySpec(r=2, targets=(), cell_probs=(1,))
     with pytest.raises(InvalidParam):
-        ParitySpec(k=1, r=2, targets=(2,), cell_probs=(0.5, 0.5))
+        ParitySpec(r=2, targets=(2,), cell_probs=(0.5, 0.5))
     with pytest.raises(InvalidParam):
-        ParitySpec(k=1, r=2, targets=(0,), cell_probs=(0.4, 0.4))
+        ParitySpec(r=2, targets=(0,), cell_probs=(0.4, 0.4))
 
 
 def test_gfq_limits():
