@@ -357,7 +357,7 @@ _EXACT_READS = {
     "pi": (("rho", "n", "m", "precision"), ("n", "m")),
     "pa": (("rho", "n", "m", "precision"), ("n", "m", "rho")),
     "en": (("rho", "n", "m", "model", "precision"), ("n", "m", "rho")),
-    "poisson": (("n", "m", "mu", "truncation", "precision"), ("n", "m")),
+    "poisson": (("n", "m", "mu", "precision"), ("n", "m")),
     "parity": (("n", "modulus", "targets", "cell_probs"), ("n", "cell_probs")),
     "gfq": (("q", "r", "n"), ("r",)),
 }
@@ -371,7 +371,6 @@ _EXACT_READS = {
 @click.option("--model", type=click.Choice(MODELS), default="exact")
 @click.option("--precision", type=int, default=256, show_default=True, help="Bits.")
 @click.option("--mu", type=float, default=1.0, help="Poissonization rate.")
-@click.option("--truncation", type=int, default=None)
 @click.option("--q", type=int, default=2)
 @click.option("--r", type=int, default=None, help="Offset for gfq survival.")
 @click.option("--modulus", type=int, default=2, help="Congruence modulus for parity.")
@@ -379,8 +378,8 @@ _EXACT_READS = {
 @click.option("--cell-probs", default=None,
               help="Comma-separated 2^k cell probabilities for k targets.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
-              modulus, targets, cell_probs, out):
+def cmd_exact(what, rho_spec, n, m, model, precision, mu, q, r, modulus, targets,
+              cell_probs, out):
     """Evaluate one of the exactly computable probabilities."""
     reads, needs = _EXACT_READS[what]
     config = _config("what", *reads, needs=needs)
@@ -397,7 +396,7 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, truncation, q, r,
         result = {"expected_null_count": _num(total),
                   "profile": {str(l): _num(v) for l, v in profile.items()}}
     elif what == "poisson":
-        lhs, rhs = poissonization_check(n, m, mu, truncation=truncation, precision=precision)
+        lhs, rhs = poissonization_check(n, m, mu, precision=precision)
         result = {"lhs": _num(lhs), "rhs": _num(rhs), "abs_diff": _num(abs(lhs - rhs))}
     elif what == "parity":
         t = _parse_list("--targets", targets)

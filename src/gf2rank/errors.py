@@ -29,11 +29,6 @@ class PrecisionLoss(Gf2RankError):
     exit_code, prefix = 4, "numerical error"
 
 
-class TruncationTooSmall(Gf2RankError):
-    """Truncated support leaves more tail mass than permitted."""
-    exit_code, prefix = 4, "numerical error"
-
-
 class NumericalResidue(Gf2RankError):
     """A quantity that must be real carries a non-negligible imaginary part."""
     exit_code, prefix = 4, "numerical error"

@@ -47,20 +47,16 @@ from math import comb
 
 import mpmath as mp
 
-from .errors import (
-    InvalidParam,
-    NumericalResidue,
-    PrecisionLoss,
-    TooLarge,
-    TruncationTooSmall,
-)
+from .errors import InvalidParam, NumericalResidue, PrecisionLoss, TooLarge
 from .weights import MODELS, WeightDist
 
 DEFAULT_PRECISION = 256
 _MAX_PRECISION = 1 << 14
 _REL_TOL = 1e-15
-_TAIL_TOL = mp.mpf("1e-20")
-_POISSON_MAX_TERMS = 10_000  # pmf terms poissonization_check builds; 10^4 take about 1.3 s
+# n (m+1)^2 in poissonization_check.  The worst call it admits is m = 0,
+# n = 2*10^5, at about 9 s, nearly all in pi_multinomial's n/2 big binomials;
+# at m >= 1 the convolutions take about 2-4 us per unit, under 1 s.
+_POISSON_MAX_WORK = 200_000
 
 
 def _guarded_sum(term_factory, precision: int, amplification: int = 0):
@@ -301,8 +297,7 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     return out(total, den), profile
 
 
-def poissonization_check(n: int, m: int, mu: float, truncation: int | None = None,
-                         precision: int = DEFAULT_PRECISION):
+def poissonization_check(n: int, m: int, mu: float, precision: int = DEFAULT_PRECISION):
     """Both sides of the Poissonization identity for the weight-1 model.
 
     lhs is the all-even multinomial probability pi_n(m); rhs rebuilds it as
@@ -310,43 +305,35 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
         P[S_E = m] / P[S = m] * ((1 + e^{-2 mu}) / 2)^n,
 
     where S sums n i.i.d. Poisson(mu) variables and S_E sums n i.i.d.
-    even-conditioned Poisson(mu) variables, both sum pmfs evaluated by
-    dynamic-programming convolution of the truncated single-variable pmfs.
-    Raises TooLarge when the truncation exceeds ``_POISSON_MAX_TERMS``.
+    even-conditioned Poisson(mu) variables, both sum pmfs evaluated at m by
+    dynamic-programming convolution of the single-variable pmfs, which reads
+    their terms k <= m only.  The two convolutions cost about n (m+1)^2
+    multiply-adds; TooLarge is raised above ``_POISSON_MAX_WORK``.
     """
     if n < 1 or m < 0 or not (math.isfinite(mu) and mu > 0):
         raise InvalidParam(f"need n >= 1, m >= 0, finite mu > 0; got {n}, {m}, {mu}")
-    if truncation is not None and truncation < 0:
-        raise InvalidParam(f"Poisson truncation {truncation} < 0")
+    if n * (m + 1) ** 2 > _POISSON_MAX_WORK:
+        raise TooLarge(f"n (m+1)^2 = {n * (m + 1) ** 2:.4g} exceeds {_POISSON_MAX_WORK:.4g}")
     with mp.workprec(precision):
         mpmu = mp.mpf(mu)
-        cut = truncation if truncation is not None else int(m + mpmu + 40 * mp.sqrt(mpmu) + 40)
-        if cut > _POISSON_MAX_TERMS:
-            raise TooLarge(f"Poisson truncation {cut:.4g} exceeds {_POISSON_MAX_TERMS} terms")
-        pmf = [mp.e**-mpmu * mpmu**k / mp.factorial(k) for k in range(cut + 1)]
-        tail = 1 - mp.fsum(pmf)
-        if tail > _TAIL_TOL:
-            raise TruncationTooSmall(
-                f"Poisson tail mass {mp.nstr(tail, 5)} beyond {cut} exceeds {mp.nstr(_TAIL_TOL, 3)}")
-        p_even = mp.e**-mpmu * mp.cosh(mpmu)
-        pmf_even = [pmf[k] / p_even if k % 2 == 0 else mp.mpf(0) for k in range(cut + 1)]
+        pmf = [mp.exp(-mpmu) * mpmu**k / mp.factorial(k) for k in range(m + 1)]
+        p_even = mp.exp(-mpmu) * mp.cosh(mpmu)
+        pmf_even = [pmf[k] / p_even if k % 2 == 0 else mp.mpf(0) for k in range(m + 1)]
 
-        def conv_power_at(single, target):
-            dp = [mp.mpf(1)] + [mp.mpf(0)] * target
+        def conv_power_at(single):
+            dp = [mp.mpf(1)] + [mp.mpf(0)] * m
             for _ in range(n):
-                new = [mp.mpf(0)] * (target + 1)
-                for t in range(target + 1):
+                new = [mp.mpf(0)] * (m + 1)
+                for t in range(m + 1):
                     acc = mp.mpf(0)
-                    for k in range(0, min(t, cut) + 1):
+                    for k in range(t + 1):
                         if single[k]:
                             acc += dp[t - k] * single[k]
                     new[t] = acc
                 dp = new
-            return dp[target]
+            return dp[m]
 
-        ps = conv_power_at(pmf, m)
-        pe = conv_power_at(pmf_even, m)
-        rhs = (pe / ps) * ((1 + mp.e ** (-2 * mpmu)) / 2) ** n
+        rhs = (conv_power_at(pmf_even) / conv_power_at(pmf)) * ((1 + mp.exp(-2 * mpmu)) / 2) ** n
     lhs = pi_multinomial(n, m, WeightDist.fixed(1), precision=precision)
     return lhs, rhs
 
@@ -355,6 +342,9 @@ def poissonization_check(n: int, m: int, mu: float, truncation: int | None = Non
 
 PARITY_MAX_K = 10
 PARITY_MAX_R = 8
+# (h, g) pairs r^k 2^k of multinomial_parity's float route, at about 1 us
+# each; the largest spec it admits, r = 7 and k = 6, takes about 7 s
+_PARITY_MAX_PAIRS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -414,7 +404,8 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
     complex doubles and discards an imaginary residue of at most 1e-12
     (larger residues raise NumericalResidue).  Its error is absolute, about
     1e-15 at small n, not relative: for k=1, r=4, p=(1 - 1e-6, 1e-6), t=3,
-    n=3 it gives 8.3e-18 where the exact value is 1.0e-18.
+    n=3 it gives 8.3e-18 where the exact value is 1.0e-18.  It visits r^k 2^k
+    pairs (h, g) and raises TooLarge above ``_PARITY_MAX_PAIRS``.
     """
     if n < 0:
         raise InvalidParam(f"n {n} < 0")
@@ -433,6 +424,9 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
             law = nxt
         return Fraction(law.get(tuple(t), 0), d**n)
 
+    pairs = (2 * r) ** k
+    if pairs > _PARITY_MAX_PAIRS:
+        raise TooLarge(f"r^k 2^k = {pairs:.4g} Fourier pairs exceed {_PARITY_MAX_PAIRS:.4g}")
     om = [cmath.exp(2j * cmath.pi * j / r) for j in range(r)]
     total = 0j
     for h in product(range(r), repeat=k):

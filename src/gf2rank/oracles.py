@@ -38,12 +38,13 @@ def _support_masks(n: int, r: int):
 
 def _row_alphabet(n: int, law):
     """All (mask, probability) values of a single row under the exact scheme,
-    whose row has min(W, n) distinct columns."""
+    whose row has min(W, n) distinct columns, with the masses of law scaled
+    to sum to exactly 1."""
     alphabet = []
+    total = sum(Fraction(p) for _, p in law)
     for r, p in law:
-        p = Fraction(p)
         supports = _support_masks(n, min(r, n))
-        share = p / len(supports)
+        share = Fraction(p) / total / len(supports)
         alphabet.extend((mask, share) for mask in supports)
     return alphabet
 
@@ -80,12 +81,14 @@ def _mean_two_to_corank(rows, m: int) -> Fraction:
 
 def _ball_rows(dist: WeightDist, n: int) -> dict:
     """{mask: probability} of one throw of the binomial scheme: W from dist,
-    W balls uniform over n urns, the row the set of odd urns (0 if none)."""
+    W balls uniform over n urns, the row the set of odd urns (0 if none).  The
+    masses of dist are scaled to sum to exactly 1."""
     urns = [(1 << u, Fraction(1, n)) for u in range(n)]
     rows: dict = {}
+    total = sum(Fraction(p) for _, p in dist.atoms)
     for k, p in dist.atoms:
         for mask, q in _walk(urns, k, xor, 0).items():
-            rows[mask] = rows.get(mask, 0) + Fraction(p) * q
+            rows[mask] = rows.get(mask, 0) + Fraction(p) / total * q
     return rows
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import click
 import jsonschema
@@ -124,7 +125,6 @@ EXIT_CODE = {
     errors.VerificationFailed: 3,
     errors.PrecisionLoss: 4,
     errors.NumericalResidue: 4,
-    errors.TruncationTooSmall: 4,
     errors.NoConvergence: 4,
     errors.Inconsistent: 4,
 }
@@ -159,8 +159,10 @@ def test_every_error_class_has_an_exit_code():
     (["core", "--in", "MISSING"], "missing.txt"),
     (["nosuch"], "'nosuch'"),
     (["--bogus"], "'--bogus'"),
+    (["exact", "--what", "poisson", "-n", "3", "-m", "2", "--truncation", "5"], "'--truncation'"),
 ], ids=["sample-rho", "tn-n", "exact-what", "simulate-exp", "n-abc", "what-nope", "model-x",
-        "rank-in-missing", "core-in-missing", "unknown-command", "group-option"])
+        "rank-in-missing", "core-in-missing", "unknown-command", "group-option",
+        "poisson-truncation"])
 def test_usage_error_prints_one_line(args, fragment, tmp_path):
     # click's own usage errors take the package errors' path: one line
     # "error: <click's message>" and exit 2
@@ -261,11 +263,6 @@ def test_simulate_profile_too_large_names_m():
     args = ["simulate", "--exp", "profile", "--rho", "r=3", "-n", "40", "--trials", "2",
             "--threads", "1"]
     assert run_fail(args, 2) == "error: m 38 > max_m 24"
-
-
-def test_exact_poisson_truncation_exits_4():
-    line = run_fail(["exact", "--what", "poisson", "-n", "5", "-m", "5", "--truncation", "3"], 4)
-    assert line.startswith("numerical error: Poisson tail mass")
 
 
 def test_curves_h_psi_fixed3():
@@ -462,8 +459,6 @@ def test_tn_rows_replay_stream(r, model):
     ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--window-eps", "nan"],
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "nan"],
     ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "inf"],
-    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--mu", "1e300"],
-    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--truncation", "1000000000000"],
     ["exact", "--what", "parity", "-n", "2", "--cell-probs", "nan,0.5"],
     ["curves", "--rho", "r=3", "--what", "gstar", "--lo", "nan", "--grid", "3"],
     ["sample", "--rho", "r=3", "-n", "3", "-m", "2", "--seed", "-1"],
@@ -472,18 +467,39 @@ def test_tn_rows_replay_stream(r, model):
     ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--trials", "2", "--threads", "1",
      "--seed", "-1"],
     ["simulate", "--exp", "dense", "-n", "10", "--trials", "2", "--threads", "0"],
-    ["exact", "--what", "poisson", "-n", "3", "-m", "2", "--truncation", "-1"],
 ], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
         "dense-r-values", "binomial-even-n1", "en-binomial-even-n1", "parity-targets",
         "parity-cell-probs", "curves-grid0", "curves-gstar-grid0", "curves-grid-neg",
         "thresholds-alpha-nan", "thresholds-alpha-neg", "simulate-alpha-nan",
         "classical-r2-z2", "classical-z-nan", "classical-r1-z-neg", "tn-window-eps-nan",
         "poisson-mu-nan",
-        "poisson-mu-inf", "poisson-mu-huge", "poisson-truncation-huge", "parity-cell-probs-nan", "curves-gstar-lo-nan",
-        "sample-seed-neg", "tn-seed-neg", "core-seed-neg", "simulate-seed-neg", "simulate-threads0",
-        "poisson-truncation-neg"])
+        "poisson-mu-inf", "parity-cell-probs-nan", "curves-gstar-lo-nan",
+        "sample-seed-neg", "tn-seed-neg", "core-seed-neg", "simulate-seed-neg",
+        "simulate-threads0"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
+
+
+@pytest.mark.parametrize("args, stdin, message", [
+    (["rank"], "011\n10\n", "dense rows of unequal length: [2, 3]"),
+    (["rank", "-n", "3"], "0110\n1001\n", "dense width 4 != n_cols 3"),
+    (["rank"], "1 x\n", "bad sparse row '1 x'"),
+    (["rank"], "-1 2\n", "negative column index in '-1 2'"),
+    (["rank", "-n", "0"], "0 1\n", "n_cols 0 < 1"),
+    (["thresholds", "--rho", "r=0"], None, "weight 0 < 1"),
+    (["exact", "--what", "pi", "-n", "0", "-m", "1"], None,
+     "need n >= 1, m >= 0; got n=0, m=1"),
+    (["exact", "--what", "parity", "-n", "-1", "--cell-probs", "0.5,0.5"], None, "n -1 < 0"),
+    (["exact", "--what", "parity", "-n", "2", "--targets", "0,0", "--cell-probs", "0.5,0.5"],
+     None, "2 cell probabilities for k=2"),
+    (["curves", "--rho", "r=3", "--lo", "2"], None, "x 2.0 outside (0, 1)"),
+    (["simulate", "--exp", "core", "--rho", "r=2", "-n", "50", "--threads", "1"], None,
+     "core limit theory requires min_weight >= 3"),
+], ids=["dense-unequal", "dense-width", "sparse-token", "sparse-negative", "rank-n0",
+        "rho-weight0", "pi-n0", "parity-n-neg", "parity-cells-for-k", "curves-lo",
+        "core-weight2"])
+def test_input_check_exits_2_with_one_line(args, stdin, message):
+    assert run_fail(args, 2, stdin=stdin) == f"error: {message}"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -540,6 +556,28 @@ def test_exact_gfq():
 def test_exact_poisson():
     payload = json.loads(run_ok("exact", "--what", "poisson", "-n", "4", "-m", "4", "--mu", "1.0"))
     assert payload["result"]["abs_diff"]["double"] <= 1e-12
+
+
+def test_exact_poisson_huge_mu_holds_the_identity():
+    # the convolutions read the pmf up to m only, so mu does not drive the cost
+    start = time.perf_counter()
+    result = json.loads(run_ok("exact", "--what", "poisson", "-n", "3", "-m", "2",
+                               "--mu", "1e300"))["result"]
+    assert time.perf_counter() - start < 1.0
+    assert result["lhs"] == result["rhs"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["exact", "--what", "poisson", "-n", "1000", "-m", "1000"],
+     "error: n (m+1)^2 = 1.002e+09 exceeds 2e+05"),
+    (["exact", "--what", "parity", "--modulus", "8", "--targets", ",".join(["0"] * 10),
+      "--cell-probs", ",".join([str(2**-10)] * 1024), "-n", "3"],
+     "error: r^k 2^k = 1.1e+12 Fourier pairs exceed 8.389e+06"),
+], ids=["poisson", "parity"])
+def test_exact_work_bound_exits_2_at_once(args, message):
+    start = time.perf_counter()
+    assert run_fail(args, 2) == message
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_en_profile():
@@ -621,6 +659,16 @@ def test_verify_failure_exits_3(monkeypatch):
     assert result.stderr.splitlines() == ["verification failed: 1 of 2 checks failed"]
 
 
+def test_run_suite_all_and_unknown_name(monkeypatch):
+    from gf2rank import verification
+    from gf2rank.verification import Check
+    suites = {name: (lambda name=name: [Check(name, True, 1, 1)]) for name in ("a", "b")}
+    monkeypatch.setattr(verification, "_SUITES", suites)
+    assert [c.name for c in verification.run_suite("all")] == ["a", "b"]
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verification.run_suite("nope")
+
+
 def test_package_exports_are_an_explicit_list():
     import types
 
@@ -676,7 +724,7 @@ ECHOED = {
     "exact-en": (["exact", "--what", "en", "--rho", "r=3", "-n", "4", "-m", "2"],
                  ("what", "rho", "n", "m", "model", "precision"), "exact_result"),
     "exact-poisson": (["exact", "--what", "poisson", "-n", "4", "-m", "2"],
-                      ("what", "n", "m", "mu", "truncation", "precision"), "exact_result"),
+                      ("what", "n", "m", "mu", "precision"), "exact_result"),
     "exact-parity": (["exact", "--what", "parity", "-n", "5", "--cell-probs", "0.3,0.7"],
                      ("what", "n", "modulus", "targets", "cell_probs"), "exact_result"),
     "exact-gfq": (["exact", "--what", "gfq", "--r", "3"], ("what", "q", "r", "n"), "exact_result"),

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gf2rank import oracles
-from gf2rank.errors import InvalidParam, PrecisionLoss, TruncationTooSmall
+from gf2rank.errors import InvalidParam, PrecisionLoss, TooLarge
 from gf2rank.exact import (
     PARITY_MAX_R,
     ParitySpec,
@@ -357,6 +358,18 @@ def test_float_masses_are_scaled_to_sum_to_one(model):
                     pi_multinomial(n, m, scaled, exact=True), (n, m)
 
 
+def test_oracles_scale_float_masses_as_the_exact_layer_does():
+    # 0.9 + 0.1 is 1 + 2^-55 as Fractions
+    dist = WeightDist(((3, 0.9), (4, 0.1)))
+    law = dist.per_n_law_exact(5)
+    assert oracles.prob_A(5, 4, law) == prob_A_general(5, 4, law, exact=True)
+    assert oracles.pi_urns(4, 4, dist) == pi_multinomial(4, 4, dist, exact=True)
+    assert oracles.mean_null_count(4, 3, dist.atoms) == \
+        expected_null_count(4, 3, dist, exact=True)[0]
+    assert oracles.binomial_mean_null_count(4, 3, dist) == \
+        expected_null_count(4, 3, dist, model="binomial", exact=True)[0]
+
+
 def test_parity_exact_float_cells_sum_to_one():
     # 0.1 + 0.9 is 1 + 2^-55 as Fractions
     specs = [ParitySpec(r=3, targets=(t,), cell_probs=(0.1, 0.9)) for t in range(3)]
@@ -416,9 +429,13 @@ def test_poissonization_identity():
     assert lhs == 0 and rhs == 0
 
 
-def test_poissonization_truncation_guard():
-    with pytest.raises(TruncationTooSmall):
-        poissonization_check(4, 4, 30.0, truncation=35)
+@pytest.mark.parametrize("mu", [1e6, 1e300])
+def test_poissonization_huge_mu(mu):
+    # e^-mu is taken by exp, not as a power of a rounded e, so the identity
+    # holds to a few ulps of the default 256 bits at any finite mu
+    for n, m in ((3, 2), (4, 4), (6, 4)):
+        lhs, rhs = poissonization_check(n, m, mu)
+        assert abs(lhs - rhs) <= mp.mpf(2) ** -240 * lhs, (n, m)
 
 
 def test_parity_binomial_closed_form():
@@ -488,6 +505,18 @@ def test_parity_spec_validation():
         ParitySpec(r=2, targets=(2,), cell_probs=(0.5, 0.5))
     with pytest.raises(InvalidParam):
         ParitySpec(r=2, targets=(0,), cell_probs=(0.4, 0.4))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: expected_null_count(4, 2, W3, model="x"), InvalidParam, "model 'x' not in"),
+    (lambda: ParitySpec(r=2, targets=(0,), cell_probs=(Fraction(1, 3), Fraction(1, 3))),
+     InvalidParam, "exact cell probabilities sum to 2/3"),
+    (lambda: oracles.parity_paths(ParitySpec(r=2, targets=(0,), cell_probs=(0.5, 0.5)), 24),
+     TooLarge, "2^24 paths exceed 10000000"),
+], ids=["en-model", "parity-exact-cells", "parity-paths"])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_gfq_limits():

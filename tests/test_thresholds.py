@@ -1,4 +1,5 @@
 import math
+import re
 import signal
 
 import mpmath as mp
@@ -38,6 +39,16 @@ def test_F_gamma_endpoints():
     assert F_gamma(W3, 0.7, 0.5) == pytest.approx(0.0, abs=1e-15)
     for alpha in (0.0, 0.5, 2.0):
         assert F_gamma(FIG1, alpha, 0.0) == pytest.approx((alpha - 1) * math.log(2), abs=1e-14)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: F_gamma(W3, 0.9, -0.1), "gamma -0.1 outside [0, 1/2]"),
+    (lambda: F_gamma(W3, 0.9, 0.6), "gamma 0.6 outside [0, 1/2]"),
+    (lambda: threshold_asymptotics(r_max=17), "r_max > 16"),
+], ids=["gamma-neg", "gamma-above-half", "asymptotics-r17"])
+def test_input_check_raises_invalid_param(call, message):
+    with pytest.raises(InvalidParam, match=re.escape(message)):
+        call()
 
 
 def test_F_gamma_matches_high_precision():

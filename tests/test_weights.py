@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -99,6 +100,15 @@ def test_dist_validation():
         WeightDist(((3, 1.5),))
     with pytest.raises(InvalidDistribution):
         WeightDist(())
+
+
+@pytest.mark.parametrize("atoms, message", [
+    (((3, Fraction(1, 2)), (4, Fraction(1, 3))), "exact probabilities sum to 5/6 != 1"),
+    (((3, 0.5), (4, 0.5 + 1e-11)), "off by > 1e-12"),
+], ids=["exact", "float"])
+def test_dist_masses_must_sum_to_one(atoms, message):
+    with pytest.raises(InvalidDistribution, match=re.escape(message)):
+        WeightDist(atoms)
 
 
 @pytest.mark.parametrize("dist", [
