@@ -1,10 +1,12 @@
-"""GF(2) matrices as column tuples, incremental rank tracking, null-space enumeration.
+"""GF(2) matrices in CSR form, incremental rank tracking, null-space enumeration.
 
-A ``GF2Matrix`` keeps each row as its sorted tuple of columns, the hyperedge
-that ``peeling`` indexes directly.  ``rows`` derives the bit-packed form on
-access: a Python int used as a bitset, bit i being column i.  CPython ints
-give word-packed XOR, which keeps elimination at a few hundred nanoseconds
-per basis operation even for thousands of columns.
+A ``GF2Matrix`` keeps its rows as two numpy arrays, every row's columns in
+one flat array and the offsets where each row starts: the form the sampler
+writes and ``peeling`` reads in place.  ``cols`` derives a sorted column
+tuple per row on access, and ``rows`` the bit-packed form: a Python int
+used as a bitset, bit i being column i.  CPython ints give word-packed XOR,
+which keeps elimination at a few hundred nanoseconds per basis operation
+even for thousands of columns.
 
 ``RankState`` is the elimination kernel over int rows.  The kernel that peels
 a matrix to its 2-core before eliminating lives in ``peeling``
@@ -15,7 +17,10 @@ independent route the tests check it by.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from itertools import chain
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DimensionMismatch, TooLarge, ParseError
 
@@ -42,35 +47,73 @@ def row_cols(row: int) -> List[int]:
 
 
 class GF2Matrix:
-    """Immutable-after-build list of rows over n_cols columns.
+    """Rows over n_cols columns in CSR form, immutable once built.
 
-    ``cols`` holds one sorted, duplicate-free tuple of columns per row, each
-    below n_cols; a zero row is the empty tuple.  The constructor takes rows
-    as int bitmasks and ``append_cols`` a row's column tuple, which it checks
-    for both.  ``rows`` derives the int bitmasks on each access and does not
-    store them.
+    ``col_index`` lists every row's columns, row after row, and row i owns
+    ``col_index[row_start[i]:row_start[i + 1]]``; both are read-only
+    ``np.intp`` arrays, and a zero row owns an empty slice.  Every entry
+    point ends in one check: each column lies in [0, n_cols) and the columns
+    strictly increase within each row, so a row is sorted and repeats no
+    column.  The constructor takes rows as int bitmasks, ``from_cols`` as
+    column sequences and ``from_csr`` as the two arrays.  ``cols`` (one
+    sorted column tuple per row) and ``rows`` (int bitmasks) are derived on
+    each access and not stored.
     """
 
-    __slots__ = ("n_cols", "cols")
+    __slots__ = ("n_cols", "col_index", "row_start")
 
     def __init__(self, n_cols: int, rows: Iterable[int] = ()):
-        if n_cols < 1:
-            raise DimensionMismatch(f"n_cols {n_cols} < 1")
-        self.n_cols = n_cols
-        self.cols: List[Tuple[int, ...]] = []
+        cols = []
         for r in rows:
             if r < 0:  # row_cols never ends on a negative int
                 raise DimensionMismatch(f"row {r} < 0")
-            self.append_cols(tuple(row_cols(r)))
+            cols.append(row_cols(r))
+        self._set_csr(n_cols, *_csr_of(cols))
 
-    def append_cols(self, cols: Tuple[int, ...]) -> None:
-        """Append the row with these columns, a sorted, duplicate-free tuple."""
-        if cols:
-            if cols[-1] >= self.n_cols:
-                raise DimensionMismatch(f"row spans column {cols[-1]} >= n_cols {self.n_cols}")
-            if cols[0] < 0:
-                raise DimensionMismatch(f"column {cols[0]} < 0")
-        self.cols.append(cols)
+    @classmethod
+    def from_cols(cls, n_cols: int, cols: Iterable[Sequence[int]]) -> "GF2Matrix":
+        """The matrix whose rows have these columns, each row a sorted,
+        duplicate-free sequence; nothing sorts or dedupes them here."""
+        return cls.from_csr(n_cols, *_csr_of(list(cols)))
+
+    @classmethod
+    def from_csr(cls, n_cols: int, col_index, row_start) -> "GF2Matrix":
+        """The matrix of these CSR arrays, held without a copy when they are
+        already ``np.intp``."""
+        matrix = cls.__new__(cls)
+        matrix._set_csr(n_cols, col_index, row_start)
+        return matrix
+
+    def _set_csr(self, n_cols: int, col_index, row_start) -> None:
+        # the one check of every entry point
+        if n_cols < 1:
+            raise DimensionMismatch(f"n_cols {n_cols} < 1")
+        col_index = np.asarray(col_index, dtype=np.intp)
+        row_start = np.asarray(row_start, dtype=np.intp)
+        if (row_start.ndim != 1 or col_index.ndim != 1 or row_start.size == 0 or row_start[0] != 0
+                or row_start[-1] != col_index.size or (np.diff(row_start) < 0).any()):
+            raise DimensionMismatch(f"row offsets do not split {col_index.size} columns into rows")
+        if col_index.size:
+            low, high = col_index.argmin(), col_index.argmax()
+            if col_index[low] < 0:
+                raise DimensionMismatch(f"column {col_index[low]} < 0")
+            if col_index[high] >= n_cols:
+                raise DimensionMismatch(f"row spans column {col_index[high]} >= n_cols {n_cols}")
+            step = np.diff(col_index)
+            bounds = row_start[1:-1]
+            step[bounds[(bounds > 0) & (bounds < col_index.size)] - 1] = 1  # across a row boundary
+            bad = (step <= 0).nonzero()[0]
+            if bad.size:
+                raise DimensionMismatch(f"row repeats a column or is unsorted: column "
+                                        f"{col_index[bad[0] + 1]} after {col_index[bad[0]]}")
+        self.n_cols = n_cols
+        self.col_index, self.row_start = col_index.view(), row_start.view()
+        self.col_index.flags.writeable = self.row_start.flags.writeable = False
+
+    @property
+    def cols(self) -> List[Tuple[int, ...]]:
+        flat, bounds = self.col_index.tolist(), self.row_start.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     @property
     def rows(self) -> List[int]:
@@ -78,7 +121,15 @@ class GF2Matrix:
 
     @property
     def m(self) -> int:
-        return len(self.cols)
+        return self.row_start.size - 1
+
+
+def _csr_of(cols: list):
+    """(col_index, row_start) of a list of column sequences."""
+    size = np.fromiter(map(len, cols), dtype=np.intp, count=len(cols))
+    row_start = np.zeros(len(cols) + 1, dtype=np.intp)
+    np.cumsum(size, out=row_start[1:])
+    return np.fromiter(chain.from_iterable(cols), dtype=np.intp, count=int(row_start[-1])), row_start
 
 
 @dataclass
@@ -125,10 +176,7 @@ def is_one_null(matrix: GF2Matrix) -> bool:
 
     Vacuously true for m = 0.
     """
-    acc = 0
-    for r in matrix.rows:
-        acc ^= r
-    return acc == 0
+    return not (np.bincount(matrix.col_index, minlength=matrix.n_cols) & 1).any()
 
 
 def enumerate_null_vectors(matrix: GF2Matrix):
@@ -214,7 +262,4 @@ def matrix_from_text(text: str, n_cols: int | None = None) -> GF2Matrix:
             rows.append(tuple(sorted(set(cols))))
         if n_cols is None:
             n_cols = maxc + 1 if maxc >= 0 else 1
-    matrix = GF2Matrix(n_cols)
-    for cols in rows:
-        matrix.append_cols(cols)
-    return matrix
+    return GF2Matrix.from_cols(n_cols, rows)

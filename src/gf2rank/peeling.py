@@ -1,9 +1,9 @@
 """Hypergraph view of a GF(2) matrix, its 2-core, and the elimination kernel.
 
 Rows are hyperedges, columns are vertices.  ``Hypergraph`` takes a
-``GF2Matrix``, whose ``append_cols`` has checked each row to be a sorted,
-duplicate-free tuple of columns in range, and flattens the matrix's ``cols``
-into incidence arrays with no bit scan and no second check.  The 2-core is
+``GF2Matrix``, whose constructor has checked each row to be sorted,
+duplicate-free and in range, and reads the matrix's CSR arrays as its
+incidence arrays, with no copy, no bit scan and no second check.  The 2-core is
 the terminal state of repeatedly deleting a hyperedge incident to a degree-1
 vertex.  The result does not depend on the deletion order, so
 ``peel_2core`` deletes in frontier rounds of array operations:
@@ -31,7 +31,6 @@ the tests compare it with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Tuple
 
 import numpy as np
@@ -44,29 +43,35 @@ class Hypergraph:
     """The hypergraph of a ``GF2Matrix``: incidence arrays with per-vertex
     degrees, mutable only by peeling.
 
-    ``n_vertices`` is the matrix's column count and ``edges`` its rows, each
-    the sorted tuple of its vertices.  The peel reads the same incidences as
-    arrays: ``_cols`` lists every edge's vertices in edge order, and edge i
-    owns ``_cols[_start[i]:_start[i] + _size[i]]``.  ``vertex_degree``
-    counts each vertex's alive edges.  Each vertex keeps the XOR of the ids
-    of its alive incident edges in place of an incidence list: at degree 1
-    that XOR is the one alive edge.  ``from_matrix`` is another name for the
-    constructor.
+    ``n_vertices`` is the matrix's column count.  The peel reads the
+    matrix's CSR arrays in place, with no copy: ``_cols`` lists every edge's
+    vertices in edge order, and edge i owns its ``_size[i]`` entries from
+    ``_row_start[i]``.  ``edges`` holds each row as
+    the sorted tuple of its vertices; it is derived on its first read and
+    kept.  ``vertex_degree`` counts each vertex's alive edges.  Each vertex
+    keeps the XOR of the ids of its alive incident edges in place of an
+    incidence list: at degree 1 that XOR is the one alive edge.
+    ``from_matrix`` is another name for the constructor.
     """
 
-    __slots__ = ("n_vertices", "edges", "vertex_degree", "_edge_xor", "_cols", "_start", "_size")
+    __slots__ = ("n_vertices", "vertex_degree", "_matrix", "_edges", "_edge_xor", "_cols",
+                 "_row_start", "_size")
 
     def __init__(self, matrix: GF2Matrix):
         self.n_vertices = n = matrix.n_cols
-        self.edges = edges = list(matrix.cols)
-        size = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
-        cols = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=int(size.sum()))
-        self._size = size
-        self._start = size.cumsum() - size
-        self._cols = cols
+        self._matrix, self._edges = matrix, None
+        self._cols = cols = matrix.col_index
+        self._row_start = matrix.row_start
+        self._size = size = np.diff(matrix.row_start)
         self.vertex_degree = np.bincount(cols, minlength=n)
         self._edge_xor = np.zeros(n, dtype=np.intp)
-        np.bitwise_xor.at(self._edge_xor, cols, np.arange(len(edges)).repeat(size))
+        np.bitwise_xor.at(self._edge_xor, cols, np.arange(size.size).repeat(size))
+
+    @property
+    def edges(self) -> list:
+        if self._edges is None:
+            self._edges = self._matrix.cols
+        return self._edges
 
     @classmethod
     def from_matrix(cls, matrix: GF2Matrix) -> "Hypergraph":
@@ -117,7 +122,7 @@ def peel_2core(h: Hypergraph) -> CoreStats:
     """
     degree = h.vertex_degree
     edge_xor = h._edge_xor
-    cols, start, size = h._cols, h._start, h._size
+    cols, start, size = h._cols, h._row_start, h._size
     alive = np.ones(size.size, dtype=bool)
 
     frontier = (degree == 1).nonzero()[0]
@@ -156,16 +161,16 @@ def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int]:
     order = occupied[np.argsort(-degree[occupied], kind="stable")]
     pos = np.zeros(h.n_vertices, dtype=np.intp)
     pos[order] = np.arange(order.size)
-    pos = pos.tolist()
+    at = pos[h._cols].tolist()  # the position of every incidence, in edge order
+    start = h._row_start.tolist()
     full_rank = order.size
     state = RankState(full_rank)
-    edges = h.edges
     for absorbed, i in enumerate(stats.core_edge_ids):
         if absorbed - state.corank == full_rank:
             return stats, state.corank + stats.core_rows - absorbed
         row = 0
-        for v in edges[i]:
-            row |= 1 << pos[v]
+        for p in at[start[i]:start[i + 1]]:
+            row |= 1 << p
         state.absorb(row)
     return stats, state.corank
 

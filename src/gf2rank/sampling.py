@@ -9,10 +9,10 @@ harness runs see identical randomness.
 ``sample_row`` defines the stream: one ``random()`` for the weight, then one
 bounded ``integers`` draw per Floyd step (exact model) or per ball (binomial
 model), and a binomial throw that leaves every urn even is redrawn.
-``sample_rows`` is the block route that ``sample_matrix``, ``run_Tn`` and the
-classical-limit trials use.  It draws one ``BitGenerator.random_raw`` block
-and decodes it with array operations the way numpy's ``Generator`` consumes
-PCG64 words: ``random()`` takes the top 53 bits of a fresh word, and
+``sample_matrix`` and ``sample_rows`` (behind ``run_Tn`` and the
+classical-limit trials) take the block route.  It draws one
+``BitGenerator.random_raw`` block and decodes it with array operations the
+way numpy's ``Generator`` consumes PCG64 words: ``random()`` takes the top 53 bits of a fresh word, and
 ``integers(0, h)`` is Lemire's bounded draw ``(x * h) >> 32`` on a 32-bit
 half-word x, low half first, with the high half kept in the generator's
 ``has_uint32``/``uinteger`` buffer.  A bound h = 1 gives 0 and takes no
@@ -26,18 +26,19 @@ k [n > 1] in the binomial one.  The attempt's cursor c = 2 p - b (p the word
 of its weight, b = 1 when a half-word is buffered) moves by 2 + d, so a
 one-atom law has the cursors in closed form and a mixture walks them once
 over the weights read off the block.  Attempts of one weight are then
-decoded together into one array of columns: Lemire's products, column 0 for
-a bound h = 1, then Floyd's step (a draw already taken gives column h - 1)
-or one column per ball, sorted within each attempt.  From that array each
-attempt becomes an int mask, the form ``run_Tn`` and the classical-limit
-trials absorb, or, for ``sample_matrix``, a sorted column tuple, the form
-``GF2Matrix`` keeps.  A binomial row keeps the urns hit an odd number of
-times, and an empty throw yields no row.  Only a Lemire rejection (a low
-word below 2^32 mod h) ends the decoded prefix: the generator is set to
-that attempt's start, ``sample_row`` draws the row, and the decoding
-resumes.  So ``sample_rows`` returns the rows that successive ``sample_row``
-calls would and leaves the generator where they would, and the seed ->
-matrix map is unchanged; ``sample_row`` stays as its test oracle.
+decoded together into one 2-D array of columns: Lemire's products, column
+0 for a bound h = 1, then Floyd's step (a draw already taken gives column
+h - 1) or one column per ball, sorted within each attempt.  From that array
+each attempt becomes an int mask, the form ``run_Tn`` and the
+classical-limit trials absorb, or, for ``sample_matrix``, its run of a flat
+column array at the attempt's offset, the CSR form ``GF2Matrix`` keeps.  A
+binomial row keeps the urns hit an odd number of times, and an empty throw
+yields no row.  Only a Lemire rejection (a low word below 2^32 mod h) ends
+the decoded prefix: the generator is set to that attempt's start,
+``sample_row`` draws the row, and the decoding resumes.  So both routes
+give the rows that successive ``sample_row`` calls would and leave the
+generator where they would, and the seed -> matrix map is unchanged;
+``sample_row`` stays as their test oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .weights import MODELS, WeightDist
 
 _U32 = 0xFFFFFFFF
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2^-53, as numpy's random() scales 53 bits
-# rows per sample_rows call in sample_matrix and stream_rows: 1024 beat 256
+# attempts per decoded block, and rows per stream_rows block: 1024 beat 256
 # and 512 on the mc-tn benchmark workload and 4096 on mc-core
 _BLOCK = 1024
 
@@ -125,47 +126,59 @@ def sample_row(cfg: SampleConfig, rng) -> int:
     return _binomial_row(cfg.dist, cfg.n, rng)
 
 
-def sample_rows(cfg: SampleConfig, rng, count: int, cols: bool = False) -> list:
+def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
     """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls, as
-    int bitmasks or, with ``cols``, as sorted column tuples (``GF2Matrix.cols``).
+    int bitmasks.
 
     Decodes ``random_raw`` blocks as numpy's Generator would (see the module
     docstring) and leaves ``rng`` exactly where those calls would leave it,
-    buffered half-word included.  An attempt with a Lemire rejection is
-    drawn by ``sample_row`` itself.  Generators other than PCG64 take the
-    scalar route, as does n above 2^32 - 1, where numpy leaves the 32-bit
-    draw.
+    buffered half-word included.
     """
-    def scalar():
-        row = sample_row(cfg, rng)
-        return tuple(row_cols(row)) if cols else row
+    rows = []
+    for part in _draw(cfg, rng, count, _masks):
+        rows += part
+    return rows
+
+
+def _draw(cfg: SampleConfig, rng, count: int, form) -> list:
+    """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls, in
+    parts, each ``form``'s rows of a block of at most ``_BLOCK`` attempts or
+    of one row that ``sample_row`` draws itself.  That is an attempt with a
+    Lemire rejection, and every row for generators other than PCG64 and for
+    n above 2^32 - 1, where numpy leaves the 32-bit draw.  ``rng`` is left
+    where those calls would leave it."""
+    def one():
+        cols = np.array([row_cols(sample_row(cfg, rng))], dtype=np.uint64)
+        return form(cfg, 1, [(np.zeros(1, dtype=np.intp), cols)])[0]
 
     bg = rng.bit_generator
     if type(bg) is not np.random.PCG64 or cfg.n > _U32:
-        return [scalar() for _ in range(count)]
-    rows = []
-    while len(rows) < count:
+        return [one() for _ in range(count)]
+    parts = []
+    while count:
         start = bg.state
-        got, used, has, half = _decode_block(cfg, bg, count - len(rows), start["has_uint32"],
-                                             start["uinteger"], _col_tuples if cols else _masks)
-        rows += got
+        part, got, used, has, half = _decode_block(cfg, bg, min(count, _BLOCK), start["has_uint32"],
+                                                   start["uinteger"], form)
+        parts.append(part)
+        count -= got
         bg.state = start  # back to the start of the block, then over the words used
         bg.advance(used)
         state = bg.state
         state["has_uint32"], state["uinteger"] = has, half
         bg.state = state
         if not used:  # the first attempt has a Lemire rejection
-            rows.append(scalar())
-    return rows
+            parts.append(one())
+            count -= 1
+    return parts
 
 
 def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
-    """(rows, words used, has, half) of at most ``count`` attempts decoded
-    from one block of bg's raw words, up to the first one with a Lemire
-    rejection, where (has, half) is numpy's buffered half-word before and
-    after.  ``form`` (``_masks`` or ``_col_tuples``) turns the columns of
-    the attempts of one weight into rows.  No word is used when the first
-    attempt has a rejection."""
+    """(rows, row count, words used, has, half) of at most ``count``
+    attempts decoded from one block of bg's raw words, up to the first one
+    with a Lemire rejection, where (has, half) is numpy's buffered half-word
+    before and after.  ``form`` (``_masks`` or ``_csr``) turns the columns
+    of the attempts of each weight into rows.  No word is used when the
+    first attempt has a rejection."""
     words, c, k = _place_rows(cfg, bg, count, has)
     # half-word 0 is the one buffered at the block's start; word w holds
     # half-words 2w + 1 (low) and 2w + 2 (high)
@@ -179,7 +192,7 @@ def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
             parts.append((sel, cols))
     f = int(np.argmax(bad)) if bad.any() else len(c)
     if f == 0:
-        return [], 0, has, half
+        return (*form(cfg, 0, []), 0, has, half)
     c, d = c[:f], _draws(cfg, k[:f])
     end = int(c[-1] + 2 + d[-1])  # the cursor after the last attempt
     used = (end + 1) >> 1
@@ -187,13 +200,11 @@ def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
     if len(split):
         last = int(c[split[-1]] + 2 + d[split[-1]])  # the last half-word such an attempt draws
         half = int(halves[last + (last & 1)])
-    rows = [None] * f
+    decoded = []
     for sel, cols in parts:
         t = int(np.searchsorted(sel, f))
-        for i, row in zip(sel[:t].tolist(), form(cfg, cols[:t])):
-            rows[i] = row
-    # an empty binomial throw (mask 0, tuple ()) yields no row
-    return [row for row in rows if row], used, 2 * used - end, half
+        decoded.append((sel[:t], cols[:t]))
+    return (*form(cfg, f, decoded), used, 2 * used - end, half)
 
 
 def _draws(cfg: SampleConfig, k):
@@ -272,27 +283,52 @@ def _cols_of_weight(cfg: SampleConfig, k: int, c, halves):
     return s, bad
 
 
-def _masks(cfg: SampleConfig, cols) -> list:
-    """One int bitmask per row of cols.  The exact model's columns are
-    distinct, so xor sets them as or would; the binomial model keeps the
-    urns hit an odd number of times, and 0 marks an empty throw."""
-    masks = np.zeros(len(cols), dtype=object)
-    for t in range(cols.shape[1]):
-        masks ^= 1 << cols[:, t].astype(object)
-    return masks.tolist()
+def _masks(cfg: SampleConfig, f: int, parts) -> tuple:
+    """(rows, row count) of f attempts, each row an int bitmask, from the
+    ascending columns cols of the attempts sel of each weight.  The exact
+    model's columns are distinct, so xor sets them as or would; the binomial
+    model keeps the urns hit an odd number of times, and an empty throw
+    (mask 0) yields no row."""
+    rows = [None] * f
+    for sel, cols in parts:
+        masks = np.zeros(len(cols), dtype=object)
+        for t in range(cols.shape[1]):
+            masks ^= 1 << cols[:, t].astype(object)
+        for i, row in zip(sel.tolist(), masks.tolist()):
+            rows[i] = row
+    rows = [row for row in rows if row]
+    return rows, len(rows)
 
 
-def _col_tuples(cfg: SampleConfig, cols) -> list:
-    """One sorted column tuple per row of ascending columns cols, holding
-    the columns ``_masks`` sets: every one in the exact model, each urn hit
-    an odd number of times once in the binomial one, where () marks an
-    empty throw."""
-    if cfg.model == "exact":
-        return list(map(tuple, cols.tolist()))
-    keep = (cols[:, :, None] == cols[:, None, :]).sum(axis=2) % 2 == 1  # odd urns
-    keep[:, 1:] &= cols[:, 1:] != cols[:, :-1]  # once each
-    kept = np.sort(np.where(keep, cols, cfg.n), axis=1).tolist()  # n sorts past every column
-    return [tuple(row[:w]) for row, w in zip(kept, keep.sum(axis=1).tolist())]
+def _csr(cfg: SampleConfig, f: int, parts) -> tuple:
+    """((col_index, sizes), row count) of f attempts: the rows' columns in
+    one flat array, attempt after attempt, and each row's column count.  A
+    row holds the columns ``_masks`` sets: every column of an exact-model
+    attempt, and each urn a binomial throw hits an odd number of times,
+    once; an empty throw yields no row."""
+    size = np.zeros(f, dtype=np.intp)
+    keeps = []
+    for sel, cols in parts:
+        keep = None if cfg.model == "exact" else _odd_urns(cols)
+        size[sel] = cols.shape[1] if keep is None else keep.sum(axis=1)
+        keeps.append(keep)
+    start = size.cumsum() - size
+    flat = np.empty(int(size.sum()), dtype=np.intp)
+    for (sel, cols), keep in zip(parts, keeps):
+        if keep is None:
+            flat[start[sel, None] + np.arange(cols.shape[1])] = cols
+        else:
+            flat[(start[sel, None] + keep.cumsum(axis=1) - 1)[keep]] = cols[keep]
+    size = size[size > 0]
+    return (flat, size), len(size)
+
+
+def _odd_urns(cols):
+    """Where each row of ascending urns cols holds an urn hit an odd number
+    of times, marked at its first ball."""
+    keep = (cols[:, :, None] == cols[:, None, :]).sum(axis=2) % 2 == 1
+    keep[:, 1:] &= cols[:, 1:] != cols[:, :-1]
+    return keep
 
 
 def stream_rows(cfg: SampleConfig):
@@ -305,12 +341,11 @@ def stream_rows(cfg: SampleConfig):
 
 def sample_matrix(cfg: SampleConfig) -> GF2Matrix:
     """M(n, m) with i.i.d. rows, reproducible from cfg.seed."""
-    rng = make_rng(cfg.seed)
-    mat = GF2Matrix(cfg.n)
-    for start in range(0, cfg.m, _BLOCK):
-        for cols in sample_rows(cfg, rng, min(_BLOCK, cfg.m - start), cols=True):
-            mat.append_cols(cols)
-    return mat
+    flats, sizes = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    for flat, size in _draw(cfg, make_rng(cfg.seed), cfg.m, _csr):
+        flats.append(flat)
+        sizes.append(size)
+    return GF2Matrix.from_csr(cfg.n, np.concatenate(flats), np.concatenate(sizes).cumsum())
 
 
 def run_Tn(cfg: SampleConfig) -> int:

@@ -31,12 +31,9 @@ def mixture_batch(seed: int, count: int, **kwargs) -> list:
 
 def hypergraph(n, edges):
     """Hypergraph of the n-column matrix whose rows are edges, each already
-    a sorted, duplicate-free sequence of columns: GF2Matrix.append_cols
+    a sorted, duplicate-free sequence of columns: GF2Matrix.from_cols
     checks them and nothing sorts or dedupes them here."""
-    matrix = GF2Matrix(n)
-    for e in edges:
-        matrix.append_cols(tuple(e))
-    return Hypergraph(matrix)
+    return Hypergraph(GF2Matrix.from_cols(n, edges))
 
 
 def naive_core(n, edges):

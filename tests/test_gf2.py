@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,14 +164,52 @@ def test_matrix_rows_are_column_tuples():
     mat = GF2Matrix(6, [0b000011, 0b101000, 0b010101])
     assert mat.cols == [(0, 1), (3, 5), (0, 2, 4)]
     assert mat.rows == [0b000011, 0b101000, 0b010101]  # derived on access
-    mat.append_cols((5,))
+    mat = GF2Matrix.from_cols(6, mat.cols + [(5,)])
     assert mat.m == 4 and mat.rows[-1] == 0b100000
     for bad in ((6,), (-1, 2)):
         with pytest.raises(DimensionMismatch):
-            mat.append_cols(bad)
+            GF2Matrix.from_cols(6, mat.cols + [bad])
     with pytest.raises(DimensionMismatch):
         GF2Matrix(6, [-3])
     assert mat.m == 4
+
+
+# rows that are not sorted, repeat a column or leave the column range; each
+# is refused whichever entry point it comes through.  A row (1, 1) once
+# entered as two incidences: beside (0, 1) it left a 1-row core, where the
+# same rows as bitmasks, 0b10 and 0b11, peel away
+BAD_ROWS = {
+    "repeated": (2, [(1, 1), (0, 1)]),
+    "descending-out-of-range": (2, [(2, 0)]),
+    "unsorted": (3, [(0, 2, 1)]),
+    "repeated-after-empty-rows": (4, [(), (0, 1), (), (3, 3)]),
+    "negative-last": (3, [(0, 1), (-1,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ROWS))
+def test_repeated_or_unsorted_column_is_refused(name):
+    n, rows = BAD_ROWS[name]
+    size = [len(r) for r in rows]
+    with pytest.raises(DimensionMismatch):
+        GF2Matrix.from_cols(n, rows)
+    with pytest.raises(DimensionMismatch):
+        GF2Matrix.from_csr(n, [c for r in rows for c in r], [sum(size[:i]) for i in range(len(rows) + 1)])
+
+
+def test_csr_check_reads_rows_apart():
+    # a column may fall or repeat across a row boundary, and rows may be empty
+    rows = [(), (1, 4), (), (0, 4), (4,), (), (0, 1, 2, 3, 4), ()]
+    mat = GF2Matrix.from_cols(5, rows)
+    assert mat.cols == rows and mat.m == 8
+    assert mat.col_index.dtype == np.intp and mat.row_start.tolist() == [0, 0, 2, 2, 4, 5, 5, 10, 10]
+    assert GF2Matrix.from_csr(5, mat.col_index, mat.row_start).cols == rows
+    assert GF2Matrix.from_cols(5, []).m == 0
+    for start in ([0, 2, 1, 10], [1, 10], [0, 9], []):
+        with pytest.raises(DimensionMismatch):
+            GF2Matrix.from_csr(5, mat.col_index, start)
+    with pytest.raises(ValueError):
+        mat.col_index[0] = 3  # read-only
 
 
 def test_sparse_text_sets_a_repeated_column_once():

@@ -301,9 +301,7 @@ def test_eliminate_core_stops_once_rank_is_full(monkeypatch):
             return super().absorb(row)
 
     monkeypatch.setattr(peeling, "RankState", CountingRankState)
-    mat = GF2Matrix(4)
-    for cols in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)] * 5 + [(0, 1), (2, 3)]:
-        mat.append_cols(cols)
+    mat = GF2Matrix.from_cols(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)] * 5 + [(0, 1), (2, 3)])
     assert corank(mat) == full_corank(mat) == 18
     assert len(absorbed) == 4
     # sampled matrices whose core rank fills up before the last core row

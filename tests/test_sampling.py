@@ -319,12 +319,17 @@ def test_sample_matrix_rows_equal_scalar_rows():
 
 def _assert_cols_route(cfg):
     """sample_matrix's column tuples are the columns of successive sample_row
-    bitmasks, and the hypergraph's edges are the matrix's rows."""
+    bitmasks, and the hypergraph reads the matrix's arrays in place and
+    gives its rows as edges."""
     rng = make_rng(cfg.seed)
     want = [tuple(row_cols(sample_row(cfg, rng))) for _ in range(cfg.m)]
     mat = sample_matrix(cfg)
     assert mat.cols == want, f"numpy {np.__version__}, {cfg}"
-    assert Hypergraph.from_matrix(mat).edges == [tuple(row_cols(r)) for r in mat.rows]
+    assert mat.col_index.dtype == mat.row_start.dtype == np.intp
+    h = Hypergraph.from_matrix(mat)
+    assert h.edges == [tuple(row_cols(r)) for r in mat.rows]
+    assert h.edges is h.edges  # derived on the first read, then kept
+    assert np.shares_memory(h._cols, mat.col_index) and np.shares_memory(h._row_start, mat.row_start)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -347,15 +352,21 @@ def test_sample_matrix_cols_fallback_and_rejection_cases(monkeypatch):
         assert any(rejections), (model, r, seed)
 
 
-def test_col_tuples_keep_odd_urns_once():
+def test_csr_keeps_odd_urns_once():
     # sorted urns of four balls: an odd count keeps the urn, an even count
-    # drops it, and a throw with every count even gives no columns
-    cfg = SampleConfig(8, 0, WeightDist.fixed(4), model="binomial")
-    cols = np.array([[1, 1, 1, 4], [2, 2, 5, 5], [0, 3, 3, 7], [6, 6, 6, 6], [0, 1, 2, 3]],
+    # drops it, and a throw with every count even gives no row; the rows of
+    # two weights interleave, and each lands at its attempt's offset
+    cfg = SampleConfig(8, 0, WeightDist(((3, 0.5), (4, 0.5))), model="binomial")
+    four = np.array([[1, 1, 1, 4], [2, 2, 5, 5], [0, 3, 3, 7], [6, 6, 6, 6], [0, 1, 2, 3]],
                     dtype=np.uint64)
-    got = sampling._col_tuples(cfg, cols)
-    assert got == [(1, 4), (), (0, 7), (), (0, 1, 2, 3)]
-    assert got == [tuple(row_cols(mask)) for mask in sampling._masks(cfg, cols)]
+    three = np.array([[5, 5, 5], [2, 3, 3]], dtype=np.uint64)
+    parts = [(np.array([0, 2, 3, 5, 6]), four), (np.array([1, 4]), three)]
+    (flat, size), rows = sampling._csr(cfg, 7, parts)
+    bounds = np.concatenate(([0], size.cumsum())).tolist()
+    got = [tuple(flat[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    assert got == [(1, 4), (5,), (0, 7), (2,), (0, 1, 2, 3)] and rows == 5
+    masks, rows = sampling._masks(cfg, 7, parts)
+    assert got == [tuple(row_cols(mask)) for mask in masks] and rows == 5
 
 
 # sha256 of sample_matrix(cfg).rows at seed 1309, each row as (n + 7) // 8
