@@ -16,12 +16,12 @@ import click
 import mpmath as mp
 
 from . import __version__, verification
-from .errors import Gf2RankError, InvalidParam, ParseError, VerificationFailed
+from .errors import Gf2RankError, InvalidParam, ParseError, VerificationFailed, check_work
 from .exact import (
     ParitySpec,
     expected_null_count,
     gfq_dense_survival,
-    multinomial_parity,
+    parity_probability,
     pi_multinomial,
     poissonization_check,
     prob_A_general,
@@ -216,6 +216,7 @@ def cmd_curves(rho_spec, what, grid, lo, hi, out):
     """Emit curve data as CSV for figure reproduction."""
     if grid < 1:
         raise InvalidParam(f"--grid {grid} < 1")
+    check_work("curve", grid + 1)
     dist = parse_rho(rho_spec)
     names = tuple(w.strip() for w in what.split(","))
     x_kind = set(names) <= {"h", "psi"}
@@ -401,8 +402,8 @@ def cmd_exact(what, rho_spec, n, m, model, precision, mu, q, r, modulus, targets
     elif what == "parity":
         t = _parse_list("--targets", targets)
         probs = _parse_list("--cell-probs", cell_probs, float)
-        spec = ParitySpec(r=modulus, targets=t, cell_probs=probs)
-        result = {"probability": _num(multinomial_parity(spec, n))}
+        p, route = parity_probability(ParitySpec(r=modulus, targets=t, cell_probs=probs), n)
+        result = {"probability": _num(p), "route": route}
     else:  # gfq
         result = {"survival": _num(gfq_dense_survival(q, r, n))}
     _emit(_provenance("exact", config, result), out)

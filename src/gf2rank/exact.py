@@ -47,16 +47,12 @@ from math import comb
 
 import mpmath as mp
 
-from .errors import InvalidParam, NumericalResidue, PrecisionLoss, TooLarge
+from .errors import InvalidParam, NumericalResidue, PrecisionLoss, check_work, fits
 from .weights import MODELS, WeightDist
 
 DEFAULT_PRECISION = 256
 _MAX_PRECISION = 1 << 14
 _REL_TOL = 1e-15
-# n (m+1)^2 in poissonization_check.  The worst call it admits is m = 0,
-# n = 2*10^5, at about 9 s, nearly all in pi_multinomial's n/2 big binomials;
-# at m >= 1 the convolutions take about 2-4 us per unit, under 1 s.
-_POISSON_MAX_WORK = 200_000
 
 
 def _guarded_sum(term_factory, precision: int, amplification: int = 0):
@@ -96,6 +92,20 @@ def _check_args(n: int, m: int, precision: int, exact: bool) -> None:
         raise InvalidParam(f"precision {precision} < 1 bit")
 
 
+def _digits(n: int, weights, model: str) -> int:
+    """D, the digits of the common denominator of the lambda_j as the work
+    budget counts them: n (the binomials C(n,j)) in the exact model, and
+    n + W log2(n) summed over the weights (2^n times n^W) in the binomial one."""
+    return n if model == "exact" else n + sum(weights) * n.bit_length()
+
+
+def _check_sums(n: int, m: int, digits: int, precision: int) -> None:
+    """Check the exact parity sums of up to m + 1 powers l <= m, of digits
+    D each, and their roundings at ``precision`` bits, against the work
+    budget."""
+    check_work("parity sums", (m + 1) * ((m + 1) * (n + m + digits) + precision))
+
+
 def _structurally_zero(m: int, weights) -> bool:
     # odd row count with purely odd weights: the total unit count is odd,
     # so the all-even event is impossible.
@@ -125,6 +135,7 @@ def _multiplicities(n: int, law) -> list:
     j < n/2 and c_{n/2} = C(n,n/2).  Otherwise j runs over 0..n with
     c_j = C(n,j).
     """
+    check_work("multiplicity table", n)
     folds = len({w % 2 for w, _ in law}) == 1
     cs = []
     c = 1  # C(n, j), by its recurrence in j
@@ -137,6 +148,7 @@ def _multiplicities(n: int, law) -> list:
 def _lambdas_binomial(n: int, dist: WeightDist) -> tuple:
     """lambda_j = rho(1 - 2j/n) in the binomial allocation scheme.  Since
     1 - 2(n-j)/n = -(1 - 2j/n), a law whose weights share one parity folds."""
+    check_work("binomial lambda table", n * _digits(n, (k for k, _ in dist.atoms), "binomial") ** 2)
     atoms = _unit_law(dist.atoms)
     cs = _multiplicities(n, atoms)
     return cs, [sum(p * Fraction(n - 2 * j, n) ** k for k, p in atoms) for j in range(len(cs))]
@@ -163,6 +175,7 @@ def _lambdas_exact(n: int, law) -> tuple:
     flips it for an odd one, so with total mass 1 a law whose weights share
     one parity folds.
     """
+    check_work("even-overlap table", (n + 1) ** 2 * (sum(min(r, n) for r, _ in law) + 4))
     law = _unit_law(law)
     cs = _multiplicities(n, law)
     return cs, [2 * sum(p * hypergeometric_even_overlap(n, j, r) for r, p in law) - 1
@@ -206,7 +219,9 @@ def pi_multinomial(n: int, m: int, dist: WeightDist, precision: int = DEFAULT_PR
     if _structurally_zero(m, (k for k, _ in dist.atoms)):
         return Fraction(0) if exact else mp.mpf(0)
     if exact:
+        _check_sums(n, m, _digits(n, (k for k, _ in dist.atoms), "binomial"), 0)
         return Fraction(*_parity_sum(n, m, _lambdas_binomial(n, dist)))
+    check_work("guarded sum", (n // 2 + 1) * precision * (m + 1).bit_length())
     atoms = _unit_law(dist.atoms)
     cs = _multiplicities(n, atoms)
 
@@ -243,6 +258,7 @@ def prob_A_general(n: int, m: int, law, precision: int = DEFAULT_PRECISION,
         raise InvalidParam(f"law support must lie in [0, {n}]: {law}")
     if _structurally_zero(m, (r for r, _ in law)):
         return Fraction(0) if exact else mp.mpf(0)
+    _check_sums(n, m, _digits(n, (), "exact"), 0 if exact else precision)
     num, den = _parity_sum(n, m, _lambdas_exact(n, law))
     return Fraction(num, den) if exact else _rounded(num, den, precision)
 
@@ -265,13 +281,14 @@ def expected_null_count(n: int, m: int, dist: WeightDist, model: str = "exact",
     at ``precision`` bits.
     """
     _check_args(n, m, precision, exact)
+    if model not in MODELS:
+        raise InvalidParam(f"model {model!r} not in {MODELS}")
+    _check_sums(n, m, _digits(n, (k for k, _ in dist.atoms), model), 0 if exact else precision)
     if model == "exact":
         law = dist.per_n_law_exact(n)
         (powers, lams), weights = _lambdas_exact(n, law), [r for r, _ in law]
-    elif model == "binomial":
-        (powers, lams), weights = _lambdas_binomial_rows(n, dist), [k for k, _ in dist.atoms]
     else:
-        raise InvalidParam(f"model {model!r} not in {MODELS}")
+        (powers, lams), weights = _lambdas_binomial_rows(n, dist), [k for k, _ in dist.atoms]
     d, a = _over_common_denominator(lams)
 
     # powers holds c_j a_j^l for the current l; when every weight is odd,
@@ -308,12 +325,12 @@ def poissonization_check(n: int, m: int, mu: float, precision: int = DEFAULT_PRE
     even-conditioned Poisson(mu) variables, both sum pmfs evaluated at m by
     dynamic-programming convolution of the single-variable pmfs, which reads
     their terms k <= m only.  The two convolutions cost about n (m+1)^2
-    multiply-adds; TooLarge is raised above ``_POISSON_MAX_WORK``.
+    multiply-adds at ``precision`` bits, checked against the "Poisson
+    convolution" work budget.
     """
     if n < 1 or m < 0 or not (math.isfinite(mu) and mu > 0):
         raise InvalidParam(f"need n >= 1, m >= 0, finite mu > 0; got {n}, {m}, {mu}")
-    if n * (m + 1) ** 2 > _POISSON_MAX_WORK:
-        raise TooLarge(f"n (m+1)^2 = {n * (m + 1) ** 2:.4g} exceeds {_POISSON_MAX_WORK:.4g}")
+    check_work("Poisson convolution", n * (m + 1) ** 2 * precision)
     with mp.workprec(precision):
         mpmu = mp.mpf(mu)
         pmf = [mp.exp(-mpmu) * mpmu**k / mp.factorial(k) for k in range(m + 1)]
@@ -342,9 +359,6 @@ def poissonization_check(n: int, m: int, mu: float, precision: int = DEFAULT_PRE
 
 PARITY_MAX_K = 10
 PARITY_MAX_R = 8
-# (h, g) pairs r^k 2^k of multinomial_parity's float route, at about 1 us
-# each; the largest spec it admits, r = 7 and k = 6, takes about 7 s
-_PARITY_MAX_PAIRS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -405,14 +419,16 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
     (larger residues raise NumericalResidue).  Its error is absolute, about
     1e-15 at small n, not relative: for k=1, r=4, p=(1 - 1e-6, 1e-6), t=3,
     n=3 it gives 8.3e-18 where the exact value is 1.0e-18.  It visits r^k 2^k
-    pairs (h, g) and raises TooLarge above ``_PARITY_MAX_PAIRS``.
+    pairs (h, g), checked against the "Fourier sum" work budget; the exact
+    path's steps and digits against the "parity DP" one.
     """
     if n < 0:
         raise InvalidParam(f"n {n} < 0")
     k, r, t = spec.k, spec.r, spec.targets
 
     if exact:
-        d, a = _over_common_denominator([p for _, p in _unit_law(enumerate(spec.cell_probs))])
+        d, a = _cells_over_common_denominator(spec)
+        check_work("parity DP", _dp_work(spec, n, d))
         steps = [(tuple((g >> i) & 1 for i in range(k)), w) for g, w in enumerate(a) if w]
         law = {(0,) * k: 1}
         for _ in range(n):
@@ -424,9 +440,7 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
             law = nxt
         return Fraction(law.get(tuple(t), 0), d**n)
 
-    pairs = (2 * r) ** k
-    if pairs > _PARITY_MAX_PAIRS:
-        raise TooLarge(f"r^k 2^k = {pairs:.4g} Fourier pairs exceed {_PARITY_MAX_PAIRS:.4g}")
+    check_work("Fourier sum", (2 * r) ** k)
     om = [cmath.exp(2j * cmath.pi * j / r) for j in range(r)]
     total = 0j
     for h in product(range(r), repeat=k):
@@ -438,11 +452,35 @@ def multinomial_parity(spec: ParitySpec, n: int, exact: bool = False):
     return total.real
 
 
+def _cells_over_common_denominator(spec: ParitySpec) -> tuple:
+    """(d, a) with the cell probabilities, scaled to sum to 1, equal to a_g / d."""
+    return _over_common_denominator([p for _, p in _unit_law(enumerate(spec.cell_probs))])
+
+
+def _dp_work(spec: ParitySpec, n: int, d: int) -> int:
+    # n trials, each moving up to r^k residue tuples by 2^k cells: a step
+    # multiplies a weight of up to n log2(d) bits by one of log2(d) bits,
+    # and costs at least as much as 2^14 bit products
+    bits = d.bit_length()
+    return n * (2 * spec.r) ** spec.k * (n * bits * bits // 64 + (1 << 14))
+
+
+def parity_probability(spec: ParitySpec, n: int) -> tuple:
+    """(probability, route) of ``multinomial_parity``: the exact DP rounded
+    once to a double, route "exact", when its steps fit the "parity DP" work
+    budget, and otherwise the Fourier sum, route "fourier", whose error is
+    absolute."""
+    if fits("parity DP", _dp_work(spec, n, _cells_over_common_denominator(spec)[0])):
+        return float(multinomial_parity(spec, n, exact=True)), "exact"
+    return multinomial_parity(spec, n), "fourier"
+
+
 # --- dense uniform-nonzero rows over GF(q) --------------------------------
 
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
+    check_work("prime-power test", math.isqrt(q))
     for p in range(2, math.isqrt(q) + 1):
         if q % p == 0:
             while q % p == 0:
@@ -456,7 +494,9 @@ def gfq_dense_survival(q: int, r: int, n: int | None = None) -> float:
 
     With n omitted, returns the n -> infinity limit prod_{j >= r} (1 - q^-j)
     (truncated once the factors are within 1e-16 of 1); with n given, the
-    exact finite-n value (1 - q^-n)^(r-n) * prod_{j=r}^{n-1} (1 - q^-j).
+    exact finite-n value (1 - q^-n)^(r-n) * prod_{j=r}^{n-1} (1 - q^-j),
+    whose factors are exactly 1.0 in doubles from the first j with
+    1 - q^-j == 1.0 on, so the product stops there.
     """
     if not _is_prime_power(q):
         raise InvalidParam(f"q {q} is not a prime power >= 2")
@@ -477,5 +517,8 @@ def gfq_dense_survival(q: int, r: int, n: int | None = None) -> float:
         raise InvalidParam(f"need 1 <= r <= n; got r={r}, n={n}")
     prod = (1.0 - float(q) ** -n) ** (r - n)
     for j in range(r, n):
-        prod *= 1.0 - float(q) ** -j
+        factor = 1.0 - float(q) ** -j
+        if factor == 1.0:
+            break
+        prod *= factor
     return prod

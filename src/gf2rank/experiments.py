@@ -23,11 +23,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .errors import InvalidParam
+from .errors import InvalidParam, check_work
 from .exact import expected_null_count, gfq_dense_survival
 from .gf2 import RankState, enumerate_null_vectors
 from .peeling import Hypergraph, check_E, corank, eliminate_core, peel_2core
-from .sampling import SampleConfig, derive_stream_seed, make_rng, run_Tn, sample_matrix, stream_rows
+from .sampling import (SampleConfig, check_Tn, derive_stream_seed, make_rng, run_Tn, sample_matrix,
+                       stream_rows)
 from .thresholds import (
     F_of_alpha,
     alpha_bar,
@@ -91,6 +92,7 @@ def _classical_r2_trial(cfg: SampleConfig):
     is itself a dependency), so the two differ only when the T_n row repeats
     an earlier one.
     """
+    check_Tn(cfg)
     state = RankState(cfg.n)
     seen = set()
     t_n = 0
@@ -158,8 +160,10 @@ def run_trials(cfg: ExperimentConfig, worker, payload, fields, entry,
     entry(n, results), with results in trial order.  The summary is
     **summary followed by per_n.  The trials run serially or, for the whole
     run, over one pool of min(cfg.threads, trials, CPUs) processes: a result
-    depends only on its seed, so the pool size changes none of them.
+    depends only on its seed, so the pool size changes none of them.  The
+    run's trial count is checked against the "trials" work budget first.
     """
+    check_work("trials", cfg.trials * len(cfg.n_values))
     width = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
     chunk = max(1, cfg.trials // (width * 4))
     records, per_n = [], {}
@@ -305,6 +309,8 @@ def exp_classical_limits(cfg: ExperimentConfig) -> ExperimentResult:
     z_hi = 1.0 if r == 2 else math.inf
     if not 0.0 <= z <= z_hi:
         raise InvalidParam(f"z {z} outside [0, {z_hi:g}], where the r={r} law is defined")
+    if r == 2 and min(cfg.n_values) < 3:  # one possible row, so no cycle of distinct rows
+        raise InvalidParam(f"the r=2 distinct-edge process needs n >= 3; n={min(cfg.n_values)}")
     limit = (math.exp(-z * z / 2.0) if r == 1
              else math.sqrt(1.0 - z) * math.exp(z / 2.0 + z * z / 4.0))
 

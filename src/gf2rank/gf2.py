@@ -22,9 +22,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooLarge, ParseError
-
-ENUM_LIMIT = 24  # 2^m null-space walks beyond this are refused
+from .errors import DimensionMismatch, ParseError, check_work
 
 
 def row_from_cols(cols: Iterable[int]) -> int:
@@ -186,11 +184,10 @@ def enumerate_null_vectors(matrix: GF2Matrix):
     Returns (vectors, profile): vectors are bitmasks over row indices, and
     profile[l] counts null vectors using exactly l rows.
 
-    Raises TooLarge when m exceeds ENUM_LIMIT (24).
+    Its cost m is checked against the "null-space walk" work budget.
     """
     m = matrix.m
-    if m > ENUM_LIMIT:
-        raise TooLarge(f"m {m} > max_m {ENUM_LIMIT}")
+    check_work("null-space walk", m)
     rows = matrix.rows
     vectors = [0]
     profile = {0: 1}
@@ -219,7 +216,8 @@ def matrix_to_text(matrix: GF2Matrix, fmt: str = "sparse") -> str:
     if fmt == "sparse":
         for cols in matrix.cols:
             lines.append(" ".join(map(str, cols)))
-    elif fmt == "dense":
+    elif fmt == "dense":  # writes every entry, zeros too
+        check_work("matrix", matrix.n_cols + matrix.m * (1 + matrix.n_cols))
         for cols in matrix.cols:
             line = ["0"] * matrix.n_cols
             for c in cols:
@@ -233,11 +231,14 @@ def matrix_to_text(matrix: GF2Matrix, fmt: str = "sparse") -> str:
 def matrix_from_text(text: str, n_cols: int | None = None) -> GF2Matrix:
     """Read either text format.  0/1 lines all wider than one character are
     dense.  A width-1 line reads as sparse, except at n_cols = 1 when some
-    line is "1", which no sparse row of one column can be."""
+    line is "1", which no sparse row of one column can be.  The columns the
+    text spans, its rows and its entries are checked against the "matrix"
+    work budget before the matrix is built."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     bits = lines and all(set(ln) <= {"0", "1"} for ln in lines)
     rows = []
+    maxc = -1
     if bits and (all(len(ln) > 1 for ln in lines) or (n_cols == 1 and "1" in lines)):
         widths = {len(ln) for ln in lines}
         if len(widths) > 1:
@@ -250,7 +251,6 @@ def matrix_from_text(text: str, n_cols: int | None = None) -> GF2Matrix:
         for ln in lines:
             rows.append(tuple(i for i, ch in enumerate(ln) if ch == "1"))
     else:
-        maxc = -1
         for ln in lines:
             try:
                 cols = [int(t) for t in ln.split()]
@@ -262,4 +262,5 @@ def matrix_from_text(text: str, n_cols: int | None = None) -> GF2Matrix:
             rows.append(tuple(sorted(set(cols))))
         if n_cols is None:
             n_cols = maxc + 1 if maxc >= 0 else 1
+    check_work("matrix", max(n_cols, maxc + 1) + len(rows) + sum(map(len, rows)))
     return GF2Matrix.from_cols(n_cols, rows)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import xor
 
-from .errors import TooLarge
+from .errors import check_work
 from .exact import ParitySpec
 from .weights import WeightDist
 
@@ -129,8 +129,7 @@ def binomial_weight_law(dist: WeightDist, n: int) -> list:
 def parity_paths(spec: ParitySpec, n: int) -> Fraction:
     """Joint congruence probability by walking all (2^k)^n outcome paths."""
     cells = [(g, Fraction(p)) for g, p in enumerate(spec.cell_probs)]
-    if len(cells) ** n > 10**7:
-        raise TooLarge(f"{len(cells)}^{n} paths exceed 10000000")
+    check_work("parity paths", n * len(cells) ** n)
     total = Fraction(0)
     for path in product(cells, repeat=n):
         counts = [0] * spec.k

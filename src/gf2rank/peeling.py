@@ -35,7 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, check_work
 from .gf2 import GF2Matrix, RankState
 
 
@@ -153,11 +153,14 @@ def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int]:
     (``RankState`` pivots on the highest bit).  Once every occupied column
     holds a pivot the rank is full, and each remaining core row counts as
     dependent without being reduced.  The hypergraph is consumed, as by
-    ``peel_2core``.
+    ``peel_2core``.  The bits of the core rows, core rows x occupied
+    columns, are checked against the "core elimination" work budget after
+    the peel and before the first absorb.
     """
     stats = peel_2core(h)
     degree = h.vertex_degree
     occupied = degree.nonzero()[0]
+    check_work("core elimination", stats.core_rows * occupied.size)
     order = occupied[np.argsort(-degree[occupied], kind="stable")]
     pos = np.zeros(h.n_vertices, dtype=np.intp)
     pos[order] = np.arange(order.size)

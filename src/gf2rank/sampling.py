@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, check_work
 from .gf2 import GF2Matrix, RankState, row_cols
 from .weights import MODELS, WeightDist
 
@@ -325,9 +325,14 @@ def _csr(cfg: SampleConfig, f: int, parts) -> tuple:
 
 def _odd_urns(cols):
     """Where each row of ascending urns cols holds an urn hit an odd number
-    of times, marked at its first ball."""
-    keep = (cols[:, :, None] == cols[:, None, :]).sum(axis=2) % 2 == 1
-    keep[:, 1:] &= cols[:, 1:] != cols[:, :-1]
+    of times, marked at its first ball.  A run of equal urns starts at each
+    row's first ball and wherever the urn changes, and ends where the next
+    run starts, so no run crosses a row."""
+    first = np.ones(cols.shape, dtype=bool)
+    first[:, 1:] = cols[:, 1:] != cols[:, :-1]
+    at = np.flatnonzero(first)
+    keep = np.zeros(cols.shape, dtype=bool)
+    keep.flat[at] = np.diff(at, append=first.size) % 2 == 1
     return keep
 
 
@@ -339,8 +344,24 @@ def stream_rows(cfg: SampleConfig):
         yield from sample_rows(cfg, rng, block)
 
 
+def _check_rows(cfg: SampleConfig, m: int) -> None:
+    """Check m rows of cfg against the "matrix" work budget: n columns, m
+    rows and at most m min(W, n) entries in the exact model or m W balls in
+    the binomial one, for the largest weight W."""
+    w = cfg.dist.atoms[-1][0]
+    check_work("matrix", cfg.n + m * (1 + (min(w, cfg.n) if cfg.model == "exact" else w)))
+
+
+def check_Tn(cfg: SampleConfig) -> None:
+    """Check a T_n trial of cfg against the work budget before it starts:
+    the (n+1)^2 bits of its basis and the rows it can draw, n + 1 of them."""
+    check_work("T_n trial", (cfg.n + 1) ** 2)
+    _check_rows(cfg, cfg.n + 1)
+
+
 def sample_matrix(cfg: SampleConfig) -> GF2Matrix:
     """M(n, m) with i.i.d. rows, reproducible from cfg.seed."""
+    _check_rows(cfg, cfg.m)
     flats, sizes = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
     for flat, size in _draw(cfg, make_rng(cfg.seed), cfg.m, _csr):
         flats.append(flat)
@@ -356,6 +377,7 @@ def run_Tn(cfg: SampleConfig) -> int:
     one at a time until one depends on the rows before it.  The rng is
     private, so drawing a block ahead of the dependency changes nothing.
     """
+    check_Tn(cfg)
     state = RankState(cfg.n)
     for m, row in enumerate(stream_rows(cfg), 1):
         if state.absorb(row):

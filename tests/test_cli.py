@@ -255,14 +255,15 @@ def test_simulate_csv_path_is_checked_before_the_run(monkeypatch, tmp_path):
 
 def test_rank_enumerate_too_large_exits_2():
     rows = "".join(f"{i}\n" for i in range(25))
-    assert "max_m 24" in run_fail(["rank", "--enumerate"], 2, stdin=rows)
+    assert run_fail(["rank", "--enumerate"], 2, stdin=rows) == \
+        "error: null-space walk: rows m = 25 exceeds the budget 24"
 
 
 def test_simulate_profile_too_large_names_m():
     # the limit named is the enumeration cap, not one derived from m
     args = ["simulate", "--exp", "profile", "--rho", "r=3", "-n", "40", "--trials", "2",
             "--threads", "1"]
-    assert run_fail(args, 2) == "error: m 38 > max_m 24"
+    assert run_fail(args, 2) == "error: null-space walk: rows m = 38 exceeds the budget 24"
 
 
 def test_curves_h_psi_fixed3():
@@ -467,6 +468,7 @@ def test_tn_rows_replay_stream(r, model):
     ["simulate", "--exp", "tn", "--rho", "r=3", "-n", "50", "--trials", "2", "--threads", "1",
      "--seed", "-1"],
     ["simulate", "--exp", "dense", "-n", "10", "--trials", "2", "--threads", "0"],
+    ["simulate", "--exp", "classical", "--rho", "r=2", "-n", "2", "--trials", "1"],
 ], ids=["core-eps", "simulate-eps", "tn-trials", "simulate-trials", "dense-n0",
         "dense-r-values", "binomial-even-n1", "en-binomial-even-n1", "parity-targets",
         "parity-cell-probs", "curves-grid0", "curves-gstar-grid0", "curves-grid-neg",
@@ -475,7 +477,7 @@ def test_tn_rows_replay_stream(r, model):
         "poisson-mu-nan",
         "poisson-mu-inf", "parity-cell-probs-nan", "curves-gstar-lo-nan",
         "sample-seed-neg", "tn-seed-neg", "core-seed-neg", "simulate-seed-neg",
-        "simulate-threads0"])
+        "simulate-threads0", "classical-r2-n2"])
 def test_bad_run_param_exits_2(args):
     assert run_fail(args, 2).startswith("error: ")
 
@@ -544,7 +546,30 @@ def test_exact_parity_k_is_the_number_of_targets():
     payload = json.loads(run_ok(
         "exact", "--what", "parity", "--modulus", "3", "--targets", "0,1",
         "--cell-probs", "0.1,0.2,0.3,0.4", "-n", "4"))
-    want = multinomial_parity(ParitySpec(3, (0, 1), (0.1, 0.2, 0.3, 0.4)), 4)
+    want = multinomial_parity(ParitySpec(3, (0, 1), (0.1, 0.2, 0.3, 0.4)), 4, exact=True)
+    assert payload["result"]["probability"]["double"] == float(want)
+    assert payload["result"]["route"] == "exact"
+
+
+def test_exact_parity_rounds_the_exact_dp_once(schema):
+    # the Fourier sum's error is absolute, about 1e-15: it printed 8.3e-18 here
+    payload = json.loads(run_ok("exact", "--what", "parity", "--modulus", "4", "--targets", "3",
+                                "--cell-probs", "0.999999,0.000001", "-n", "3"))
+    validate(payload, schema, "exact_result")
+    spec = ParitySpec(4, (3,), (0.999999, 0.000001))
+    assert payload["result"] == {"probability": {"decimal": "9.9999999999999988e-19",
+                                                 "double": float(multinomial_parity(spec, 3, True))},
+                                 "route": "exact"}
+
+
+def test_exact_parity_takes_the_fourier_sum_past_the_dp_budget(schema):
+    # n r^k 2^k = 2000 * 16^3 steps exceed the parity DP budget; 16^3 Fourier pairs do not
+    cells = [1 / 8] * 8
+    payload = json.loads(run_ok("exact", "--what", "parity", "--modulus", "8", "--targets", "1,2,3",
+                                "--cell-probs", ",".join(map(str, cells)), "-n", "2000"))
+    validate(payload, schema, "exact_result")
+    assert payload["result"]["route"] == "fourier"
+    want = multinomial_parity(ParitySpec(8, (1, 2, 3), tuple(cells)), 2000)
     assert payload["result"]["probability"]["double"] == want
 
 
@@ -569,15 +594,47 @@ def test_exact_poisson_huge_mu_holds_the_identity():
 
 @pytest.mark.parametrize("args, message", [
     (["exact", "--what", "poisson", "-n", "1000", "-m", "1000"],
-     "error: n (m+1)^2 = 1.002e+09 exceeds 2e+05"),
+     "error: Poisson convolution: n (m+1)^2 P = 256512256000 exceeds the budget 51200000"),
     (["exact", "--what", "parity", "--modulus", "8", "--targets", ",".join(["0"] * 10),
       "--cell-probs", ",".join([str(2**-10)] * 1024), "-n", "3"],
-     "error: r^k 2^k = 1.1e+12 Fourier pairs exceed 8.389e+06"),
+     "error: Fourier sum: pairs (2r)^k = 1099511627776 exceeds the budget 8388608"),
 ], ids=["poisson", "parity"])
 def test_exact_work_bound_exits_2_at_once(args, message):
     start = time.perf_counter()
     assert run_fail(args, 2) == message
     assert time.perf_counter() - start < 1.0
+
+
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize("args, stdin, kind", [
+    (["rank"], "5 100000000000000000000\n", "matrix"),
+    (["rank"], "5 3000000000\n", "matrix"),
+    (["sample", "--model", "binomial", "--rho", "r=99999999999999999999", "-n", "2", "-m", "8"],
+     None, "matrix"),
+    (["sample", "--model", "binomial", "--rho", "r=30000000", "-n", "2", "-m", "3"], None, "matrix"),
+    (["tn", "--rho", "r=3", "-n", HUGE], None, "T_n trial"),
+    (["core", "--rho", "r=3", "-n", HUGE, "-m", "3"], None, "matrix"),
+    (["sample", "--rho", "r=3", "-n", HUGE, "-m", "3"], None, "matrix"),
+    (["simulate", "--exp", "tn", "--rho", "r=3", "-n", HUGE], None, "T_n trial"),
+    (["exact", "--what", "en", "--rho", "r=3", "-n", HUGE, "-m", "2"], None, "parity sums"),
+    (["exact", "--what", "pi", "-n", "3000000", "-m", "2"], None, "guarded sum"),
+    (["curves", "--rho", "r=3", "--grid", HUGE], None, "curve"),
+], ids=["rank-index-past-int64", "rank-index-3e9", "sample-binomial-weight-1e20",
+        "sample-binomial-weight-3e7", "tn-n", "core-n", "sample-n", "simulate-n", "en-n", "pi-n",
+        "curves-grid"])
+def test_work_over_budget_exits_2_at_once(args, stdin, kind):
+    # each ended in a traceback or ran on without end before the work budget
+    start = time.perf_counter()
+    line = run_fail(args, 2, stdin=stdin)
+    assert time.perf_counter() - start < 2.0
+    assert line.startswith(f"error: {kind}: ") and "Traceback" not in line, line
+
+
+def test_exact_model_caps_a_heavy_weight_at_n():
+    out = run_ok("sample", "--rho", "r=99999999999999999999", "-n", "2", "-m", "8")
+    assert out.split("\n")[1:] == ["0 1"] * 8 + ["", ""]
 
 
 def test_exact_en_profile():
@@ -843,6 +900,31 @@ def test_no_module_reaches_into_another_modules_private_names():
                     and node.value.id in aliases and _private(node.attr)):
                 reach_ins.append(f"{mod} reads {node.value.id}.{node.attr}")
     assert reach_ins == []
+
+
+# module-level names that bound a domain, not the work of a call: the
+# ParitySpec checks, the weights whose alpha_star routes hold their roots,
+# and the guarded sum's retry cap, which ends in PrecisionLoss (exit 4)
+DOMAIN_BOUNDS = {"PARITY_MAX_K", "PARITY_MAX_R", "ROUTES_R_MAX", "_MAX_PRECISION"}
+
+
+def test_too_large_is_raised_by_the_work_budget_only():
+    # one size-limit policy: errors.check_work builds every TooLarge, and no
+    # other module keeps a size limit of its own
+    builders, limits = [], []
+    for mod, tree in _package_trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "TooLarge" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    builders.append((mod, getattr(top, "name", None)))
+            if mod != "errors" and isinstance(top, (ast.Assign, ast.AnnAssign)):
+                for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
+                    name = getattr(target, "id", "")
+                    if any(w in name.upper() for w in ("LIMIT", "MAX", "BUDGET", "WORK")):
+                        limits.append((mod, name))
+    assert builders == [("errors", "check_work")]
+    assert [(mod, name) for mod, name in limits if name not in DOMAIN_BOUNDS] == []
 
 
 def test_every_exit_code_class_is_raised_in_the_package():

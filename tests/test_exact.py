@@ -512,7 +512,7 @@ def test_parity_spec_validation():
     (lambda: ParitySpec(r=2, targets=(0,), cell_probs=(Fraction(1, 3), Fraction(1, 3))),
      InvalidParam, "exact cell probabilities sum to 2/3"),
     (lambda: oracles.parity_paths(ParitySpec(r=2, targets=(0,), cell_probs=(0.5, 0.5)), 24),
-     TooLarge, "2^24 paths exceed 10000000"),
+     TooLarge, "parity paths: path steps n (2^k)^n = 402653184 exceeds the budget 4000000"),
 ], ids=["en-model", "parity-exact-cells", "parity-paths"])
 def test_input_check_raises(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
