@@ -73,7 +73,7 @@ WORK_BUDGET = {
     "null-space walk": ("rows m", 24),
     "matrix": ("columns + rows + entries", 25_000_000),
     "T_n trial": ("basis bits (n+1)^2", (100_000 + 1) ** 2),
-    "core elimination": ("core rows x occupied columns", 10_000_000_000),
+    "core elimination": ("core rows x occupied columns, then x set-aside rows", 10_000_000_000),
     "trials": ("trials", 100_000),
     "curve": ("points", 100_000),
     "multiplicity table": ("columns n", 100_000),

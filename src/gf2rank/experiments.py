@@ -107,11 +107,12 @@ def _classical_r2_trial(cfg: SampleConfig):
 
 def _core_trial(payload):
     """(stats, E) for one matrix: the core stats as record fields, and
-    whether E(n, m; eps) holds."""
+    whether E(n, m; eps) holds.  A trial that eliminates also records
+    has_null and set_aside, the rows the elimination set aside (|S|)."""
     cfg, check_corank, eps = payload
     h = Hypergraph(sample_matrix(cfg))
     if check_corank:
-        stats, sigma = eliminate_core(h)
+        stats, sigma, set_aside = eliminate_core(h)
     else:
         stats = peel_2core(h)
     rec = {
@@ -123,6 +124,7 @@ def _core_trial(payload):
     }
     if check_corank:
         rec["has_null"] = int(sigma > 0)
+        rec["set_aside"] = set_aside
     return rec, check_E(stats, cfg.n, eps)
 
 

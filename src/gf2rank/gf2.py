@@ -8,10 +8,13 @@ used as a bitset, bit i being column i.  CPython ints give word-packed XOR,
 which keeps elimination at a few hundred nanoseconds per basis operation
 even for thousands of columns.
 
-``RankState`` is the elimination kernel over int rows.  The kernel that peels
-a matrix to its 2-core before eliminating lives in ``peeling``
-(``eliminate_core``, behind ``corank``); a ``RankState`` fed every row is the
-independent route the tests check it by.
+``RankState`` is the elimination kernel over int rows.  ``run_Tn`` and the
+classical and dense trials absorb their rows into one in drawing order.
+The corank kernel lives in ``peeling`` (``eliminate_core``, behind
+``corank``): it peels a matrix's 2-core down to a small dense system over
+the rows it sets aside, whose rows enter a ``RankState`` as ints read from
+packed words.  A ``RankState`` fed every row of the matrix is the
+independent route the tests check that kernel by.
 """
 
 from __future__ import annotations

@@ -17,19 +17,23 @@ incidence totals are derived from them.
 
 A deleted row has a column that no row left at that point touches, so it
 lies in no null combination: corank(M) = corank(2-core).  ``eliminate_core``
-is the one elimination kernel of the package.  It peels with ``peel_2core``,
-numbers the occupied core columns so that the lowest core degrees are
-pivoted on first, and absorbs the core rows, as int bitmasks over those
-positions, into a ``gf2.RankState`` until every occupied column holds a
-pivot; the rows after that point are dependent.
-``corank`` reads the corank from it, and the ``core`` experiment's
-hypercycle check reads the core statistics and the corank from one call.
-A ``RankState`` fed every row of the matrix is the independent route that
+is the one elimination kernel of the package: structured Gaussian
+elimination in its inactivation-decoding form (LaMacchia & Odlyzko, CRYPTO
+1990; Shokrollahi, "Raptor codes", IEEE Trans. Inf. Theory 2006).  It peels
+with ``peel_2core`` and then peels the core on in numpy rounds, setting
+rows aside where no column has degree 1.  A replay of the rounds writes
+each core row's coefficient in a left null vector as a mask over the
+set-aside rows S, in packed ``uint64`` words, and the corank is |S| minus
+the rank of the small dense system that the other columns ask of those
+masks.  ``corank`` reads the corank from it, and the ``core`` experiment
+reads the core statistics, the corank and |S| from one call.  A
+``RankState`` fed every row of the matrix is the independent route that
 the tests compare it with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -111,15 +115,16 @@ def _histogram(values: np.ndarray) -> dict:
     return dict(zip(keys.tolist(), counts[keys].tolist()))
 
 
-def peel_2core(h: Hypergraph) -> CoreStats:
-    """Run the degree-1 deletion process to termination and report the core.
+def _runs(start: np.ndarray, size: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Indices of the runs of ids, run i of size[i] slots from start[i], one
+    after another in the order of ids; ids is not empty."""
+    k = size[ids]
+    ends = k.cumsum()
+    return (start[ids] + k - ends).repeat(k) + np.arange(ends[-1])
 
-    Each round deletes the alive edge of every degree-1 vertex, then lowers
-    the degrees and edge-id XORs of the vertices those edges touch; the
-    touched vertices left at degree 1 are the next round's frontier.  The
-    hypergraph is consumed (``vertex_degree`` holds the terminal degrees
-    afterwards).
-    """
+
+def _peel(h: Hypergraph) -> Tuple[CoreStats, np.ndarray]:
+    """``peel_2core``, also returning which edges are in the core."""
     degree = h.vertex_degree
     edge_xor = h._edge_xor
     cols, start, size = h._cols, h._row_start, h._size
@@ -131,51 +136,132 @@ def peel_2core(h: Hypergraph) -> CoreStats:
         ids.sort()
         dead = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]  # each edge once
         alive[dead] = False
-        k = size[dead]
-        # the incidences of the dead edges: edge j's run of k[j] slots from start[j]
-        ends = k.cumsum()
-        touched = cols[(start[dead] + k - ends).repeat(k) + np.arange(ends[-1])]
+        touched = cols[_runs(start, size, dead)]
         np.subtract.at(degree, touched, 1)
-        np.bitwise_xor.at(edge_xor, touched, dead.repeat(k))
+        np.bitwise_xor.at(edge_xor, touched, dead.repeat(size[dead]))
         frontier = touched[degree[touched] == 1]
 
     core_ids = alive.nonzero()[0]
     return CoreStats(tuple(core_ids.tolist()), _histogram(size[core_ids]),
-                     _histogram(degree[degree > 0]))
+                     _histogram(degree[degree > 0])), alive
 
 
-def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int]:
-    """Peel h to its 2-core and return (stats, corank of h's edges).
+def peel_2core(h: Hypergraph) -> CoreStats:
+    """Run the degree-1 deletion process to termination and report the core.
 
-    Only occupied columns get a position, so core rows stay short.  Positions
-    go in descending core degree, ties in column order, so the columns of
-    lowest core degree hold the highest bits and become the first pivots
-    (``RankState`` pivots on the highest bit).  Once every occupied column
-    holds a pivot the rank is full, and each remaining core row counts as
-    dependent without being reduced.  The hypergraph is consumed, as by
-    ``peel_2core``.  The bits of the core rows, core rows x occupied
-    columns, are checked against the "core elimination" work budget after
-    the peel and before the first absorb.
+    Each round deletes the alive edge of every degree-1 vertex, then lowers
+    the degrees and edge-id XORs of the vertices those edges touch; the
+    touched vertices left at degree 1 are the next round's frontier.  The
+    hypergraph is consumed (``vertex_degree`` holds the terminal degrees
+    afterwards).
     """
-    stats = peel_2core(h)
-    degree = h.vertex_degree
-    occupied = degree.nonzero()[0]
-    check_work("core elimination", stats.core_rows * occupied.size)
-    order = occupied[np.argsort(-degree[occupied], kind="stable")]
-    pos = np.zeros(h.n_vertices, dtype=np.intp)
-    pos[order] = np.arange(order.size)
-    at = pos[h._cols].tolist()  # the position of every incidence, in edge order
-    start = h._row_start.tolist()
-    full_rank = order.size
-    state = RankState(full_rank)
-    for absorbed, i in enumerate(stats.core_edge_ids):
-        if absorbed - state.corank == full_rank:
-            return stats, state.corank + stats.core_rows - absorbed
-        row = 0
-        for p in at[start[i]:start[i + 1]]:
-            row |= 1 << p
-        state.absorb(row)
-    return stats, state.corank
+    return _peel(h)[0]
+
+
+# Each set-aside round takes this share of the live core columns, least live
+# degree first.  Chosen by measurement on r=3 and FIG1 cores at n = 10^4 and
+# 10^5: a larger share sets aside more rows, and the dense step grows with
+# them; a smaller one adds rounds, each a fixed cost.
+_SET_ASIDE_SHARE = 0.02
+
+
+def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int, int]:
+    """Peel h to its 2-core and return (stats, corank of h's edges, |S|).
+
+    The core is peeled on in rounds.  A round with degree-1 columns peels
+    the one live row of each; a row that several of them meet keeps one as
+    its pivot, the column an owner array holds after a scatter.  A round
+    without one sets rows aside at the least-degree ``_SET_ASIDE_SHARE`` of
+    the live columns: each live row on them goes to the last of them it
+    meets, and each of them keeps the first row it got and sets aside the
+    rest.  The zero rows of the core are set aside at the end.
+
+    The set-aside rows S are the free coordinates of a left null vector y
+    of the core.  A peeled row's pivot column meets no row peeled after it,
+    so its y is the XOR of those of the other rows on that column.  The
+    replay of the peel rounds gives each core row its y as an |S|-bit mask,
+    a set-aside row's being its own bit.  Every occupied column that is no
+    pivot asks that the masks of its rows XOR to zero, and the corank is
+    |S| minus the rank of those constraints (``_packed_rank``).  The
+    hypergraph is consumed, as by ``peel_2core``.  The "core elimination"
+    work budget is checked after the peel, on core rows x occupied
+    columns, and before the masks are allocated, on core rows x |S|.
+    """
+    stats, alive = _peel(h)
+    col_deg = h.vertex_degree
+    check_work("core elimination", stats.core_rows * np.count_nonzero(col_deg))
+    # the core rows, numbered 0..R-1 in edge order: each row's columns from
+    # row_start, each column's rows from col_start
+    row_size = h._size[alive]
+    row_start = np.concatenate(([0], row_size.cumsum()))
+    col = h._cols[alive.repeat(h._size)]
+    col_start = np.concatenate(([0], col_deg.cumsum()))
+    col_rows = np.arange(row_size.size).repeat(row_size)[col.argsort()]
+
+    live = np.ones(row_size.size, dtype=bool)
+    live_deg = col_deg.copy()
+    owner = np.empty(row_size.size, dtype=np.intp)
+    rounds, aside = [], []  # (pivots, their rows) of each peel round; set-aside rows
+    while True:
+        frontier = (live_deg == 1).nonzero()[0]
+        if frontier.size:
+            on = col_rows[_runs(col_start, col_deg, frontier)]
+            rows = on[live[on]]  # the one live row of each frontier column
+            owner[rows] = frontier  # the other columns of a row go to 0 and constrain
+            first = owner[rows] == frontier
+            frontier, rows = frontier[first], rows[first]
+            rounds.append((frontier, rows))
+        else:
+            cand = live_deg.nonzero()[0]
+            if not cand.size:
+                break
+            k = math.ceil(cand.size * _SET_ASIDE_SHARE)
+            chosen = cand[np.argpartition(live_deg[cand], k - 1)[:k]]
+            on = col_rows[_runs(col_start, col_deg, chosen)]
+            group = np.arange(k).repeat(col_deg[chosen])
+            keep = live[on]
+            on, group = on[keep], group[keep]
+            # each row goes to the last chosen column on it, and each column
+            # keeps the first row it got
+            owner[on] = -1
+            np.maximum.at(owner, on, group)
+            mine = owner[on] == group
+            on, group = on[mine], group[mine]
+            rows = on[np.concatenate(([False], group[1:] == group[:-1]))]
+            aside.append(rows)
+        live[rows] = False
+        np.subtract.at(live_deg, col[_runs(row_start, row_size, rows)], 1)
+    aside.append(live.nonzero()[0])  # the zero rows, on no column
+    aside = np.concatenate(aside)
+
+    check_work("core elimination", row_size.size * aside.size)
+    bit = np.arange(aside.size)
+    mask = np.zeros((row_size.size, -(-aside.size // 64)), dtype="<u8")
+    mask[aside, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
+
+    def xor_on(cols):
+        """One row per column of cols: the XOR of the masks of the rows on it."""
+        deg = col_deg[cols]
+        return np.bitwise_xor.reduceat(mask[col_rows[_runs(col_start, col_deg, cols)]],
+                                       deg.cumsum() - deg, axis=0)
+
+    free = col_deg > 0  # the occupied columns that are no pivot
+    for cols, rows in rounds:
+        mask[rows] = xor_on(cols)
+        free[cols] = False
+    free = free.nonzero()[0]
+    constraints = xor_on(free) if free.size else mask[:0]
+    return stats, aside.size - _packed_rank(constraints, aside.size), aside.size
+
+
+def _packed_rank(rows: np.ndarray, n_bits: int) -> int:
+    """GF(2) rank of rows packed as little-endian uint64 words, bit i of a
+    row in word i // 64; each nonzero row enters a ``RankState`` as one int."""
+    rows = rows[rows.any(axis=1)]
+    state = RankState(n_bits)
+    for row in rows:
+        state.absorb(int.from_bytes(row.tobytes(), "little"))
+    return len(rows) - state.corank
 
 
 def corank(matrix: GF2Matrix) -> int:

@@ -678,15 +678,22 @@ def test_simulate_dense_with_csv(tmp_path):
                 assert header[0].split(",")[:4] == ["experiment", "n", "trial", "seed"], mode
 
 
-def test_simulate_core_csv_keeps_columns_of_later_records(tmp_path):
+def test_simulate_core_csv_keeps_columns_of_later_records(tmp_path, schema):
     # only trials at n <= 5000 check the corank, so only they carry has_null
+    # and set_aside
     csv_path = tmp_path / "core.csv"
     run_ok("simulate", "--exp", "core", "--rho", "r=3", "-n", "6000", "-n", "100",
            "--trials", "1", "--threads", "1", "--csv", str(csv_path))
     with open(csv_path, newline="", encoding="utf-8") as fh:
         next(fh)
         rows = list(csv.DictReader(fh))
-    assert [(r["n"], r["has_null"]) for r in rows] == [("6000", ""), ("100", "1")]
+    assert [(r["n"], r["has_null"], r["set_aside"] == "") for r in rows] == [
+        ("6000", "", True), ("100", "1", False)]
+    assert 1 <= int(rows[1]["set_aside"]) <= int(rows[1]["core_rows"])
+    for row in rows:
+        record = {k: v if k == "experiment" else (float(v) if k == "eps_max" else int(v))
+                  for k, v in row.items() if v != ""}
+        validate_def(record, schema, "core_trial_record")
 
 
 def test_simulate_parses_rho_only_where_the_experiment_reads_it():

@@ -171,6 +171,7 @@ def test_core_trial_has_null_matches_full_rankstate():
                         for row in mat.rows:
                             state.absorb(row)
                         assert rec["has_null"] == int(state.corank > 0), (dist, model, n, alpha, seed)
+                        assert state.corank <= rec["set_aside"] <= rec["core_rows"]
                         stats = peel_2core(Hypergraph.from_matrix(mat))
                         assert (rec["core_rows"], rec["occupied_cols"]) == (
                             stats.core_rows, stats.occupied_cols)

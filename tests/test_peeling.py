@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.stats
 
 from conftest import core_record, fifo_core, hypergraph, naive_core
 from gf2rank import peeling
-from gf2rank.errors import DimensionMismatch, InvalidParam
+from gf2rank.errors import WORK_BUDGET, DimensionMismatch, InvalidParam, TooLarge
 from gf2rank.gf2 import GF2Matrix, RankState, enumerate_null_vectors, row_from_cols
 from gf2rank.peeling import (
     CoreStats,
@@ -17,7 +18,7 @@ from gf2rank.peeling import (
     peel_2core,
 )
 from gf2rank.sampling import SampleConfig, sample_matrix
-from gf2rank.thresholds import alpha_bar, alpha_sharp, alpha_star, core_theory
+from gf2rank.thresholds import alpha_bar, alpha_sharp, alpha_star, core_theory, discontinuities
 from gf2rank.verification import FIG1_RHO, FIG2_RHO
 from gf2rank.weights import WeightDist, parse_rho
 
@@ -243,25 +244,30 @@ def full_corank(mat):
 
 
 def test_corank_matches_full_rankstate():
+    # alpha on both sides of alpha_sharp, of each jump of g_star (the first
+    # is at alpha_sharp) and of alpha_bar, and well above 1, where the rank
+    # of the core is full
     checked = 0
-    for spec in ("r=1", "r=2", "r=3", FIG1_RHO, "0.5:1,0.5:3"):
+    for spec in ("r=1", "r=2", "r=3", FIG1_RHO, FIG2_RHO, "0.9325:3,0.0675:44", "0.5:1,0.5:3"):
         dist = parse_rho(spec)
         a_star = alpha_star(dist)
-        alphas = [0.3, 1.0, 1.5]
+        alphas = [0.3, 1.0, 1.2, 1.5]
         if a_star > 0.02:
             alphas.append(a_star - 0.02)
+        for jump in [alpha_sharp(dist)[0]] + [a for a, _, _ in discontinuities(dist)[1:]]:
+            alphas += [jump - 0.005, jump + 0.005]
         if dist.min_weight >= 3:
-            alphas.append(alpha_bar(dist) + 0.02)
+            alphas += [alpha_bar(dist) - 0.005, alpha_bar(dist) + 0.02]
         for model in ("exact", "binomial"):
             for n in (1, 17, 150, 600):
                 if n == 1 and model == "binomial" and spec == "r=2":
                     continue  # no nonempty row exists; SampleConfig refuses it
-                for alpha in alphas:
+                for alpha in sorted(a for a in set(alphas) if a > 0):
                     for seed in (1, 2):
                         mat = sample_matrix(SampleConfig(n, round(alpha * n), dist, model, seed))
                         assert corank(mat) == full_corank(mat), (spec, model, n, alpha, seed)
                         checked += 1
-    assert checked > 300
+    assert checked > 900
 
 
 def test_corank_edge_cases():
@@ -285,32 +291,58 @@ def test_eliminate_core_matches_peel_and_full_rankstate(rng):
         state = RankState(n)
         for e in edges:
             state.absorb(row_from_cols(e))
-        stats, sigma = eliminate_core(hypergraph(n, edges))
+        stats, sigma, _ = eliminate_core(hypergraph(n, edges))
         assert stats == peel_2core(hypergraph(n, edges))
         assert sigma == state.corank
 
 
-def test_eliminate_core_stops_once_rank_is_full(monkeypatch):
-    # the four triples of four columns have full rank; every row after them
-    # is dependent and is counted without being absorbed
-    absorbed = []
+FANO_LINES = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
-    class CountingRankState(RankState):
-        def absorb(self, row):
-            absorbed.append(row)
-            return super().absorb(row)
 
-    monkeypatch.setattr(peeling, "RankState", CountingRankState)
-    mat = GF2Matrix.from_cols(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)] * 5 + [(0, 1), (2, 3)])
-    assert corank(mat) == full_corank(mat) == 18
-    assert len(absorbed) == 4
-    # sampled matrices whose core rank fills up before the last core row
-    stopped = 0
-    for spec, alpha in (("r=3", 1.2), ("r=3", 1.5), (FIG1_RHO, 1.2)):
-        for seed in (1, 2, 3):
-            mat = sample_matrix(SampleConfig(300, round(alpha * 300), parse_rho(spec), seed=seed))
-            absorbed.clear()
-            stats, sigma = eliminate_core(Hypergraph.from_matrix(mat))
-            assert sigma == full_corank(mat), (spec, alpha, seed)
-            stopped += len(absorbed) < stats.core_rows
-    assert stopped > 0
+def test_eliminate_core_hand_cores():
+    cases = {
+        # every column has degree 3: the first set-aside round sets aside 2
+        # rows, a later one 1 row at a column of live degree 2; the rank is 4
+        "fano": (7, FANO_LINES, 3, 3),
+        # copies of one row: every constraint vanishes, so corank = |S|
+        "copies": (5, [(0, 1, 2)] * 4 + [(3, 4)] * 3, 5, 5),
+        # the zero rows of the core stay live to the end and are set aside last
+        "zero-rows": (3, [(), (0, 1), (), (0, 1), (1, 2), (0, 2)], 4, 4),
+        "only-zero-rows": (2, [(), ()], 2, 2),
+        # all ten triples of five columns: 7 rows set aside, and two of
+        # the constraints on them are independent
+        "triples-of-5": (5, list(itertools.combinations(range(5), 3)), 5, 7),
+    }
+    for name, (n, edges, want, want_aside) in cases.items():
+        stats, sigma, set_aside = eliminate_core(hypergraph(n, edges))
+        assert sigma == want == full_corank(GF2Matrix.from_cols(n, edges)), name
+        assert stats.core_rows == len(edges), name
+        assert set_aside == want_aside, name
+
+
+def test_core_elimination_budget_counts_the_set_aside_rows(monkeypatch):
+    # 100 copies of a one-column row: 100 core rows x 1 occupied column pass
+    # the check after the peel, 100 x 99 set-aside rows are refused before
+    # the masks are allocated
+    monkeypatch.setitem(WORK_BUDGET, "core elimination", (WORK_BUDGET["core elimination"][0], 1000))
+    mat = GF2Matrix.from_cols(1, [(0,)] * 100)
+    with pytest.raises(TooLarge, match="= 9900 exceeds the budget 1000"):
+        corank(mat)
+    assert corank(GF2Matrix.from_cols(1, [(0,)] * 10)) == 9
+
+
+@pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 128, 200])
+def test_packed_rank_matches_rankstate(n_bits):
+    rng = np.random.default_rng(n_bits)
+    for n_rows in (0, 1, n_bits // 2, n_bits, n_bits + 7):
+        for density in (0.02, 0.5):
+            bits = rng.random((n_rows, n_bits)) < density
+            if n_rows > 2:
+                bits[-1] = bits[0] ^ bits[1]  # one dependent row at least
+            words = -(-n_bits // 64)
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            packed = np.pad(packed, ((0, 0), (0, 8 * words - packed.shape[1]))).view("<u8")
+            state = RankState(n_bits)
+            for row in bits:
+                state.absorb(row_from_cols(row.nonzero()[0].tolist()))
+            assert peeling._packed_rank(packed, n_bits) == n_rows - state.corank
