@@ -120,30 +120,55 @@ def _runs(start: np.ndarray, size: np.ndarray, ids: np.ndarray) -> np.ndarray:
     after another in the order of ids; ids is not empty."""
     k = size[ids]
     ends = k.cumsum()
-    return (start[ids] + k - ends).repeat(k) + np.arange(ends[-1])
+    runs = (start[ids] + k - ends).repeat(k)
+    runs += np.arange(ends[-1])
+    return runs
 
 
-def _peel(h: Hypergraph) -> Tuple[CoreStats, np.ndarray]:
-    """``peel_2core``, also returning which edges are in the core."""
-    degree = h.vertex_degree
-    edge_xor = h._edge_xor
-    cols, start, size = h._cols, h._row_start, h._size
-    alive = np.ones(size.size, dtype=bool)
+def _delete(h: Hypergraph, alive: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Delete the alive edges dead, each listed once: lower the degrees and
+    edge-id XORs of their vertices, and return those vertices."""
+    touched = h._cols[_runs(h._row_start, h._size, dead)]
+    np.subtract.at(h.vertex_degree, touched, 1)
+    np.bitwise_xor.at(h._edge_xor, touched, dead.repeat(h._size[dead]))
+    alive[dead] = False
+    return touched
 
-    frontier = (degree == 1).nonzero()[0]
+
+def _peel(h: Hypergraph, alive: np.ndarray, frontier: np.ndarray, owner: np.ndarray,
+          rounds=None) -> None:
+    """Peel from the degree-1 vertices in frontier to termination.
+
+    Each round deletes the alive edge of every frontier vertex.  An edge that
+    several of them meet, or a vertex listed twice, is taken once: each
+    frontier entry writes its position into ``owner`` at its edge, and the
+    one position read back keeps the edge and gives it its pivot vertex.
+    The touched vertices left at degree 1 are the next frontier.  If rounds
+    is a list, each round appends (pivot vertices, their edges) to it.
+    """
+    degree, edge_xor = h.vertex_degree, h._edge_xor
     while frontier.size:
         ids = edge_xor[frontier]
-        ids.sort()
-        dead = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]  # each edge once
-        alive[dead] = False
-        touched = cols[_runs(start, size, dead)]
-        np.subtract.at(degree, touched, 1)
-        np.bitwise_xor.at(edge_xor, touched, dead.repeat(size[dead]))
+        pos = np.arange(frontier.size)
+        owner[ids] = pos
+        first = owner[ids] == pos
+        frontier, ids = frontier[first], ids[first]
+        if rounds is not None:
+            rounds.append((frontier, ids))
+        touched = _delete(h, alive, ids)
         frontier = touched[degree[touched] == 1]
 
+
+def _peel_2core(h: Hypergraph) -> Tuple[CoreStats, np.ndarray, np.ndarray]:
+    """``peel_2core``, also returning which edges are alive and the owner
+    array of the peel, for ``eliminate_core`` to peel on with."""
+    alive = np.ones(h._size.size, dtype=bool)
+    owner = np.empty(h._size.size, dtype=np.intp)
+    degree = h.vertex_degree
+    _peel(h, alive, (degree == 1).nonzero()[0], owner)
     core_ids = alive.nonzero()[0]
-    return CoreStats(tuple(core_ids.tolist()), _histogram(size[core_ids]),
-                     _histogram(degree[degree > 0])), alive
+    return CoreStats(tuple(core_ids.tolist()), _histogram(h._size[core_ids]),
+                     _histogram(degree[degree > 0])), alive, owner
 
 
 def peel_2core(h: Hypergraph) -> CoreStats:
@@ -155,7 +180,7 @@ def peel_2core(h: Hypergraph) -> CoreStats:
     hypergraph is consumed (``vertex_degree`` holds the terminal degrees
     afterwards).
     """
-    return _peel(h)[0]
+    return _peel_2core(h)[0]
 
 
 # Each set-aside round takes this share of the live core columns, least live
@@ -168,90 +193,134 @@ _SET_ASIDE_SHARE = 0.02
 def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int, int]:
     """Peel h to its 2-core and return (stats, corank of h's edges, |S|).
 
-    The core is peeled on in rounds.  A round with degree-1 columns peels
-    the one live row of each; a row that several of them meet keeps one as
-    its pivot, the column an owner array holds after a scatter.  A round
-    without one sets rows aside at the least-degree ``_SET_ASIDE_SHARE`` of
-    the live columns: each live row on them goes to the last of them it
-    meets, and each of them keeps the first row it got and sets aside the
-    rest.  The zero rows of the core are set aside at the end.
+    The core is peeled on by ``_peel``, which records each round's pivots.
+    Where no column has degree 1, a round sets rows aside at the
+    least-degree ``_SET_ASIDE_SHARE`` of the live columns: each live row on
+    them goes to the last of them it meets, each of them keeps the first
+    row it got and sets aside the rest, and the peel goes on from the
+    columns left at degree 1.  The zero rows of the core are set aside at
+    the end.
 
     The set-aside rows S are the free coordinates of a left null vector y
     of the core.  A peeled row's pivot column meets no row peeled after it,
     so its y is the XOR of those of the other rows on that column.  The
-    replay of the peel rounds gives each core row its y as an |S|-bit mask,
-    a set-aside row's being its own bit.  Every occupied column that is no
-    pivot asks that the masks of its rows XOR to zero, and the corank is
+    replay of the peel rounds gives each peeled row its y as an |S|-bit
+    mask; a set-aside row's is its own bit.  Every occupied column that is
+    no pivot asks that the masks of its rows XOR to zero, and the corank is
     |S| minus the rank of those constraints (``_packed_rank``).  The
-    hypergraph is consumed, as by ``peel_2core``.  The "core elimination"
-    work budget is checked after the peel, on core rows x occupied
-    columns, and before the masks are allocated, on core rows x |S|.
-    """
-    stats, alive = _peel(h)
-    col_deg = h.vertex_degree
-    check_work("core elimination", stats.core_rows * np.count_nonzero(col_deg))
-    # the core rows, numbered 0..R-1 in edge order: each row's columns from
-    # row_start, each column's rows from col_start
-    row_size = h._size[alive]
-    row_start = np.concatenate(([0], row_size.cumsum()))
-    col = h._cols[alive.repeat(h._size)]
-    col_start = np.concatenate(([0], col_deg.cumsum()))
-    col_rows = np.arange(row_size.size).repeat(row_size)[col.argsort()]
+    hypergraph is consumed, as by ``peel_2core``.
 
-    live = np.ones(row_size.size, dtype=bool)
-    live_deg = col_deg.copy()
-    owner = np.empty(row_size.size, dtype=np.intp)
+    The peeled rows' masks and the constraints share one table of |S|-bit
+    rows, one per occupied column.  The "core elimination" work budget is
+    checked after the peel, on core rows x occupied columns, which bounds
+    that table, and again before it is allocated, on core rows x |S|.
+    Each set-aside row's bit is scattered into the rows of the columns it
+    meets, and the peeled rows on a column are gathered, for runs of
+    columns of at most R core rows in all: no temporary outgrows R x |S|
+    bits, and a set-aside row costs one bit, not |S|, where it meets a
+    column.
+    """
+    stats, alive, owner = _peel_2core(h)
+    degree = h.vertex_degree
+    n_core = stats.core_rows
+    check_work("core elimination", n_core * np.count_nonzero(degree))
+    # each occupied column's core rows in edge order, from col_start: one
+    # sort of the distinct keys column x m + row.  They stay below
+    # n_vertices x m, inside int64 for any matrix that fits in memory.
+    # col_deg keeps the core degrees while the peel below lowers
+    # vertex_degree.
+    m = alive.size
+    col_deg = degree.copy()
+    col_start = np.concatenate(([0], col_deg.cumsum()))
+    core = alive.nonzero()[0]
+    col_rows = h._cols[alive.repeat(h._size)] * m
+    col_rows += core.repeat(h._size[core])
+    col_rows.sort()
+    col_rows %= m
+
     rounds, aside = [], []  # (pivots, their rows) of each peel round; set-aside rows
+    live = col_deg.nonzero()[0]
     while True:
-        frontier = (live_deg == 1).nonzero()[0]
-        if frontier.size:
-            on = col_rows[_runs(col_start, col_deg, frontier)]
-            rows = on[live[on]]  # the one live row of each frontier column
-            owner[rows] = frontier  # the other columns of a row go to 0 and constrain
-            first = owner[rows] == frontier
-            frontier, rows = frontier[first], rows[first]
-            rounds.append((frontier, rows))
-        else:
-            cand = live_deg.nonzero()[0]
-            if not cand.size:
-                break
-            k = math.ceil(cand.size * _SET_ASIDE_SHARE)
-            chosen = cand[np.argpartition(live_deg[cand], k - 1)[:k]]
-            on = col_rows[_runs(col_start, col_deg, chosen)]
-            group = np.arange(k).repeat(col_deg[chosen])
-            keep = live[on]
-            on, group = on[keep], group[keep]
-            # each row goes to the last chosen column on it, and each column
-            # keeps the first row it got
-            owner[on] = -1
-            np.maximum.at(owner, on, group)
-            mine = owner[on] == group
-            on, group = on[mine], group[mine]
-            rows = on[np.concatenate(([False], group[1:] == group[:-1]))]
-            aside.append(rows)
-        live[rows] = False
-        np.subtract.at(live_deg, col[_runs(row_start, row_size, rows)], 1)
-    aside.append(live.nonzero()[0])  # the zero rows, on no column
+        live = live[degree[live] > 0]
+        if not live.size:
+            break
+        k = math.ceil(live.size * _SET_ASIDE_SHARE)
+        chosen = live[np.argpartition(degree[live], k - 1)[:k]]
+        on = col_rows[_runs(col_start, col_deg, chosen)]
+        group = np.arange(k).repeat(col_deg[chosen])
+        keep = alive[on]
+        on, group = on[keep], group[keep]
+        owner[on] = -1
+        np.maximum.at(owner, on, group)
+        mine = owner[on] == group
+        on, group = on[mine], group[mine]
+        rows = on[np.concatenate(([False], group[1:] == group[:-1]))]
+        aside.append(rows)
+        touched = _delete(h, alive, rows)
+        _peel(h, alive, touched[degree[touched] == 1], owner, rounds)
+    aside.append(alive.nonzero()[0])  # the zero rows, on no column
     aside = np.concatenate(aside)
 
-    check_work("core elimination", row_size.size * aside.size)
-    bit = np.arange(aside.size)
-    mask = np.zeros((row_size.size, -(-aside.size // 64)), dtype="<u8")
-    mask[aside, bit >> 6] = np.uint64(1) << (bit & 63).astype(np.uint64)
-
-    def xor_on(cols):
-        """One row per column of cols: the XOR of the masks of the rows on it."""
-        deg = col_deg[cols]
-        return np.bitwise_xor.reduceat(mask[col_rows[_runs(col_start, col_deg, cols)]],
-                                       deg.cumsum() - deg, axis=0)
-
-    free = col_deg > 0  # the occupied columns that are no pivot
-    for cols, rows in rounds:
-        mask[rows] = xor_on(cols)
-        free[cols] = False
+    check_work("core elimination", n_core * aside.size)
+    # The table has a row per peeled row, its mask, and then a row per
+    # column that is no pivot, its constraint: dest is each column's row.
+    pivots = np.concatenate([cols for cols, _ in rounds] + [aside[:0]])
+    peeled = np.concatenate([rows for _, rows in rounds] + [aside[:0]])
+    free = col_deg > 0
+    free[pivots] = False
     free = free.nonzero()[0]
-    constraints = xor_on(free) if free.size else mask[:0]
-    return stats, aside.size - _packed_rank(constraints, aside.size), aside.size
+    dest = np.empty(col_deg.size, dtype=np.intp)
+    dest[pivots] = np.arange(pivots.size)
+    dest[free] = np.arange(pivots.size, pivots.size + free.size)
+    words = -(-aside.size // 64)
+    table = np.zeros((pivots.size + free.size, words), dtype="<u8")
+    # a set-aside row's mask is its own bit: scatter it into the rows of the
+    # columns it meets, for runs of columns of at most n_core rows in all
+    is_aside = np.zeros(m, dtype=bool)
+    is_aside[aside] = True
+    bit = np.empty(m, dtype=np.intp)
+    bit[aside] = np.arange(aside.size)
+    lo = 0
+    while lo < col_deg.size:
+        hi = col_start.searchsorted(col_start[lo] + n_core, side="right") - 1
+        rows = col_rows[col_start[lo]:col_start[hi]]
+        at = np.arange(lo, hi).repeat(col_deg[lo:hi])
+        a = is_aside[rows]
+        b = bit[rows[a]]
+        np.bitwise_xor.at(table.reshape(-1), dest[at[a]] * words + (b >> 6),
+                          np.uint64(1) << (b & 63).astype(np.uint64))
+        lo = hi
+    # each column's peeled rows, as rows of the table
+    place = np.empty(m, dtype=np.intp)
+    place[peeled] = np.arange(peeled.size)
+    a = ~is_aside[col_rows]
+    p_start = np.concatenate(([0], a.cumsum()))[col_start]
+    p_deg = np.diff(p_start)
+    p_rows = place[col_rows[a]]
+
+    def xor_peeled(cols):
+        """One row per column of cols, each met by a peeled row: the XOR of
+        the table rows of its peeled rows, gathered for runs of columns of
+        at most n_core rows in all."""
+        out = np.empty((cols.size, words), dtype="<u8")
+        deg = p_deg[cols]
+        ends = deg.cumsum()
+        first = ends - deg
+        lo = 0
+        while lo < cols.size:
+            hi = ends.searchsorted(first[lo] + n_core, side="right")
+            rows = p_rows[_runs(p_start, p_deg, cols[lo:hi])]
+            out[lo:hi] = np.bitwise_xor.reduceat(table[rows], first[lo:hi] - first[lo], axis=0)
+            lo = hi
+        return out
+
+    # A pivot's peeled rows are its own, whose row holds its set-aside bits
+    # so far, and rows peeled before it, whose masks are final.
+    for cols, _ in rounds:
+        table[dest[cols]] = xor_peeled(cols)
+    met = free[p_deg[free] > 0]
+    table[dest[met]] ^= xor_peeled(met)
+    return stats, aside.size - _packed_rank(table[pivots.size:], aside.size), aside.size
 
 
 def _packed_rank(rows: np.ndarray, n_bits: int) -> int:

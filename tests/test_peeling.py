@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,32 @@ def test_core_elimination_budget_counts_the_set_aside_rows(monkeypatch):
     with pytest.raises(TooLarge, match="= 9900 exceeds the budget 1000"):
         corank(mat)
     assert corank(GF2Matrix.from_cols(1, [(0,)] * 10)) == 9
+
+
+def dense_rows(rng, m, n):
+    return [tuple((rng.random(n) < 0.5).nonzero()[0].tolist()) for _ in range(m)]
+
+
+@pytest.mark.parametrize("name", ["heavy-copies", "dense-2n"])
+def test_eliminate_core_memory_stays_near_its_inputs(name):
+    # Nearly every core row is set aside in the first round here, so |S| is
+    # close to the core rows and the free columns are nearly all columns,
+    # each of core degree in the hundreds.  The kernel's peak allocation
+    # stays within 8 words per core incidence, two mask tables (core rows x
+    # |S| bits) and 4 words per column; gathering the masks of every
+    # incidence on the free columns at once took 1.5-3.8 times that.
+    rng = np.random.default_rng(7)
+    n, edges = {"heavy-copies": (40, [tuple(range(40))] * 2000),
+                "dense-2n": (300, dense_rows(rng, 600, 300))}[name]
+    h = hypergraph(n, edges)
+    tracemalloc.start()
+    try:
+        stats, sigma, set_aside = eliminate_core(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sigma == full_corank(GF2Matrix.from_cols(n, edges))
+    assert peak <= 64 * stats.incidences + 2 * stats.core_rows * set_aside // 8 + 32 * n + 65536
 
 
 @pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 128, 200])
