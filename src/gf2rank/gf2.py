@@ -12,9 +12,10 @@ even for thousands of columns.
 classical and dense trials absorb their rows into one in drawing order.
 The corank kernel lives in ``peeling`` (``eliminate_core``, behind
 ``corank``): it peels a matrix's 2-core down to a small dense system over
-the rows it sets aside, whose rows enter a ``RankState`` as ints read from
-packed words.  A ``RankState`` fed every row of the matrix is the
-independent route the tests check that kernel by.
+the rows it sets aside and ranks that system in packed ``uint64`` words,
+by Four-Russians elimination, with no int rows and no ``RankState``.  A
+``RankState`` fed every row of the matrix is the independent route the
+tests check that kernel by.
 """
 
 from __future__ import annotations

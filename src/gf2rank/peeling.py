@@ -25,7 +25,9 @@ rows aside where no column has degree 1.  A replay of the rounds writes
 each core row's coefficient in a left null vector as a mask over the
 set-aside rows S, in packed ``uint64`` words, and the corank is |S| minus
 the rank of the small dense system that the other columns ask of those
-masks.  ``corank`` reads the corank from it, and the ``core`` experiment
+masks.  That rank is taken on the packed words by Four-Russians
+elimination over byte strips (``_packed_rank``); no row becomes a Python
+int.  ``corank`` reads the corank from it, and the ``core`` experiment
 reads the core statistics, the corank and |S| from one call.  A
 ``RankState`` fed every row of the matrix is the independent route that
 the tests compare it with.
@@ -40,7 +42,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidParam, check_work
-from .gf2 import GF2Matrix, RankState
+from .gf2 import GF2Matrix
 
 
 class Hypergraph:
@@ -184,9 +186,12 @@ def peel_2core(h: Hypergraph) -> CoreStats:
 
 
 # Each set-aside round takes this share of the live core columns, least live
-# degree first.  Chosen by measurement on r=3 and FIG1 cores at n = 10^4 and
-# 10^5: a larger share sets aside more rows, and the dense step grows with
-# them; a smaller one adds rounds, each a fixed cost.
+# degree first.  A larger share sets aside more rows, and the dense step
+# grows with them; a smaller one adds rounds, each a fixed cost.  Median
+# corank per matrix at alpha = 0.95 for shares 0.02 / 0.03 / 0.05 (2 CPUs):
+# r=3 10.4 / 10.0 / 9.7 ms and FIG1 9.3 / 9.4 / 9.8 ms at n = 10^4 (8 seeds),
+# r=3 550 / 480 / 600 ms and FIG1 300 / 331 / 708 ms at n = 10^5 (3 seeds).
+# No share is fastest on all four; FIG1 is fastest at 0.02 on both.
 _SET_ASIDE_SHARE = 0.02
 
 
@@ -215,10 +220,14 @@ def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int, int]:
     checked after the peel, on core rows x occupied columns, which bounds
     that table, and again before it is allocated, on core rows x |S|.
     Each set-aside row's bit is scattered into the rows of the columns it
-    meets, and the peeled rows on a column are gathered, for runs of
-    columns of at most R core rows in all: no temporary outgrows R x |S|
-    bits, and a set-aside row costs one bit, not |S|, where it meets a
-    column.
+    meets, for runs of columns of at most R core rows in all.  The pivots
+    are numbered in peel order, so each round owns a run of table rows:
+    the replay lists the peeled rows of every column once, and each round
+    is one gather of their masks and one ``np.bitwise_xor.reduceat`` into
+    its run, split where it would gather more than R rows.  No temporary
+    outgrows R x |S| bits, and a set-aside row costs one bit, not |S|,
+    where it meets a column.  The constraints are ranked in the packed
+    words (``_packed_rank``).
     """
     stats, alive, owner = _peel_2core(h)
     degree = h.vertex_degree
@@ -264,11 +273,19 @@ def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int, int]:
     check_work("core elimination", n_core * aside.size)
     # The table has a row per peeled row, its mask, and then a row per
     # column that is no pivot, its constraint: dest is each column's row.
+    # The free columns met by a peeled row come first.
     pivots = np.concatenate([cols for cols, _ in rounds] + [aside[:0]])
     peeled = np.concatenate([rows for _, rows in rounds] + [aside[:0]])
+    is_aside = np.zeros(m, dtype=bool)
+    is_aside[aside] = True
+    is_peeled = ~is_aside[col_rows]
+    p_start = np.concatenate(([0], is_peeled.cumsum()))[col_start]
+    p_deg = np.diff(p_start)
     free = col_deg > 0
     free[pivots] = False
     free = free.nonzero()[0]
+    met = free[p_deg[free] > 0]
+    free = np.concatenate((met, free[p_deg[free] == 0]))
     dest = np.empty(col_deg.size, dtype=np.intp)
     dest[pivots] = np.arange(pivots.size)
     dest[free] = np.arange(pivots.size, pivots.size + free.size)
@@ -276,8 +293,6 @@ def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int, int]:
     table = np.zeros((pivots.size + free.size, words), dtype="<u8")
     # a set-aside row's mask is its own bit: scatter it into the rows of the
     # columns it meets, for runs of columns of at most n_core rows in all
-    is_aside = np.zeros(m, dtype=bool)
-    is_aside[aside] = True
     bit = np.empty(m, dtype=np.intp)
     bit[aside] = np.arange(aside.size)
     lo = 0
@@ -290,47 +305,127 @@ def eliminate_core(h: Hypergraph) -> Tuple[CoreStats, int, int]:
         np.bitwise_xor.at(table.reshape(-1), dest[at[a]] * words + (b >> 6),
                           np.uint64(1) << (b & 63).astype(np.uint64))
         lo = hi
-    # each column's peeled rows, as rows of the table
+    # The replay.  Table row i belongs to column i of pivots + met, so
+    # each round owns the run of rows after the previous one's, and the
+    # met columns are the last run.  A pivot's peeled rows are its own,
+    # whose row holds its set-aside bits so far, and rows peeled before it,
+    # whose masks are final; a met column's rows are all peeled before it.
+    # The peeled rows of every column are gathered once, as table rows in
+    # column order; a run is XORed in pieces of at most n_core of them.
     place = np.empty(m, dtype=np.intp)
     place[peeled] = np.arange(peeled.size)
-    a = ~is_aside[col_rows]
-    p_start = np.concatenate(([0], a.cumsum()))[col_start]
-    p_deg = np.diff(p_start)
-    p_rows = place[col_rows[a]]
-
-    def xor_peeled(cols):
-        """One row per column of cols, each met by a peeled row: the XOR of
-        the table rows of its peeled rows, gathered for runs of columns of
-        at most n_core rows in all."""
-        out = np.empty((cols.size, words), dtype="<u8")
-        deg = p_deg[cols]
-        ends = deg.cumsum()
-        first = ends - deg
-        lo = 0
-        while lo < cols.size:
-            hi = ends.searchsorted(first[lo] + n_core, side="right")
-            rows = p_rows[_runs(p_start, p_deg, cols[lo:hi])]
-            out[lo:hi] = np.bitwise_xor.reduceat(table[rows], first[lo:hi] - first[lo], axis=0)
+    p_rows = place[col_rows[is_peeled]]
+    order = np.concatenate((pivots, met))
+    if order.size:
+        ids = p_rows[_runs(p_start, p_deg, order)]
+        ends = p_deg[order].cumsum()
+        first = ends - p_deg[order]
+    lo = 0
+    for end in np.cumsum([cols.size for cols, _ in rounds] + [met.size]).tolist():
+        while lo < end:
+            hi = end
+            if ends[hi - 1] - first[lo] > n_core:
+                hi = ends.searchsorted(first[lo] + n_core, side="right")
+            out = np.bitwise_xor.reduceat(table.take(ids[first[lo]:ends[hi - 1]], axis=0),
+                                          first[lo:hi] - first[lo], axis=0)
+            if lo >= pivots.size:
+                out ^= table[lo:hi]
+            table[lo:hi] = out
             lo = hi
-        return out
-
-    # A pivot's peeled rows are its own, whose row holds its set-aside bits
-    # so far, and rows peeled before it, whose masks are final.
-    for cols, _ in rounds:
-        table[dest[cols]] = xor_peeled(cols)
-    met = free[p_deg[free] > 0]
-    table[dest[met]] ^= xor_peeled(met)
     return stats, aside.size - _packed_rank(table[pivots.size:], aside.size), aside.size
+
+
+def _gray_walk(k: int) -> np.ndarray:
+    """Which of [zero row, pivot 0, ..., pivot k-1] step i of the binary
+    Gray code over k pivots XORs in: step i flips the lowest set bit of i."""
+    return np.array([0] + [(i & -i).bit_length() for i in range(1, 1 << k)])
+
+
+_GRAY_WALK = tuple(_gray_walk(k) for k in range(9))
+# A strip is cleared in pieces of rows of this many words (256 KiB), so that
+# the gathered combinations stay in cache while they are XORed in.
+_PIECE_WORDS = 1 << 15
+# Each strip looks for its pivots among this many rows before it takes the
+# distinct byte values of all of them.
+_HEAD = 16
+
+
+def _strip_pivots(strip: np.ndarray, lo: int) -> list:
+    """Rows whose bytes in strip form a greedy basis of the byte values in
+    strip: first from the _HEAD rows from lo, then one row per distinct
+    value that is not yet spanned.  At most 8 rows."""
+    basis, at = [0] * 8, []
+
+    def spans(v):
+        while v:
+            top = v.bit_length() - 1
+            if not basis[top]:
+                basis[top] = v
+                return False
+            v ^= basis[top]
+        return True
+
+    for i, v in enumerate(strip[lo:lo + _HEAD].tolist(), lo):
+        if not spans(v):
+            at.append(i)
+            if len(at) == 8:
+                return at
+    present = np.zeros(256, dtype=bool)
+    present[strip] = True
+    for v in present.nonzero()[0].tolist():
+        if not spans(v):
+            at.append(int((strip == v).argmax()))
+            if len(at) == 8:
+                break
+    return at
 
 
 def _packed_rank(rows: np.ndarray, n_bits: int) -> int:
     """GF(2) rank of rows packed as little-endian uint64 words, bit i of a
-    row in word i // 64; each nonzero row enters a ``RankState`` as one int."""
-    rows = rows[rows.any(axis=1)]
-    state = RankState(n_bits)
-    for row in rows:
-        state.absorb(int.from_bytes(row.tobytes(), "little"))
-    return len(rows) - state.corank
+    row in word i // 64; rows is left as it is.
+
+    Four-Russians elimination (Albrecht, Bard & Hart, "Algorithm 898",
+    ACM TOMS 2010, the M4RI library) over byte strips, 8 columns each, in
+    column order.  A strip's pivots are up to 8 rows whose bytes span every
+    byte value in the strip (``_strip_pivots``).  Their 2^k XOR
+    combinations are built in Gray-code order by one accumulate, a
+    256-entry table maps each byte value to the combination that carries
+    it, and one gather and one XOR clear the strip in every row; a pivot
+    row clears to zero.  Rows are zero before the strip's word, so each
+    word drops its zero rows and the words before it, and the rank is the
+    number of pivots once no row is left.
+    """
+    rank = 0
+    n_bytes = -(-n_bits // 8)
+    table = np.zeros(256, dtype=np.intp)
+    for w in range(rows.shape[1]):
+        rows = rows[rows.any(axis=1)]
+        if not rows.shape[0]:
+            break
+        piece = max(1, _PIECE_WORDS // rows.shape[1])
+        gathered = np.empty((min(piece, rows.shape[0]), rows.shape[1]), dtype=rows.dtype)
+        pivots = np.zeros((9, rows.shape[1]), dtype=rows.dtype)
+        lo = 0  # the pivots taken so far in this word lie before lo
+        for j in range(min(8, n_bytes - 8 * w)):
+            strip = rows.view(np.uint8)[:, j]
+            at = _strip_pivots(strip, lo)
+            if not at:
+                continue
+            k = len(at)
+            rank += k
+            lo = max(at) + 1
+            pivots[1:k + 1] = rows[at]
+            combos = np.bitwise_xor.accumulate(pivots.take(_GRAY_WALK[k], axis=0), axis=0)
+            table[combos.view(np.uint8)[:, j]] = np.arange(1 << k)
+            which = table.take(strip)
+            for i in range(0, rows.shape[0], piece):
+                part = rows[i:i + piece]
+                g = gathered[:part.shape[0]]
+                # with mode "clip", take writes into out without a buffer
+                combos.take(which[i:i + piece], axis=0, out=g, mode="clip")
+                part ^= g
+        rows = rows[:, 1:]
+    return rank
 
 
 def corank(matrix: GF2Matrix) -> int:

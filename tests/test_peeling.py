@@ -358,18 +358,46 @@ def test_eliminate_core_memory_stays_near_its_inputs(name):
     assert peak <= 64 * stats.incidences + 2 * stats.core_rows * set_aside // 8 + 32 * n + 65536
 
 
-@pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 128, 200])
+def packed(bits):
+    """Rows of bools as little-endian uint64 words, bit i in word i // 64."""
+    words = -(-bits.shape[1] // 64)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, 8 * words - packed.shape[1]))).view("<u8")
+
+
+def rankstate_rank(bits):
+    state = RankState(bits.shape[1])
+    for row in bits:
+        state.absorb(row_from_cols(row.nonzero()[0].tolist()))
+    return len(bits) - state.corank
+
+
+@pytest.mark.parametrize("n_bits", [1, 7, 8, 9, 63, 64, 65, 128, 200, 511, 512, 513, 899])
 def test_packed_rank_matches_rankstate(n_bits):
     rng = np.random.default_rng(n_bits)
-    for n_rows in (0, 1, n_bits // 2, n_bits, n_bits + 7):
+    cases = {}
+    # wide, square and tall, at two densities, with one dependent row at least
+    for n_rows in (0, 1, n_bits // 2, n_bits, n_bits + 7, 2 * n_bits):
         for density in (0.02, 0.5):
             bits = rng.random((n_rows, n_bits)) < density
             if n_rows > 2:
-                bits[-1] = bits[0] ^ bits[1]  # one dependent row at least
-            words = -(-n_bits // 64)
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            packed = np.pad(packed, ((0, 0), (0, 8 * words - packed.shape[1]))).view("<u8")
-            state = RankState(n_bits)
-            for row in bits:
-                state.absorb(row_from_cols(row.nonzero()[0].tolist()))
-            assert peeling._packed_rank(packed, n_bits) == n_rows - state.corank
+                bits[-1] = bits[0] ^ bits[1]
+            cases[n_rows, density] = bits
+    # strips of rank below 8: rows from a span of dimension 5, and three
+    # rows repeated
+    n_rows = n_bits + 7
+    basis = (rng.random((5, n_bits)) < 0.5).astype(np.uint8)
+    cases["span-5"] = ((rng.random((n_rows, 5)) < 0.5).astype(np.uint8) @ basis % 2).astype(bool)
+    cases["repeated"] = np.repeat(rng.random((3, n_bits)) < 0.5, [4, 1, n_bits], axis=0)
+    # bytes zeroed in half the rows of each strip, and two strips no row
+    # touches: the first and one in the middle
+    bits = rng.random((n_rows, n_bits)) < 0.5
+    bits &= np.repeat(rng.random((n_rows, -(-n_bits // 8))) < 0.5, 8, axis=1)[:, :n_bits]
+    mid = 8 * (n_bits // 16)
+    bits[:, :8] = bits[:, mid:mid + 8] = False
+    cases["zero-bytes"] = bits
+    for name, bits in cases.items():
+        rows = packed(bits)
+        before = rows.copy()
+        assert peeling._packed_rank(rows, n_bits) == rankstate_rank(bits), name
+        assert (rows == before).all(), name
