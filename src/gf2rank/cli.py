@@ -300,11 +300,15 @@ def cmd_rank(path, n, enum, out):
 def cmd_core(path, rho_spec, n, m, seed, model, eps, out):
     """Peel to the 2-core; report stats next to the limit-law predictions."""
     if rho_spec is not None:
+        if path is not None:
+            raise ParseError("--in and --rho exclude each other: read a matrix or sample one")
         if n is None or m is None:
             raise ParseError("--rho sampling needs -n and -m")
         dist = parse_rho(rho_spec)
         mat = sample_matrix(SampleConfig(n=n, m=m, dist=dist, model=model, seed=seed))
     else:
+        if m is not None:
+            raise ParseError("-m is for --rho sampling; a matrix that is read has its own rows")
         mat = _read_matrix(path, n)
         dist = None
     stats = peel_2core(Hypergraph(mat))

@@ -1,12 +1,13 @@
 """GF(2) matrices in CSR form, incremental rank tracking, null-space enumeration.
 
 A ``GF2Matrix`` keeps its rows as two numpy arrays, every row's columns in
-one flat array and the offsets where each row starts: the form the sampler
-writes and ``peeling`` reads in place.  ``cols`` derives a sorted column
-tuple per row on access, and ``rows`` the bit-packed form: a Python int
-used as a bitset, bit i being column i.  CPython ints give word-packed XOR,
-which keeps elimination at a few hundred nanoseconds per basis operation
-even for thousands of columns.
+one flat array and the offsets where each row starts: the one form the
+sampler writes and the form ``peeling`` reads in place.  ``cols`` derives a
+sorted column tuple per row on access, and ``rows`` the bit-packed form: a
+Python int used as a bitset, bit i being column i.  ``rows`` is the one
+place a sampled row becomes such a mask.  CPython ints give word-packed
+XOR, which keeps elimination at a few hundred nanoseconds per basis
+operation even for thousands of columns.
 
 ``RankState`` is the elimination kernel over int rows.  ``run_Tn`` and the
 classical and dense trials absorb their rows into one in drawing order.
@@ -119,7 +120,15 @@ class GF2Matrix:
 
     @property
     def rows(self) -> List[int]:
-        return [row_from_cols(c) for c in self.cols]
+        """Each row as an int bitmask, bit i being column i; an empty row is 0.
+        The one place a CSR row becomes a mask: one shifted bit per entry,
+        or-ed together over each nonempty row's slice."""
+        rows = np.zeros(self.m, dtype=object)
+        full = np.flatnonzero(np.diff(self.row_start))
+        if full.size:
+            bits = np.left_shift(1, self.col_index.astype(object))
+            rows[full] = np.bitwise_or.reduceat(bits, self.row_start[full])
+        return rows.tolist()
 
     @property
     def m(self) -> int:

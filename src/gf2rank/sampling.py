@@ -29,16 +29,19 @@ over the weights read off the block.  Attempts of one weight are then
 decoded together into one 2-D array of columns: Lemire's products, column
 0 for a bound h = 1, then Floyd's step (a draw already taken gives column
 h - 1) or one column per ball, sorted within each attempt.  From that array
-each attempt becomes an int mask, the form ``run_Tn`` and the
-classical-limit trials absorb, or, for ``sample_matrix``, its run of a flat
-column array at the attempt's offset, the CSR form ``GF2Matrix`` keeps.  A
-binomial row keeps the urns hit an odd number of times, and an empty throw
-yields no row.  Only a Lemire rejection (a low word below 2^32 mod h) ends
-the decoded prefix: the generator is set to that attempt's start,
-``sample_row`` draws the row, and the decoding resumes.  So both routes
-give the rows that successive ``sample_row`` calls would and leave the
-generator where they would, and the seed -> matrix map is unchanged;
-``sample_row`` stays as their test oracle.
+each attempt becomes its run of one flat column array at the attempt's
+offset: CSR, the one form the decoder writes, and the parts join into one
+``GF2Matrix``.  ``sample_matrix`` returns that matrix, and ``sample_rows``
+its ``rows``, the one place a decoded row becomes an int mask, for
+``run_Tn`` and the classical-limit trials to absorb.  A binomial row keeps
+the urns hit an odd number of times, and an empty throw yields no row.
+Only a Lemire rejection (a low word below 2^32 mod h) ends the decoded
+prefix: the generator is set to that attempt's start, ``sample_row`` draws
+the row, its columns join the CSR parts, and the decoding resumes.  So
+``sample_matrix`` and ``sample_rows`` give the rows that successive
+``sample_row`` calls would and leave the generator where they would, and
+the seed -> matrix map is unchanged; ``sample_row`` stays as their test
+oracle.
 """
 
 from __future__ import annotations
@@ -128,57 +131,55 @@ def sample_row(cfg: SampleConfig, rng) -> int:
 
 def sample_rows(cfg: SampleConfig, rng, count: int) -> list:
     """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls, as
-    int bitmasks.
-
-    Decodes ``random_raw`` blocks as numpy's Generator would (see the module
-    docstring) and leaves ``rng`` exactly where those calls would leave it,
-    buffered half-word included.
+    int bitmasks: the ``rows`` of ``_draw``'s matrix.  ``rng`` is left
+    exactly where those calls would leave it, buffered half-word included.
     """
-    rows = []
-    for part in _draw(cfg, rng, count, _masks):
-        rows += part
-    return rows
+    return _draw(cfg, rng, count).rows
 
 
-def _draw(cfg: SampleConfig, rng, count: int, form) -> list:
-    """The rows of ``count`` successive ``sample_row(cfg, rng)`` calls, in
-    parts, each ``form``'s rows of a block of at most ``_BLOCK`` attempts or
-    of one row that ``sample_row`` draws itself.  That is an attempt with a
-    Lemire rejection, and every row for generators other than PCG64 and for
-    n above 2^32 - 1, where numpy leaves the 32-bit draw.  ``rng`` is left
-    where those calls would leave it."""
+def _draw(cfg: SampleConfig, rng, count: int) -> GF2Matrix:
+    """The matrix of ``count`` successive ``sample_row(cfg, rng)`` calls,
+    joined from CSR parts: each the rows of a block of at most ``_BLOCK``
+    attempts, decoded as numpy's Generator would (see the module
+    docstring), or one row that ``sample_row`` draws itself.  That is an
+    attempt with a Lemire rejection, and every row for generators other
+    than PCG64 and for n above 2^32 - 1, where numpy leaves the 32-bit
+    draw.  ``rng`` is left where those calls would leave it."""
+    flats, sizes = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+
     def one():
-        cols = np.array([row_cols(sample_row(cfg, rng))], dtype=np.uint64)
-        return form(cfg, 1, [(np.zeros(1, dtype=np.intp), cols)])[0]
+        cols = row_cols(sample_row(cfg, rng))
+        flats.append(np.array(cols, dtype=np.intp))
+        sizes.append(np.array([len(cols)], dtype=np.intp))
 
     bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64 or cfg.n > _U32:
-        return [one() for _ in range(count)]
-    parts = []
+    blocks = type(bg) is np.random.PCG64 and cfg.n <= _U32
     while count:
-        start = bg.state
-        part, got, used, has, half = _decode_block(cfg, bg, min(count, _BLOCK), start["has_uint32"],
-                                                   start["uinteger"], form)
-        parts.append(part)
-        count -= got
-        bg.state = start  # back to the start of the block, then over the words used
-        bg.advance(used)
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = has, half
-        bg.state = state
-        if not used:  # the first attempt has a Lemire rejection
-            parts.append(one())
-            count -= 1
-    return parts
+        if blocks:
+            start = bg.state
+            flat, size, used, has, half = _decode_block(cfg, bg, min(count, _BLOCK), start["has_uint32"],
+                                                        start["uinteger"])
+            flats.append(flat)
+            sizes.append(size)
+            count -= len(size)
+            bg.state = start  # back to the start of the block, then over the words used
+            bg.advance(used)
+            state = bg.state
+            state["has_uint32"], state["uinteger"] = has, half
+            bg.state = state
+            if used:
+                continue
+        one()  # a Lemire rejection at the block's first attempt, or no blocks for this bg or n
+        count -= 1
+    return GF2Matrix.from_csr(cfg.n, np.concatenate(flats), np.concatenate(sizes).cumsum())
 
 
-def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
-    """(rows, row count, words used, has, half) of at most ``count``
+def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int):
+    """(col_index, sizes, words used, has, half) of at most ``count``
     attempts decoded from one block of bg's raw words, up to the first one
-    with a Lemire rejection, where (has, half) is numpy's buffered half-word
-    before and after.  ``form`` (``_masks`` or ``_csr``) turns the columns
-    of the attempts of each weight into rows.  No word is used when the
-    first attempt has a rejection."""
+    with a Lemire rejection, where (col_index, sizes) are ``_csr``'s rows
+    of those attempts and (has, half) is numpy's buffered half-word before
+    and after.  No word is used when the first attempt has a rejection."""
     words, c, k = _place_rows(cfg, bg, count, has)
     # half-word 0 is the one buffered at the block's start; word w holds
     # half-words 2w + 1 (low) and 2w + 2 (high)
@@ -192,7 +193,7 @@ def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
             parts.append((sel, cols))
     f = int(np.argmax(bad)) if bad.any() else len(c)
     if f == 0:
-        return (*form(cfg, 0, []), 0, has, half)
+        return (*_csr(cfg, 0, []), 0, has, half)
     c, d = c[:f], _draws(cfg, k[:f])
     end = int(c[-1] + 2 + d[-1])  # the cursor after the last attempt
     used = (end + 1) >> 1
@@ -204,7 +205,7 @@ def _decode_block(cfg: SampleConfig, bg, count: int, has: int, half: int, form):
     for sel, cols in parts:
         t = int(np.searchsorted(sel, f))
         decoded.append((sel[:t], cols[:t]))
-    return (*form(cfg, f, decoded), used, 2 * used - end, half)
+    return (*_csr(cfg, f, decoded), used, 2 * used - end, half)
 
 
 def _draws(cfg: SampleConfig, k):
@@ -283,29 +284,13 @@ def _cols_of_weight(cfg: SampleConfig, k: int, c, halves):
     return s, bad
 
 
-def _masks(cfg: SampleConfig, f: int, parts) -> tuple:
-    """(rows, row count) of f attempts, each row an int bitmask, from the
-    ascending columns cols of the attempts sel of each weight.  The exact
-    model's columns are distinct, so xor sets them as or would; the binomial
-    model keeps the urns hit an odd number of times, and an empty throw
-    (mask 0) yields no row."""
-    rows = [None] * f
-    for sel, cols in parts:
-        masks = np.zeros(len(cols), dtype=object)
-        for t in range(cols.shape[1]):
-            masks ^= 1 << cols[:, t].astype(object)
-        for i, row in zip(sel.tolist(), masks.tolist()):
-            rows[i] = row
-    rows = [row for row in rows if row]
-    return rows, len(rows)
-
-
 def _csr(cfg: SampleConfig, f: int, parts) -> tuple:
-    """((col_index, sizes), row count) of f attempts: the rows' columns in
-    one flat array, attempt after attempt, and each row's column count.  A
-    row holds the columns ``_masks`` sets: every column of an exact-model
-    attempt, and each urn a binomial throw hits an odd number of times,
-    once; an empty throw yields no row."""
+    """(col_index, sizes) of f attempts, from the ascending columns cols of
+    the attempts sel of each weight: the rows' columns in one flat array,
+    attempt after attempt, and each row's column count.  This is the one
+    form the decoder writes.  A row holds every column of an exact-model
+    attempt, whose columns are distinct, and each urn a binomial throw hits
+    an odd number of times, once; an empty throw yields no row."""
     size = np.zeros(f, dtype=np.intp)
     keeps = []
     for sel, cols in parts:
@@ -319,8 +304,7 @@ def _csr(cfg: SampleConfig, f: int, parts) -> tuple:
             flat[start[sel, None] + np.arange(cols.shape[1])] = cols
         else:
             flat[(start[sel, None] + keep.cumsum(axis=1) - 1)[keep]] = cols[keep]
-    size = size[size > 0]
-    return (flat, size), len(size)
+    return flat, size[size > 0]
 
 
 def _odd_urns(cols):
@@ -332,7 +316,7 @@ def _odd_urns(cols):
     first[:, 1:] = cols[:, 1:] != cols[:, :-1]
     at = np.flatnonzero(first)
     keep = np.zeros(cols.shape, dtype=bool)
-    keep.flat[at] = np.diff(at, append=first.size) % 2 == 1
+    keep.ravel()[at] = np.diff(at, append=first.size) & 1
     return keep
 
 
@@ -362,11 +346,7 @@ def check_Tn(cfg: SampleConfig) -> None:
 def sample_matrix(cfg: SampleConfig) -> GF2Matrix:
     """M(n, m) with i.i.d. rows, reproducible from cfg.seed."""
     _check_rows(cfg, cfg.m)
-    flats, sizes = [np.zeros(0, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
-    for flat, size in _draw(cfg, make_rng(cfg.seed), cfg.m, _csr):
-        flats.append(flat)
-        sizes.append(size)
-    return GF2Matrix.from_csr(cfg.n, np.concatenate(flats), np.concatenate(sizes).cumsum())
+    return _draw(cfg, make_rng(cfg.seed), cfg.m)
 
 
 def run_Tn(cfg: SampleConfig) -> int:

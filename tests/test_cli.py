@@ -391,6 +391,19 @@ def test_core_histograms_list_keys_ascending(schema, tmp_path):
     assert list(res["cols_by_degree"].items()) == [("2", 1), ("3", 3)]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--rho", "r=3", "-n", "50", "-m", "40"],
+     "--in and --rho exclude each other: read a matrix or sample one"),
+    (["-m", "40"], "-m is for --rho sampling; a matrix that is read has its own rows"),
+], ids=["in-rho", "in-m"])
+def test_core_in_refuses_sampling_options(tmp_path, extra, message):
+    # core reads a matrix or samples one; an option of the other mode was
+    # once dropped without a word
+    mat = tmp_path / "core.txt"
+    mat.write_text("0 1\n1 2\n")
+    assert run_fail(["core", "--in", str(mat), *extra], 2) == f"error: {message}"
+
+
 def test_rank_enumerate():
     payload = json.loads(run_ok("rank", "--enumerate", input="110\n110\n"))
     res = payload["result"]

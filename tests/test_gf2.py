@@ -204,7 +204,11 @@ def test_csr_check_reads_rows_apart():
     assert mat.cols == rows and mat.m == 8
     assert mat.col_index.dtype == np.intp and mat.row_start.tolist() == [0, 0, 2, 2, 4, 5, 5, 10, 10]
     assert GF2Matrix.from_csr(5, mat.col_index, mat.row_start).cols == rows
-    assert GF2Matrix.from_cols(5, []).m == 0
+    # empty rows, first, middle and last, give mask 0
+    assert mat.rows == [row_from_cols(c) for c in rows] == [0, 18, 0, 17, 16, 0, 31, 0]
+    assert GF2Matrix.from_cols(5, []).m == 0 and GF2Matrix.from_cols(5, []).rows == []
+    wide = GF2Matrix.from_cols(1 << 22, [(3, (1 << 20) + 5), (), ((1 << 22) - 1,)])
+    assert wide.rows == [row_from_cols(c) for c in wide.cols]
     for start in ([0, 2, 1, 10], [1, 10], [0, 9], []):
         with pytest.raises(DimensionMismatch):
             GF2Matrix.from_csr(5, mat.col_index, start)

@@ -7,7 +7,7 @@ import scipy.stats
 
 from gf2rank import sampling
 from gf2rank.errors import InvalidParam
-from gf2rank.gf2 import RankState, row_cols
+from gf2rank.gf2 import GF2Matrix, RankState, row_cols, row_from_cols
 from gf2rank.peeling import Hypergraph
 from gf2rank.sampling import (
     MODELS,
@@ -361,12 +361,13 @@ def test_csr_keeps_odd_urns_once():
                     dtype=np.uint64)
     three = np.array([[5, 5, 5], [2, 3, 3]], dtype=np.uint64)
     parts = [(np.array([0, 2, 3, 5, 6]), four), (np.array([1, 4]), three)]
-    (flat, size), rows = sampling._csr(cfg, 7, parts)
+    flat, size = sampling._csr(cfg, 7, parts)
     bounds = np.concatenate(([0], size.cumsum())).tolist()
     got = [tuple(flat[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
-    assert got == [(1, 4), (5,), (0, 7), (2,), (0, 1, 2, 3)] and rows == 5
-    masks, rows = sampling._masks(cfg, 7, parts)
-    assert got == [tuple(row_cols(mask)) for mask in masks] and rows == 5
+    want = [(1, 4), (5,), (0, 7), (2,), (0, 1, 2, 3)]
+    assert got == want
+    # the masks run_Tn absorbs come out of the same arrays
+    assert GF2Matrix.from_csr(8, flat, bounds).rows == [row_from_cols(row) for row in want]
 
 
 # sha256 of sample_matrix(cfg).rows at seed 1309, each row as (n + 7) // 8
